@@ -2,7 +2,7 @@
 Legendre transforms, germ algebras, and divisor theory with a real-valued
 Riemann-Roch computation on the circle R*+/p^Z."""
 
-from .scalars import BOTTOM, HpScalar, chi_scalar, padic_abs, rmax_join, rmax_times
+from .scalars import BOTTOM, chi, in_zp, padic_abs, rmax_join, rmax_times
 from .germs import (
     GERM_BOTTOM, GERM_ONE, Germ, LEX_BOTTOM, LEX_ONE, LexElement,
     eval_char, eval_char_lex, germ_join, germ_mul, lex_join, lex_mul,
@@ -18,8 +18,8 @@ from .polygons import (
 )
 from .circle import (
     CircleFunction, ClosureError, Divisor, PrincipalityReport,
-    chi_divisor, circle_bottom, circle_function, circle_join, circle_times,
-    degree, divisor, divisor_of, from_cut, is_principal, jacobian_class,
+    circle_bottom, circle_function, circle_join, circle_times,
+    divisor, divisor_of, from_cut, is_principal, jacobian_class,
     normalize_point,
 )
 from .riemann_roch import (

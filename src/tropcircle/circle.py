@@ -19,19 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, bottom_pa, hp_group, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import HpScalar, is_prime
+from .scalars import chi, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
     "ClosureError",
     "Divisor",
     "PrincipalityReport",
-    "chi_divisor",
     "circle_bottom",
     "circle_function",
     "circle_join",
     "circle_times",
-    "degree",
     "divisor",
     "divisor_of",
     "from_cut",
@@ -62,7 +60,7 @@ class Divisor:
     """Finitely supported map from circle points to nonzero Z[1/p] coefficients."""
 
     p: int
-    entries: tuple  # sorted ((rep, HpScalar)) with rep in [1, p), coeff nonzero
+    entries: tuple  # sorted ((rep, Fraction)) with rep in [1, p), coeff nonzero
 
     @property
     def support(self):
@@ -72,30 +70,30 @@ class Divisor:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def coeff(self, lam) -> HpScalar:
+    def coeff(self, lam) -> Fraction:
         rep = normalize_point(self.p, lam)
         for r, c in self.entries:
             if r == rep:
                 return c
-        return HpScalar.zero(self.p)
+        return Fraction(0)
 
     def degree(self) -> Fraction:
         """Sum over the support of rep * coefficient (the real value)."""
-        return sum((rep * c.to_fraction() for rep, c in self.entries), Fraction(0))
+        return sum((rep * c for rep, c in self.entries), Fraction(0))
 
     def chi(self) -> int:
         """Sum of the coefficient residues in Z/(p-1)Z."""
         if self.p == 2:
             return 0
-        return sum(c.chi() for _, c in self.entries) % (self.p - 1)
+        return sum(chi(c, self.p) for _, c in self.entries) % (self.p - 1)
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if self.p != other.p:
             raise ValueError("mixed primes")
-        table = {rep: c for rep, c in self.entries}
+        table = dict(self.entries)
         for rep, c in other.entries:
-            table[rep] = table[rep] + c if rep in table else c
-        return divisor(self.p, table)
+            table[rep] = table.get(rep, 0) + c
+        return _collect(self.p, table)
 
     def __neg__(self) -> "Divisor":
         return Divisor(self.p, tuple((rep, -c) for rep, c in self.entries))
@@ -113,18 +111,21 @@ class Divisor:
 def divisor(p: int, table) -> Divisor:
     """Build a divisor from a mapping {representative: coefficient}; points
     are normalized, coefficients coerced into Z[1/p], zeros dropped."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     merged: dict = {}
     for lam, c in dict(table).items():
         rep = normalize_point(p, lam)
-        if not isinstance(c, HpScalar):
-            c = HpScalar.from_fraction(p, c)
-        elif c.p != p:
-            raise ValueError("coefficient prime mismatch")
-        merged[rep] = merged[rep] + c if rep in merged else c
-    entries = tuple(sorted((rep, c) for rep, c in merged.items() if c))
-    return Divisor(p, entries)
+        c = Fraction(c)
+        if not in_zp(c, p):
+            raise ValueError(f"coefficient {c} is not in Z[1/{p}]")
+        merged[rep] = merged.get(rep, 0) + c
+    return _collect(p, merged)
+
+
+def _collect(p: int, table: dict) -> Divisor:
+    """Divisor from {rep in [1, p): coefficient in Z[1/p]} with p already
+    checked, as in sums of divisors and divisors of functions; zeros dropped."""
+    return Divisor(p, tuple(sorted((rep, c) for rep, c in table.items() if c)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,7 @@ class CircleFunction:
 def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
     """Validating constructor: kinks sorted in the open interval (1, p),
     slopes in Z[1/p], and the closure sum(s_i * arc_i) = 0.  An anchor of
-    None gives the bottom function."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    None gives the bottom function; hp_group rejects a p that is not prime."""
     group = hp_group(p)
     pa = piecewise_affine(group, 1, p, anchor, kinks, slopes)
     if pa.is_bottom:
@@ -270,15 +269,7 @@ def divisor_of(f: CircleFunction) -> Divisor:
     """Divisor of slope jumps; its degree and chi invariant always vanish."""
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
-    return divisor(f.p, {rep: HpScalar.from_fraction(f.p, j) for rep, j in f.jumps()})
-
-
-def degree(d: Divisor) -> Fraction:
-    return d.degree()
-
-
-def chi_divisor(d: Divisor) -> int:
-    return d.chi()
+    return _collect(f.p, dict(f.jumps()))
 
 
 @dataclass(frozen=True)
@@ -311,15 +302,9 @@ def is_principal(d: Divisor) -> PrincipalityReport:
     p = d.p
     wrap = d.coeff(1)
     interior = [(rep, c) for rep, c in d.entries if rep != 1]
-    total = HpScalar.zero(p)
+    slopes = [-(wrap + p * sum(c for _, c in interior)) / (p - 1)]
     for _, c in interior:
-        total = total + c
-    s0 = -(wrap + total.mul_p_power(1)).div_exact(p - 1)
-    slopes = [s0.to_fraction()]
-    acc = s0
-    for _, c in interior:
-        acc = acc + c
-        slopes.append(acc.to_fraction())
+        slopes.append(slopes[-1] + c)
     witness = circle_function(p, [rep for rep, _ in interior], slopes, 0)
     return PrincipalityReport(d, witness, ())
 

@@ -9,7 +9,6 @@ across runs.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize as ser
 from .circle import divisor_of, is_principal, jacobian_class
@@ -31,9 +30,12 @@ def _read_text(path: str) -> str:
 def _read_json(path: str) -> dict:
     text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -139,22 +141,22 @@ def cmd_divisor(args) -> int:
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
     d = divisor_of(f)
-    orders_sum = sum((rep * c.to_fraction() for rep, c in d.entries), Fraction(0))
+    degree = d.degree()  # the orders rep * coeff summed over the support
     payload = {
         "divisor": ser.divisor_to_json(d),
-        "degree": ser.frac_to_str(d.degree()),
+        "degree": ser.frac_to_str(degree),
         "chi": d.chi(),
-        "ordersSumZero": orders_sum == 0,
+        "ordersSumZero": degree == 0,
     }
     if args.format == "json":
         _write_out(ser.dumps(payload), args.out)
     else:
         lines = [f"divisor: {d!r}",
-                 f"degree: {ser.frac_to_str(d.degree())}",
+                 f"degree: {ser.frac_to_str(degree)}",
                  f"chi: {d.chi()}",
-                 f"orders sum zero: {'ok' if orders_sum == 0 else 'VIOLATED'}"]
+                 f"orders sum zero: {'ok' if degree == 0 else 'VIOLATED'}"]
         _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if orders_sum == 0 else 1
+    return 0 if degree == 0 else 1
 
 
 def cmd_jacobian(args) -> int:
@@ -217,9 +219,18 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _is_circle_file(data) -> bool:
+    """A function file holds a circle function when it carries a prime p
+    and its domain is exactly [1, p]; anything else is a plain PA file."""
+    p = data.get("p")
+    lo, hi = data.get("domain", (None, None))
+    return (p is not None and hi is not None
+            and ser.parse_frac(lo) == 1 and ser.parse_frac(hi) == p)
+
+
 def cmd_plot(args) -> int:
     data = _read_json(args.function)
-    if data.get("p") is not None and data.get("domain", [None, None])[0] == "1":
+    if _is_circle_file(data):
         f = ser.circle_from_json(data).pa
     else:
         f = ser.pa_from_json(data)

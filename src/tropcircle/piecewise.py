@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import is_prime
+from .scalars import in_zp, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -46,8 +46,8 @@ class SlopeGroup:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if self.p is not None:
+            require_prime(self.p)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -55,10 +55,7 @@ class SlopeGroup:
         q = Fraction(q) / self.scale
         if self.p is None:
             return q.denominator == 1
-        den = q.denominator
-        while den % self.p == 0:
-            den //= self.p
-        return den == 1
+        return in_zp(q, self.p)
 
     def require(self, q) -> Fraction:
         q = Fraction(q)

@@ -35,7 +35,7 @@ from itertools import product
 from math import ceil, floor
 
 from .circle import CircleFunction, Divisor, divisor_of
-from .scalars import HpScalar
+from .scalars import padic_abs
 
 __all__ = [
     "FiltrationReport",
@@ -61,8 +61,7 @@ def norm_p(f: CircleFunction) -> Fraction:
     if f.is_bottom:
         raise ValueError("the bottom function has no norm")
     lefts = (Fraction(1), *f.kinks)
-    return max(HpScalar.from_fraction(f.p, s).padic_abs() / b
-               for s, b in zip(f.slopes, lefts))
+    return max(padic_abs(s, f.p) / b for s, b in zip(f.slopes, lefts))
 
 
 def member_h0(f: CircleFunction, d: Divisor) -> bool:
@@ -72,7 +71,7 @@ def member_h0(f: CircleFunction, d: Divisor) -> bool:
     if f.p != d.p:
         raise ValueError("mixed primes")
     total = divisor_of(f) + d
-    return all(c.num >= 0 for _, c in total.entries)
+    return all(c > 0 for _, c in total.entries)
 
 
 def _floor_lattice(x: Fraction, eps: Fraction) -> Fraction:
@@ -152,14 +151,12 @@ def _assignment_best(p, eps, wrap_floor, interior, u_values):
     return best
 
 
-def dim_filtration(d: Divisor, n: int, map_impl=map) -> int:
+def dim_filtration(d: Divisor, n: int) -> int:
     """Maximal stratum dimension of the level {f in H0(D) : ||f|| <= p**n}.
 
     Returns 0 when the level holds only the bottom function.  The search
     enumerates lattice values for the forced jumps at the support of D
-    (ranges bounded by the order-sum budget) and maximizes over assignments;
-    map_impl may be swapped for a parallel map, the reduction is a plain
-    deterministic max.
+    (ranges bounded by the order-sum budget) and maximizes over assignments.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -167,8 +164,8 @@ def dim_filtration(d: Divisor, n: int, map_impl=map) -> int:
     if d.degree() < 0:
         return 0
     eps = Fraction(1, p ** n)
-    wrap_d = d.coeff(1).to_fraction()
-    interior = [(rep, c.to_fraction()) for rep, c in d.entries if rep != 1]
+    wrap_d = d.coeff(1)
+    interior = [(rep, c) for rep, c in d.entries if rep != 1]
     wrap_floor = _floor_lattice(wrap_d, eps)
     ranges = []
     total = 1
@@ -184,10 +181,8 @@ def dim_filtration(d: Divisor, n: int, map_impl=map) -> int:
             raise ValueError("support enumeration too large for desk scale")
         ranges.append([u_lo + k * eps for k in range(count)])
 
-    def run(assign):
-        return _assignment_best(p, eps, wrap_floor, interior, assign)
-
-    return max(map_impl(run, product(*ranges)), default=0)
+    return max((_assignment_best(p, eps, wrap_floor, interior, assign)
+                for assign in product(*ranges)), default=0)
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ class FiltrationReport:
         return tuple(dim for _, dim, _ in self.levels)
 
 
-def dim_r(d: Divisor, n_max: int, map_impl=map) -> FiltrationReport:
+def dim_r(d: Divisor, n_max: int) -> FiltrationReport:
     """Normalized dimensions p**(-n) * dim for n = 0..n_max; the last value
     estimates the continuous dimension, which equals max(deg D, 0)."""
     if n_max < 2:
@@ -209,7 +204,7 @@ def dim_r(d: Divisor, n_max: int, map_impl=map) -> FiltrationReport:
     levels = []
     prev = -1
     for n in range(n_max + 1):
-        dim = dim_filtration(d, n, map_impl)
+        dim = dim_filtration(d, n)
         if dim < prev:
             raise AssertionError("filtration dimensions must be nondecreasing")
         prev = dim
@@ -233,11 +228,11 @@ class RiemannRochReport:
     ok: bool
 
 
-def rr_check(d: Divisor, n_max: int, map_impl=map) -> RiemannRochReport:
+def rr_check(d: Divisor, n_max: int) -> RiemannRochReport:
     """Verify Dim(H0(D)) - Dim(H0(-D)) = deg(D) within the stated tolerance,
     using the level-n_max estimates of both continuous dimensions."""
-    rep_d = dim_r(d, n_max, map_impl)
-    rep_n = dim_r(-d, n_max, map_impl)
+    rep_d = dim_r(d, n_max)
+    rep_n = dim_r(-d, n_max)
     deg = d.degree()
     diff = rep_d.limit_estimate - rep_n.limit_estimate
     tol = rr_tolerance(deg, d.p, n_max)

@@ -3,19 +3,21 @@
 Values of the functions handled by this package live on the max-plus line
 R ∪ {-inf}, whose semiring addition is max and whose multiplication is
 ordinary +.  Slopes and divisor coefficients live in Z[1/p], the subring of
-rationals whose denominator is a power of a fixed prime p.
+rationals whose denominator is a power of a fixed prime p.  They are plain
+Fractions: membership, the p-adic absolute value and the residue in
+Z/(p-1)Z all read off the reduced numerator and denominator.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "BOTTOM",
-    "HpScalar",
-    "chi_scalar",
+    "chi",
+    "in_zp",
     "is_prime",
     "padic_abs",
     "padic_valuation",
+    "require_prime",
     "rmax_join",
     "rmax_times",
 ]
@@ -41,15 +43,52 @@ def rmax_times(a, b):
     return a + b
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all of the bases above (Sorenson and
+# Webster, 2015): Miller-Rabin over them is exact below it.
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < 3.18e23: a small-prime screen, then
+    deterministic Miller-Rabin over the prime bases 2..37."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def require_prime(p) -> int:
+    """Return p when it is a prime int below 2**64; raise ValueError otherwise.
+
+    divisor() and SlopeGroup, the two constructors that take a prime, call
+    this; the arithmetic downstream never re-checks p.
+    """
+    if type(p) is not int:
+        raise ValueError(f"p must be a prime integer, got {p!r}")
+    if p >= 2 ** 64:
+        raise ValueError(f"p must be below 2**64, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -64,123 +103,28 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class HpScalar:
-    """An element num / p**pexp of Z[1/p], kept in normalized form.
+def in_zp(q, p: int) -> bool:
+    """True when the reduced denominator of q is a power of p."""
+    den = Fraction(q).denominator
+    while den % p == 0:
+        den //= p
+    return den == 1
 
-    Normalized means pexp == 0 or p does not divide num; zero is stored as
-    num = 0, pexp = 0.  Instances are immutable and safe to share.
+
+def padic_abs(q, p: int) -> Fraction:
+    """p-adic absolute value p**(v_p(den) - v_p(num)); 0 maps to 0."""
+    q = Fraction(q)
+    if q == 0:
+        return Fraction(0)
+    e = padic_valuation(q.denominator, p) - padic_valuation(q.numerator, p)
+    return Fraction(p) ** e
+
+
+def chi(q, p: int) -> int:
+    """Residue of q in Z[1/p] modulo (p-1)Z[1/p], as an int in [0, p-1).
+
+    Because p = 1 mod (p-1), the denominator p**k acts trivially, so the
+    reduced numerator alone represents the class.  For p = 2 the group is
+    trivial and the result is 0.
     """
-
-    p: int
-    num: int
-    pexp: int
-
-    @classmethod
-    def make(cls, p: int, num: int, pexp: int = 0) -> "HpScalar":
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if pexp < 0:
-            num *= p ** (-pexp)
-            pexp = 0
-        if num == 0:
-            return cls(p, 0, 0)
-        while pexp > 0 and num % p == 0:
-            num //= p
-            pexp -= 1
-        return cls(p, num, pexp)
-
-    @classmethod
-    def zero(cls, p: int) -> "HpScalar":
-        return cls.make(p, 0)
-
-    @classmethod
-    def from_fraction(cls, p: int, q) -> "HpScalar":
-        """Convert a rational to Z[1/p]; rejects denominators that are not p-powers."""
-        q = Fraction(q)
-        den = q.denominator
-        pexp = 0
-        while den % p == 0:
-            den //= p
-            pexp += 1
-        if den != 1:
-            raise ValueError(f"{q} is not in Z[1/{p}]: denominator has a factor {den}")
-        return cls.make(p, q.numerator, pexp)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p ** self.pexp)
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def _check(self, other: "HpScalar") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-
-    def __add__(self, other: "HpScalar") -> "HpScalar":
-        self._check(other)
-        k = max(self.pexp, other.pexp)
-        num = self.num * self.p ** (k - self.pexp) + other.num * self.p ** (k - other.pexp)
-        return HpScalar.make(self.p, num, k)
-
-    def __neg__(self) -> "HpScalar":
-        return HpScalar(self.p, -self.num, self.pexp)
-
-    def __sub__(self, other: "HpScalar") -> "HpScalar":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HpScalar.make(self.p, self.num * other, self.pexp)
-        self._check(other)
-        return HpScalar.make(self.p, self.num * other.num, self.pexp + other.pexp)
-
-    __rmul__ = __mul__
-
-    def mul_p_power(self, j: int) -> "HpScalar":
-        """Multiply by p**j (j may be negative)."""
-        return HpScalar.make(self.p, self.num, self.pexp - j)
-
-    def div_exact(self, d: int) -> "HpScalar":
-        """Divide by a nonzero integer when the quotient stays in Z[1/p]."""
-        if d == 0:
-            raise ZeroDivisionError("division by zero")
-        sign = 1 if d > 0 else -1
-        d = abs(d)
-        # strip the p-part of d, then the remaining factor must divide num
-        extra = 0
-        while d % self.p == 0 and d > 1:
-            d //= self.p
-            extra += 1
-        if self.num % d != 0:
-            raise ValueError(f"{self} is not divisible by {d * self.p ** extra} in Z[1/{self.p}]")
-        return HpScalar.make(self.p, sign * (self.num // d), self.pexp + extra)
-
-    def padic_abs(self) -> Fraction:
-        """p-adic absolute value: p**(pexp - v_p(num)); 0 maps to 0."""
-        if self.num == 0:
-            return Fraction(0)
-        e = self.pexp - padic_valuation(self.num, self.p)
-        return Fraction(self.p) ** e
-
-    def chi(self) -> int:
-        """Residue in Z/(p-1)Z.
-
-        Because p = 1 mod (p-1), the denominator p**pexp acts trivially, so
-        the residue of num alone represents the class of the scalar modulo
-        (p-1)Z[1/p].  For p = 2 the group is trivial and the result is 0.
-        """
-        return self.num % (self.p - 1) if self.p > 2 else 0
-
-    def __str__(self) -> str:
-        if self.pexp == 0:
-            return str(self.num)
-        return f"{self.num}/{self.p ** self.pexp}"
-
-
-def padic_abs(h: HpScalar) -> Fraction:
-    return h.padic_abs()
-
-
-def chi_scalar(h: HpScalar) -> int:
-    return h.chi()
+    return Fraction(q).numerator % (p - 1) if p > 2 else 0

@@ -139,7 +139,7 @@ def circle_from_json(d: dict) -> CircleFunction:
 def divisor_to_json(d: Divisor) -> dict:
     return {
         "p": d.p,
-        "support": [{"point": frac_to_str(rep), "coeff": frac_to_str(c.to_fraction())}
+        "support": [{"point": frac_to_str(rep), "coeff": frac_to_str(c)}
                     for rep, c in d.entries],
     }
 

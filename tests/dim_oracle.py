@@ -37,7 +37,7 @@ def _floor_lat(x: Fraction, eps: Fraction) -> Fraction:
 
 def oracle_budget(d) -> Fraction:
     """Positive part of the divisor: sum of rep * coeff over positive coeffs."""
-    return sum((rep * c.to_fraction() for rep, c in d.entries if c.num > 0), Fraction(0))
+    return sum((rep * c for rep, c in d.entries if c > 0), Fraction(0))
 
 
 def _lattice_range(lo: Fraction, hi: Fraction, eps: Fraction):
@@ -51,8 +51,8 @@ def _configurations(d, n):
     """All (u_assignment, c0, rhs, su) tuples within the order-sum budget."""
     p = d.p
     eps = Fraction(1, p ** n)
-    wrap_d = d.coeff(1).to_fraction()
-    interior = [(rep, c.to_fraction()) for rep, c in d.entries if rep != 1]
+    wrap_d = d.coeff(1)
+    interior = [(rep, c) for rep, c in d.entries if rep != 1]
     pos = lambda items: sum((r * v for r, v in items if v > 0), Fraction(0))
     ranges = []
     for rep, dv in interior:

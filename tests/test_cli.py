@@ -34,6 +34,18 @@ def divisor_file(tmp_path, d, name="div.json"):
     return str(path)
 
 
+def write_json(tmp_path, payload, name="in.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def assert_one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
 class TestRoundTrips:
     def test_polygon(self):
         n = newton_polygon(hp_group(3, F(1, 2)), [(F(1, 6), 0), (F(1, 2), -1)])
@@ -222,3 +234,51 @@ class TestPlotCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["plot", "/nonexistent/nope.json"]) == 2
+
+    def test_pa_file_on_one_to_five(self, tmp_path, capsys):
+        # starts at 1 and carries a prime, but [1, 5] is not the domain [1, 2]
+        path = write_json(tmp_path, {"p": 2, "scale": "1", "domain": ["1", "5"], "anchor": "0",
+                                     "kinks": ["2"], "slopes": ["0", "1"], "convex": True})
+        assert main(["plot", path]) == 0
+        assert capsys.readouterr().out.startswith("<svg")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["jacobian", "rr"])
+    def test_float_p_divisor_exits_2(self, tmp_path, capsys, command):
+        path = write_json(tmp_path, {"p": 3.0, "support": [{"point": "2", "coeff": "1"}]})
+        assert main([command, path]) == 2
+        assert_one_line_error(capsys, "prime integer")
+
+    def test_float_p_function_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 3.0, "domain": ["1", "3"], "anchor": "0",
+                                     "kinks": [], "slopes": ["0"], "convex": False})
+        assert main(["divisor", path]) == 2
+        assert_one_line_error(capsys, "prime integer")
+
+    def test_p_beyond_two_to_the_64_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 2 ** 89 - 1,
+                                     "support": [{"point": "2", "coeff": "1"}]})
+        assert main(["jacobian", path]) == 2
+        assert_one_line_error(capsys, "2**64")
+
+    def test_coefficient_outside_ring_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "2", "coeff": "1/6"}]})
+        assert main(["jacobian", path]) == 2
+        assert_one_line_error(capsys, "Z[1/3]")
+
+    @pytest.mark.parametrize("command", ["plot", "jacobian"])
+    def test_non_object_file_exits_2(self, tmp_path, capsys, command):
+        path = write_json(tmp_path, [1, 2])
+        assert main([command, path]) == 2
+        assert_one_line_error(capsys, "expected a JSON object")
+
+    def test_large_prime_is_fast(self, tmp_path, capsys):
+        import time
+        path = write_json(tmp_path, {"p": 10 ** 18 + 3,
+                                     "support": [{"point": "2", "coeff": "1"}]})
+        start = time.perf_counter()
+        assert main(["jacobian", path, "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chi"] == 1 and payload["obstructions"] == ["degree", "chi"]

@@ -139,15 +139,6 @@ class TestDimFiltration:
         assert is_principal(d).principal
         assert [dim_filtration(d, n) for n in range(5)] == [0, 0, 1, 1, 1]
 
-    def test_parallel_map_hook(self):
-        # stratum evaluation is pure, so a concurrent map with max-reduction
-        # must reproduce the serial result
-        from concurrent.futures import ThreadPoolExecutor
-        d = divisor(2, {F(1): F(1), F(3, 2): F(-1, 2)})
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for n in range(6):
-                assert dim_filtration(d, n, map_impl=pool.map) == dim_filtration(d, n)
-
 
 class TestDimR:
     def test_zero_divisor(self):

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from tropcircle.circle import divisor
 from tropcircle.scalars import (
-    BOTTOM, HpScalar, chi_scalar, padic_abs, rmax_join, rmax_times,
+    BOTTOM, chi, in_zp, is_prime, padic_abs, require_prime, rmax_join, rmax_times,
 )
+from tropcircle.serialize import divisor_to_json
 
 
 def factorization_valuation(n, p):
@@ -21,47 +23,61 @@ def factorization_valuation(n, p):
     return factors.get(p, 0)
 
 
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def zp_elements(p):
+    """Hypothesis strategy for num / p**k with small num and k."""
+    return st.builds(lambda a, i: F(a, p ** i), st.integers(-40, 40), st.integers(0, 3))
+
+
 class TestPadicAbs:
     def test_third_at_three(self):
-        assert padic_abs(HpScalar.make(3, 1, 1)) == 3
+        assert padic_abs(F(1, 3), 3) == 3
 
     def test_zero(self):
-        assert padic_abs(HpScalar.zero(5)) == 0
+        assert padic_abs(F(0), 5) == 0
 
     def test_twelve_at_two_against_factorization(self):
         v = factorization_valuation(12, 2)
         assert v == 2
-        assert padic_abs(HpScalar.make(2, 12)) == F(1, 2 ** v)
+        assert padic_abs(F(12), 2) == F(1, 2 ** v)
 
     def test_multiplicative(self):
-        a = HpScalar.make(3, 5, 2)
-        b = HpScalar.make(3, 18, 0)
-        assert padic_abs(a * b) == padic_abs(a) * padic_abs(b)
+        a, b = F(5, 9), F(18)
+        assert padic_abs(a * b, 3) == padic_abs(a, 3) * padic_abs(b, 3)
 
 
 class TestChi:
     def test_seven_fifths(self):
-        h = HpScalar.make(5, 7, 1)
-        r = chi_scalar(h)
+        h = F(7, 5)
+        r = chi(h, 5)
         assert r == 3
         # independent check: h - r must be 4 times an element of Z[1/5]
-        diff = h.to_fraction() - r
-        q = diff / 4
+        q = (h - r) / 4
         den = q.denominator
         while den % 5 == 0:
             den //= 5
         assert den == 1
 
     def test_zero(self):
-        assert chi_scalar(HpScalar.zero(7)) == 0
+        assert chi(F(0), 7) == 0
 
     def test_p_two_trivial(self):
-        assert chi_scalar(HpScalar.make(2, 11, 3)) == 0
+        assert chi(F(11, 8), 2) == 0
 
     def test_invariant_under_p_scaling(self):
-        h = HpScalar.make(5, 9, 1)
-        assert h.mul_p_power(1).chi() == h.chi()
-        assert h.mul_p_power(-2).chi() == h.chi()
+        h = F(9, 5)
+        assert chi(h * 5, 5) == chi(h, 5)
+        assert chi(h / 25, 5) == chi(h, 5)
 
 
 class TestRmax:
@@ -77,46 +93,80 @@ class TestRmax:
 
 
 class TestHpArithmetic:
-    def test_normalization(self):
-        h = HpScalar.make(3, 9, 2)
-        assert (h.num, h.pexp) == (1, 0)
-
     def test_zero_normal_form(self):
-        h = HpScalar.make(3, 0, 5)
-        assert (h.num, h.pexp) == (0, 0)
-        assert not h
+        assert in_zp(F(0), 3) and padic_abs(F(0), 3) == 0 and chi(F(0), 3) == 0
+        assert divisor(3, {F(2): F(0)}).is_empty
+        assert (divisor(3, {F(2): F(4, 9)}) + divisor(3, {F(2): F(-4, 9)})).is_empty
 
-    def test_from_fraction_rejects_foreign_denominator(self):
+    def test_foreign_denominator_rejected(self):
+        assert not in_zp(F(1, 6), 3)
+        assert in_zp(F(4, 9), 3) and in_zp(F(-5), 7)
         with pytest.raises(ValueError):
-            HpScalar.from_fraction(3, F(1, 6))
+            divisor(3, {F(2): F(1, 6)})
 
-    def test_div_exact(self):
-        h = HpScalar.make(5, 8, 1)
-        assert h.div_exact(4).to_fraction() == F(2, 5)
-        with pytest.raises(ValueError):
-            HpScalar.make(5, 3, 0).div_exact(4)
+    @given(zp_elements(3), zp_elements(3))
+    def test_addition_matches_fractions(self, x, y):
+        assert in_zp(x + y, 3) and in_zp(x - y, 3) and in_zp(x * y, 3)
+        total = divisor(3, {F(2): x}) + divisor(3, {F(2): y})
+        assert total.coeff(2) == x + y
 
-    def test_div_exact_strips_p_part(self):
-        h = HpScalar.make(3, 2, 0)
-        assert h.div_exact(6).to_fraction() == F(1, 3)
+    @given(zp_elements(5), zp_elements(5))
+    def test_ultrametric(self, x, y):
+        assert padic_abs(x + y, 5) <= max(padic_abs(x, 5), padic_abs(y, 5))
 
-    @given(st.integers(-40, 40), st.integers(0, 3), st.integers(-40, 40), st.integers(0, 3))
-    def test_addition_matches_fractions(self, a, i, b, j):
-        x, y = HpScalar.make(3, a, i), HpScalar.make(3, b, j)
-        assert (x + y).to_fraction() == x.to_fraction() + y.to_fraction()
-        assert (x - y).to_fraction() == x.to_fraction() - y.to_fraction()
-        assert (x * y).to_fraction() == x.to_fraction() * y.to_fraction()
+    @given(zp_elements(5), zp_elements(5))
+    def test_chi_additive(self, x, y):
+        assert chi(x + y, 5) == (chi(x, 5) + chi(y, 5)) % 4
 
-    @given(st.integers(-40, 40), st.integers(0, 3), st.integers(-40, 40), st.integers(0, 3))
-    def test_ultrametric(self, a, i, b, j):
-        x, y = HpScalar.make(5, a, i), HpScalar.make(5, b, j)
-        assert (x + y).padic_abs() <= max(x.padic_abs(), y.padic_abs())
+    @given(zp_elements(5), zp_elements(5))
+    def test_padic_abs_multiplicative(self, x, y):
+        assert padic_abs(x * y, 5) == padic_abs(x, 5) * padic_abs(y, 5)
 
-    @given(st.integers(-40, 40), st.integers(0, 3), st.integers(-40, 40), st.integers(0, 3))
-    def test_chi_additive(self, a, i, b, j):
-        x, y = HpScalar.make(5, a, i), HpScalar.make(5, b, j)
-        assert (x + y).chi() == (x.chi() + y.chi()) % 4
+    @given(zp_elements(5), st.integers(-3, 3))
+    def test_chi_invariant_under_p(self, x, j):
+        assert chi(x * F(5) ** j, 5) == chi(x, 5)
 
     def test_serialization_form(self):
-        assert str(HpScalar.make(3, 4, 2)) == "4/9"
-        assert str(HpScalar.make(3, -5, 0)) == "-5"
+        d = divisor(3, {F(2): F(4, 9), F(1): F(-5)})
+        assert [e["coeff"] for e in divisor_to_json(d)["support"]] == ["-5", "4/9"]
+        assert repr(d) == "Divisor(p=3, 1 -> -5, 2 -> 4/9)"
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(20000) if is_prime(n)] == \
+            [n for n in range(20000) if trial_division_is_prime(n)]
+
+    def test_strong_pseudoprime_to_small_bases(self):
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not is_prime(3215031751)
+
+    def test_large_primes(self):
+        assert is_prime(10 ** 9 + 7)
+        assert is_prime(2 ** 61 - 1)
+        assert is_prime(10 ** 18 + 3)
+        assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+
+    def test_refuses_beyond_exact_range(self):
+        with pytest.raises(ValueError):
+            is_prime(10 ** 30)
+
+
+class TestRequirePrime:
+    def test_accepts_primes(self):
+        assert require_prime(2) == 2
+        assert require_prime(2 ** 64 - 59) == 2 ** 64 - 59
+
+    @pytest.mark.parametrize("p", [3.0, True, "3", F(3), None])
+    def test_rejects_non_int(self, p):
+        with pytest.raises(ValueError, match="prime integer"):
+            require_prime(p)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 3215031751])
+    def test_rejects_non_primes(self, p):
+        with pytest.raises(ValueError, match="must be prime"):
+            require_prime(p)
+
+    def test_rejects_beyond_two_to_the_64(self):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            require_prime(2 ** 89 - 1)
