@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                                               "and the circle R*+/p^Z")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, prime_flag=True):
-        p.add_argument("--format", choices=("text", "json", "csv", "svg"), default="text")
+    def common(p, formats=(), prime_flag=True):
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="output path; default stdout")
         if prime_flag:
             p.add_argument("--p", type=int, default=None,
@@ -253,25 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("legendre", help="support function of a polygon file")
     p.add_argument("polygon", help="polygon JSON file or -")
-    common(p)
+    common(p, ("text", "json", "svg"))
     p.set_defaults(func=cmd_legendre)
 
     p = sub.add_parser("divisor", help="divisor, degree and chi of a circle function")
     p.add_argument("function", help="circle-function JSON file or -")
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("jacobian", help="divisor class and principality witness")
     p.add_argument("divisor", help="divisor JSON file or -")
     p.add_argument("--witness-out", default=None,
                    help="also write the witness function file when principal")
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("rr", help="filtration dimensions and the Riemann-Roch verdict")
     p.add_argument("divisor", help="divisor JSON file or -")
     p.add_argument("--n-max", type=int, default=6)
-    common(p)
+    common(p, ("text", "json", "csv", "svg"))
     p.set_defaults(func=cmd_rr)
 
     p = sub.add_parser("verify", help="run the randomized law checks")

@@ -18,21 +18,26 @@ no movable kinks contributes the one-dimensional family of constants shifts.
 The reported dimension is the maximum over feasible strata, and 0 when the
 level contains only the bottom function.
 
-Two facts bound and simplify the search.  First, the real orders of a
+Three facts bound and simplify the search.  First, the real orders of a
 member sum to zero, each forced order is at least -rep * d, and each
 movable kink contributes more than p**(-n), so the number of movable kinks
 is under B * p**n with B the positive part of the divisor.  Second,
 splitting a movable jump 2c into two nearby kinks c, c preserves
 feasibility, so the maximal stratum may be assumed to have all movable
 jumps equal to the minimal lattice step; feasibility then depends only on
-the number of kinks m and the base slope, and reduces to exact rational
-window arithmetic.
+the number of kinks m and the base slope.  Third, with m >= 2 kinks the
+closure window for the base slope is wide enough to hold a lattice value,
+so only the wrap inequality binds, and its slack does not grow with m:
+the feasible m >= 2 form an initial segment, and the largest one is a
+closed form in the forced jumps.  Each assignment of forced jumps thus
+costs O(1) exact operations, and the search cost is the number of
+assignments enumerated.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import floor
 
 from .circle import CircleFunction, Divisor, divisor_of
 from .scalars import padic_abs
@@ -92,63 +97,38 @@ def _assignment_best(p, eps, wrap_floor, interior, u_values):
         a > alpha - m             (closure window, strict)
         a < alpha                 (strict)
         a <= hB(m)                (wrap inequality)
-    where alpha = -U / ((p-1) eps), U = sum(u * (p - rep)), and
-    hB(m) = (W - p (m eps + sum u)) / ((p-1) eps).  The window in m where
-    rounding matters has width p + O(1), so only a short scan near the real
-    bound is needed; anything well below the bound and >= 2 is feasible.
+    where alpha = -U / ((p-1) eps), U = sum(u * (p - rep)) = p su - sbu, and
+    hB(m) = (W - p (m eps + su)) / ((p-1) eps).  The movable real order caps
+    m strictly below (W - sbu) / eps.  For m >= 2 the strict window
+    alpha - m < a < alpha holds an integer, so m is feasible exactly when
+    floor(hB(m)) + m > alpha; as floor(hB(m)) + m = floor(hB(0) - m/(p-1))
+    does not increase with m, the feasible m >= 2 are exactly those up to
+    min(m_top, floor((p-1) hB(0)) - (p-1) (floor(alpha) + 1)).  A single
+    kink leaves one base slope and one forced position, which must avoid
+    the support of D.
     """
     su = sum(u_values, Fraction(0))
     sbu = sum((rep * u for (rep, _), u in zip(interior, u_values)), Fraction(0))
-    U = sum((u * (p - rep) for (rep, _), u in zip(interior, u_values)), Fraction(0))
-    reps = [rep for rep, _ in interior]
-
-    budget = -sbu + wrap_floor          # strict cap on the movable real order
-    m_hi = ceil(budget / eps) - 1
+    U = p * su - sbu
     alpha = -U / ((p - 1) * eps)
-    a_max_a = _int_below(alpha)
-    hb_const = (wrap_floor - p * su) / ((p - 1) * eps)
-    hb_step = Fraction(p, p - 1)        # hB(m) = hb_const - hb_step * m
+    wrap_room = (wrap_floor - p * su) / eps     # (p-1) * hB(0)
+    m_top = _int_below((wrap_floor - sbu) / eps)
 
-    def feasible(m: int) -> bool:
-        a = min(a_max_a, floor(hb_const - hb_step * m))
-        return a + m > alpha
-
-    best = 0
-    # real feasibility needs m < mB with mB = (W - p su + U) / eps
-    m_real = (wrap_floor - p * su + U) / eps
-    m_top = min(m_hi, _int_below(m_real))
     if m_top >= 2:
-        lo_scan = max(2, m_top - (p + 2))
-        for m in range(m_top, lo_scan - 1, -1):
-            if feasible(m):
-                best = m
-                break
-        else:
-            if lo_scan - 1 >= 2:
-                # guaranteed by the window-width argument; verify defensively
-                for m in range(lo_scan - 1, 1, -1):
-                    if feasible(m):
-                        best = m
-                        break
-    if best == 0 and m_top >= 1 and feasible(1):
-        # a single movable kink sits at the forced position x = p - T/eps;
-        # it must avoid the support of D
-        a = min(a_max_a, floor(hb_const - hb_step))
-        while a + 1 > alpha:
-            t = -(p - 1) * a * eps - U
-            x = p - t / eps
-            if x not in reps:
-                best = 1
-                break
-            a -= 1
-    if best == 0:
-        # no movable kinks: the closure forces the base slope exactly
-        s0 = -U / (p - 1)
-        if s0 % eps == 0:
-            c0 = (1 - p) * s0 - p * su
-            if c0 >= -wrap_floor:
-                return 1
-    return best
+        best = min(m_top, floor(wrap_room) - (p - 1) * (floor(alpha) + 1))
+        if best >= 2:
+            return best
+    if m_top >= 1:
+        # the single kink sits at the forced position x = p + (p-1) a + U/eps
+        a = min(_int_below(alpha), floor((wrap_room - p) / (p - 1)))
+        x = p + (p - 1) * a + U / eps
+        if a + 1 > alpha and x not in [rep for rep, _ in interior]:
+            return 1
+    # no movable kinks: the closure forces the base slope exactly
+    s0 = -U / (p - 1)
+    if s0 % eps == 0 and (1 - p) * s0 - p * su >= -wrap_floor:
+        return 1
+    return 0
 
 
 def dim_filtration(d: Divisor, n: int) -> int:

@@ -475,6 +475,8 @@ def run_suite(suite: Suite, seed: int, count: int):
 
 def run(seed: int, count: int, names=None):
     """Run all (or the named) suites; returns (report_lines, ok)."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     lines = [f"verify seed={seed} count={count}"]
     if count == 0:
         lines.append("warning: no cases requested")

@@ -123,6 +123,14 @@ class TestDivisorCommand:
         path.write_text(dumps(bad))
         assert main(["divisor", str(path)]) == 2
 
+    def test_csv_format_rejected(self, function_file, capsys):
+        # divisor writes only text and json; argparse refuses the rest
+        with pytest.raises(SystemExit) as exc:
+            main(["divisor", function_file, "--format", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'csv'" in err
+
 
 class TestJacobianCommand:
     def test_principal_witness(self, tmp_path, capsys):
@@ -191,6 +199,10 @@ class TestVerifyCommand:
         assert main(["verify", "--count", "0"]) == 0
         assert "no cases requested" in capsys.readouterr().out
 
+    def test_negative_count_exits_2(self, capsys):
+        assert main(["verify", "--count", "-3"]) == 2
+        assert_one_line_error(capsys, "count must be nonnegative")
+
     def test_deterministic_reports(self, capsys):
         assert main(["verify", "--seed", "11", "--count", "40"]) == 0
         first = capsys.readouterr().out
@@ -234,6 +246,14 @@ class TestPlotCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["plot", "/nonexistent/nope.json"]) == 2
+
+    def test_format_flag_rejected(self, function_file, capsys):
+        # plot always writes SVG and takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", function_file, "--format", "json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --format json" in err
 
     def test_pa_file_on_one_to_five(self, tmp_path, capsys):
         # starts at 1 and carries a prime, but [1, 5] is not the domain [1, 2]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -201,15 +202,17 @@ class TestOracleAgreement:
 
     def test_oracle_agrees_on_random_divisors(self):
         # regression net beyond the named fixtures: random small divisors,
-        # production search vs the independent enumerator
+        # production search vs the independent enumerator; up to two interior
+        # points, so the product over forced-jump assignments is exercised
         rng = random.Random(271)
         checked = 0
-        while checked < 60:
-            p = rng.choice((2, 3))
+        seen = Counter()
+        while checked < 120:
+            p = rng.choice((2, 3, 5))
             table = {}
             if rng.random() < 0.8:
                 table[F(1)] = F(rng.randint(-4, 5), rng.choice((1, 2, p)))
-            if rng.random() < 0.7:
+            for _ in range(rng.randint(0, 2)):
                 rep = F(rng.randint(p ** 2 + 1, p ** 3 - 1), p ** 2)
                 table[rep] = F(rng.randint(-4, 5), rng.choice((1, 2, p)))
             try:
@@ -221,6 +224,9 @@ class TestOracleAgreement:
                 continue
             assert max_dim_minimal(d, n) == dim_filtration(d, n), (dict(d.entries), n)
             checked += 1
+            seen[p] += 1
+            seen["interior", sum(rep != 1 for rep, _ in d.entries)] += 1
+        assert seen[5] >= 10 and seen["interior", 2] >= 10, seen
 
     def test_compositions_mode_agrees_on_tiny_budgets(self):
         # the fully exhaustive enumeration validates the minimal-jump
