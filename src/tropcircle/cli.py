@@ -238,10 +238,18 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: ...` line, like every other
+    input error, and exits 2; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tropcircle",
-                                  description="Exact tropical algebra on Newton polygons "
-                                              "and the circle R*+/p^Z")
+    top = _Parser(prog="tropcircle",
+                  description="Exact tropical algebra on Newton polygons "
+                              "and the circle R*+/p^Z")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, formats=(), prime_flag=True):

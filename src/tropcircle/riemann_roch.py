@@ -25,13 +25,17 @@ is under B * p**n with B the positive part of the divisor.  Second,
 splitting a movable jump 2c into two nearby kinks c, c preserves
 feasibility, so the maximal stratum may be assumed to have all movable
 jumps equal to the minimal lattice step; feasibility then depends only on
-the number of kinks m and the base slope.  Third, with m >= 2 kinks the
-closure window for the base slope is wide enough to hold a lattice value,
-so only the wrap inequality binds, and its slack does not grow with m:
-the feasible m >= 2 form an initial segment, and the largest one is a
-closed form in the forced jumps.  Each assignment of forced jumps thus
-costs O(1) exact operations, and the search cost is the number of
-assignments enumerated.
+the number of kinks m and the base slope.  Third, in lattice steps
+p**(-n) an assignment of forced jumps k_i at rep_i enters only through
+k = sum(k_i) and r = sum(rep_i * k_i).  With m >= 2 kinks only the wrap
+inequality binds and its slack does not grow with m, so the largest
+feasible m is a closed form; below that, one inequality in
+alpha = (r - p k) / (p-1) is the single-kink test for non-integer alpha and
+the kink-free test for integer alpha.  A single kink that lands on a
+support point rep_j is not movable, but one more step at rep_j then passes
+the kink-free test, so counting it as dimension 1 changes no level.  Each
+assignment costs O(1) exact operations, and the search cost is the number
+of assignments enumerated.
 """
 
 from dataclasses import dataclass
@@ -79,63 +83,44 @@ def member_h0(f: CircleFunction, d: Divisor) -> bool:
     return all(c > 0 for _, c in total.entries)
 
 
-def _floor_lattice(x: Fraction, eps: Fraction) -> Fraction:
-    """Largest multiple of eps that is <= x."""
-    return floor(x / eps) * eps
-
-
 def _int_below(x: Fraction) -> int:
     """Largest integer strictly below x."""
     n = floor(x)
     return n - 1 if n == x else n
 
 
-def _assignment_best(p, eps, wrap_floor, interior, u_values):
+def _assignment_best(p, w, k, r):
     """Maximal stratum dimension for one assignment of forced interior jumps.
 
-    Movable feasibility at m minimal kinks needs a base slope a * eps with
-        a > alpha - m             (closure window, strict)
-        a < alpha                 (strict)
-        a <= hB(m)                (wrap inequality)
-    where alpha = -U / ((p-1) eps), U = sum(u * (p - rep)) = p su - sbu, and
-    hB(m) = (W - p (m eps + su)) / ((p-1) eps).  The movable real order caps
-    m strictly below (W - sbu) / eps.  For m >= 2 the strict window
-    alpha - m < a < alpha holds an integer, so m is feasible exactly when
-    floor(hB(m)) + m > alpha; as floor(hB(m)) + m = floor(hB(0) - m/(p-1))
-    does not increase with m, the feasible m >= 2 are exactly those up to
-    min(m_top, floor((p-1) hB(0)) - (p-1) (floor(alpha) + 1)).  A single
-    kink leaves one base slope and one forced position, which must avoid
-    the support of D.
+    In lattice steps eps = p**(-n): w = floor(d_wrap / eps), and the forced
+    jumps k_i * eps at rep_i give k = sum(k_i) and r = sum(rep_i * k_i).
+    With alpha = (r - p k) / (p-1), m minimal kinks need a base slope a * eps
+    with alpha - m < a < alpha (closure window) and (p-1) a <= w - p k - p m
+    (wrap), and m < w - r (movable real order).  For m >= 2 the window holds
+    an integer and the wrap bound on a, plus m, does not grow with m, so the
+    largest feasible m is
+        min(int_below(w - r), w - p k - (p-1) (floor(alpha) + 1)).
+    Otherwise one inequality gives 1 or 0: for non-integer alpha the single
+    kink's base slope int_below(alpha) meets the wrap bound, and for integer
+    alpha, where no single kink fits, the constants need
+    (p-1) alpha + p k <= w, the same test with w + 1 on the right.  A single
+    kink at a support point rep_j (it sits at p - (p-1) frac(alpha)) is not
+    movable, but one more step at rep_j gives an integer alpha with
+    r + rep_j <= w: a kink-free member whose assignment lies in the
+    enumerated box, as its bounds are necessary for membership.
     """
-    su = sum(u_values, Fraction(0))
-    sbu = sum((rep * u for (rep, _), u in zip(interior, u_values)), Fraction(0))
-    U = p * su - sbu
-    alpha = -U / ((p - 1) * eps)
-    wrap_room = (wrap_floor - p * su) / eps     # (p-1) * hB(0)
-    m_top = _int_below((wrap_floor - sbu) / eps)
-
-    if m_top >= 2:
-        best = min(m_top, floor(wrap_room) - (p - 1) * (floor(alpha) + 1))
-        if best >= 2:
-            return best
-    if m_top >= 1:
-        # the single kink sits at the forced position x = p + (p-1) a + U/eps
-        a = min(_int_below(alpha), floor((wrap_room - p) / (p - 1)))
-        x = p + (p - 1) * a + U / eps
-        if a + 1 > alpha and x not in [rep for rep, _ in interior]:
-            return 1
-    # no movable kinks: the closure forces the base slope exactly
-    s0 = -U / (p - 1)
-    if s0 % eps == 0 and (1 - p) * s0 - p * su >= -wrap_floor:
-        return 1
-    return 0
+    alpha = Fraction(r - p * k, p - 1)
+    best = min(_int_below(w - r), w - p * k - (p - 1) * (floor(alpha) + 1))
+    if best >= 2:
+        return best
+    return int((p - 1) * _int_below(alpha) + p * k + p <= w + (alpha.denominator == 1))
 
 
 def dim_filtration(d: Divisor, n: int) -> int:
     """Maximal stratum dimension of the level {f in H0(D) : ||f|| <= p**n}.
 
     Returns 0 when the level holds only the bottom function.  The search
-    enumerates lattice values for the forced jumps at the support of D
+    enumerates the forced jumps at the support of D in lattice steps p**(-n)
     (ranges bounded by the order-sum budget) and maximizes over assignments.
     """
     if n < 0:
@@ -143,26 +128,24 @@ def dim_filtration(d: Divisor, n: int) -> int:
     p = d.p
     if d.degree() < 0:
         return 0
-    eps = Fraction(1, p ** n)
+    scale = p ** n
     wrap_d = d.coeff(1)
     interior = [(rep, c) for rep, c in d.entries if rep != 1]
-    wrap_floor = _floor_lattice(wrap_d, eps)
     ranges = []
     total = 1
     for rep, dv in interior:
-        u_lo = -_floor_lattice(dv, eps)
         cap = sum(r * max(v, 0) for r, v in interior if r != rep) + max(wrap_d, 0)
-        u_hi = _floor_lattice(cap / rep, eps)
-        if u_hi < u_lo:
+        steps = range(-floor(dv * scale), floor(cap / rep * scale) + 1)
+        if not steps:
             return 0  # the forced jump cannot fit inside the order budget
-        count = int((u_hi - u_lo) / eps) + 1
-        total *= count
+        total *= len(steps)
         if total > 2_000_000:
             raise ValueError("support enumeration too large for desk scale")
-        ranges.append([u_lo + k * eps for k in range(count)])
+        ranges.append(steps)
 
-    return max((_assignment_best(p, eps, wrap_floor, interior, assign)
-                for assign in product(*ranges)), default=0)
+    w = floor(wrap_d * scale)
+    return max((_assignment_best(p, w, sum(ks), sum(rep * k for (rep, _), k in zip(interior, ks)))
+                for ks in product(*ranges)), default=0)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ def write_json(tmp_path, payload, name="in.json"):
 
 
 def assert_one_line_error(capsys, needle):
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
 
@@ -128,8 +129,7 @@ class TestDivisorCommand:
         with pytest.raises(SystemExit) as exc:
             main(["divisor", function_file, "--format", "csv"])
         assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "invalid choice: 'csv'" in err
+        assert_one_line_error(capsys, "invalid choice: 'csv'")
 
 
 class TestJacobianCommand:
@@ -203,6 +203,12 @@ class TestVerifyCommand:
         assert main(["verify", "--count", "-3"]) == 2
         assert_one_line_error(capsys, "count must be nonnegative")
 
+    def test_non_integer_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--count", "x"])
+        assert exc.value.code == 2
+        assert_one_line_error(capsys, "invalid int value: 'x'")
+
     def test_deterministic_reports(self, capsys):
         assert main(["verify", "--seed", "11", "--count", "40"]) == 0
         first = capsys.readouterr().out
@@ -252,8 +258,7 @@ class TestPlotCommand:
         with pytest.raises(SystemExit) as exc:
             main(["plot", function_file, "--format", "json"])
         assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "unrecognized arguments: --format json" in err
+        assert_one_line_error(capsys, "unrecognized arguments: --format json")
 
     def test_pa_file_on_one_to_five(self, tmp_path, capsys):
         # starts at 1 and carries a prime, but [1, 5] is not the domain [1, 2]
@@ -292,6 +297,15 @@ class TestBadInput:
         path = write_json(tmp_path, [1, 2])
         assert main([command, path]) == 2
         assert_one_line_error(capsys, "expected a JSON object")
+
+    def test_enumeration_cap_exits_2_fast(self, tmp_path, capsys):
+        import time
+        path = divisor_file(tmp_path, divisor(2, {F(5, 4): F(4096), F(3, 2): F(4096),
+                                                  F(7, 4): F(-4096)}))
+        start = time.perf_counter()
+        assert main(["rr", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(capsys, "support enumeration too large")
 
     def test_large_prime_is_fast(self, tmp_path, capsys):
         import time

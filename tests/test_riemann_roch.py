@@ -140,6 +140,13 @@ class TestDimFiltration:
         assert is_principal(d).principal
         assert [dim_filtration(d, n) for n in range(5)] == [0, 0, 1, 1, 1]
 
+    def test_enumeration_cap(self):
+        # the first two support points alone give 9012 * 7510 assignments,
+        # beyond the 2,000,000 cap
+        d = divisor(2, {F(5, 4): F(4096), F(3, 2): F(4096), F(7, 4): F(-4096)})
+        with pytest.raises(ValueError, match="too large"):
+            dim_filtration(d, 0)
+
 
 class TestDimR:
     def test_zero_divisor(self):
@@ -199,6 +206,15 @@ class TestOracleAgreement:
                 if b * d.p ** n > 200:
                     break
                 assert max_dim_minimal(d, n) == dim_filtration(d, n)
+        # each of these levels has an assignment whose single kink lands on
+        # a support point
+        collisions = [
+            (divisor(2, {F(7, 4): F(1, 4)}), 2, 1),
+            (divisor(3, {F(5, 3): F(3)}), 0, 3),
+            (divisor(3, {F(5, 3): F(3)}), 1, 13),
+        ]
+        for d, n, dim in collisions:
+            assert max_dim_minimal(d, n) == dim_filtration(d, n) == dim
 
     def test_oracle_agrees_on_random_divisors(self):
         # regression net beyond the named fixtures: random small divisors,
