@@ -9,12 +9,12 @@ from .germs import (
 )
 from .piecewise import (
     GroupMismatchError, PiecewiseAffine, SlopeGroup, ZZ,
-    bottom_pa, gamma, germ_at, hp_group, order_at, piecewise_affine,
-    pointwise_join, pointwise_times,
+    gamma, germ_at, order_at, piecewise_affine, pointwise_join,
+    pointwise_times,
 )
 from .polygons import (
     NewtonPolygon, ell, from_function, legendre, newton_polygon,
-    poly_join, poly_times, zero_polygon,
+    poly_join, poly_times,
 )
 from .circle import (
     CircleFunction, ClosureError, Divisor, PrincipalityReport,

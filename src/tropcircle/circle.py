@@ -18,7 +18,7 @@ a cyclic group of order p - 1.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .piecewise import PiecewiseAffine, bottom_pa, hp_group, piecewise_affine, pointwise_join, pointwise_times
+from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
 from .scalars import chi, in_zp, require_prime
 
 __all__ = [
@@ -83,8 +83,6 @@ class Divisor:
 
     def chi(self) -> int:
         """Sum of the coefficient residues in Z/(p-1)Z."""
-        if self.p == 2:
-            return 0
         return sum(chi(c, self.p) for _, c in self.entries) % (self.p - 1)
 
     def __add__(self, other: "Divisor") -> "Divisor":
@@ -173,15 +171,6 @@ class CircleFunction:
             out.append((k, s_right - s_left))
         return out
 
-    def order_at(self, lam) -> Fraction:
-        """Real order rep * (right slope - left slope) at a point."""
-        rep = normalize_point(self.p, lam)
-        if self.is_bottom:
-            raise ValueError("the bottom function has no order")
-        if rep == 1:
-            return self.wrap_jump()
-        return rep * (self.pa.slope_right(rep) - self.pa.slope_left(rep))
-
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"CircleFunction(p={self.p}, bottom)"
@@ -192,9 +181,8 @@ class CircleFunction:
 def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
     """Validating constructor: kinks sorted in the open interval (1, p),
     slopes in Z[1/p], and the closure sum(s_i * arc_i) = 0.  An anchor of
-    None gives the bottom function; hp_group rejects a p that is not prime."""
-    group = hp_group(p)
-    pa = piecewise_affine(group, 1, p, anchor, kinks, slopes)
+    None gives the bottom function; SlopeGroup rejects a p that is not prime."""
+    pa = piecewise_affine(SlopeGroup(p), 1, p, anchor, kinks, slopes)
     if pa.is_bottom:
         return CircleFunction(p, pa)
     closure = pa.eval_at(p) - pa.eval_at(1)
@@ -204,7 +192,7 @@ def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
 
 
 def circle_bottom(p: int) -> CircleFunction:
-    return CircleFunction(p, bottom_pa(hp_group(p), 1, p))
+    return CircleFunction(p, piecewise_affine(SlopeGroup(p), 1, p, None))
 
 
 def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
@@ -221,25 +209,15 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
         raise ValueError("the cut point must lie in [1, p)")
     if anchor is None:
         raise ValueError("re-cutting the bottom function is pointless; build it directly")
-    kinks = [Fraction(k) for k in kinks]
-    slopes = [Fraction(s) for s in slopes]
-    if len(slopes) != len(kinks) + 1:
-        raise ValueError("need exactly one slope per arc")
-    for a, b in zip(kinks, kinks[1:]):
-        if a >= b:
-            raise ValueError("kinks must be strictly increasing")
-    if kinks and not (start < kinks[0] and kinks[-1] < p * start):
-        raise ValueError("kinks must be interior to the cut domain")
-    if start == 1:
-        return circle_function(p, kinks, slopes, anchor)
-    bounds = [start, *kinks, p * start]
-    closure = sum(s * (b - a) for s, a, b in zip(slopes, bounds, bounds[1:]))
+    cut = piecewise_affine(SlopeGroup(p), start, p * start, anchor, kinks, slopes)
+    closure = cut.eval_at(p * start) - cut.anchor
     if closure != 0:
         raise ClosureError(f"slopes do not close up around the cut: {closure}")
     # right-slope of the folded function at each of its arc starts in [1, p)
+    bounds = [start, *cut.kinks, p * start]
     breaks: dict = {}
-    value_at_p = Fraction(anchor)
-    for a, b, t in zip(bounds, bounds[1:], slopes):
+    value_at_p = cut.anchor
+    for a, b, t in zip(bounds, bounds[1:], cut.slopes):
         if b <= p:
             breaks[a] = t
             value_at_p += t * (b - a)
@@ -254,14 +232,10 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
 
 
 def circle_join(f: CircleFunction, g: CircleFunction) -> CircleFunction:
-    if f.p != g.p:
-        raise ValueError("mixed primes")
     return CircleFunction(f.p, pointwise_join(f.pa, g.pa))
 
 
 def circle_times(f: CircleFunction, g: CircleFunction) -> CircleFunction:
-    if f.p != g.p:
-        raise ValueError("mixed primes")
     return CircleFunction(f.p, pointwise_times(f.pa, g.pa))
 
 

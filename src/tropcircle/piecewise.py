@@ -23,10 +23,8 @@ __all__ = [
     "PiecewiseAffine",
     "SlopeGroup",
     "ZZ",
-    "bottom_pa",
     "gamma",
     "germ_at",
-    "hp_group",
     "order_at",
     "piecewise_affine",
     "pointwise_join",
@@ -69,10 +67,6 @@ class SlopeGroup:
 
 
 ZZ = SlopeGroup(None)
-
-
-def hp_group(p: int, scale=Fraction(1)) -> SlopeGroup:
-    return SlopeGroup(p, Fraction(scale))
 
 
 @dataclass(frozen=True)
@@ -161,19 +155,11 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
     return PiecewiseAffine(group, lo, hi, anchor, tuple(mk), tuple(ms))
 
 
-def bottom_pa(group, lo, hi) -> PiecewiseAffine:
-    return piecewise_affine(group, lo, hi, None)
-
-
 def _require_compatible(f: PiecewiseAffine, g: PiecewiseAffine) -> None:
     if f.group != g.group:
         raise GroupMismatchError(f"slope groups differ: {f.group} vs {g.group}")
     if f.lo != g.lo or f.hi != g.hi:
         raise ValueError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
-
-
-def _segment_starts(lo, cuts):
-    return [lo, *cuts]
 
 
 def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
@@ -186,7 +172,7 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
         return f
     cuts = sorted({*f.kinks, *g.kinks})
     crossings = []
-    for a in _segment_starts(f.lo, cuts):
+    for a in (f.lo, *cuts):
         fa, ga = f.eval_at(a), g.eval_at(a)
         fs, gs = f.slope_right(a), g.slope_right(a)
         if fs != gs and fa != ga:
@@ -197,7 +183,7 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
                 crossings.append(t)
     cuts = sorted({*cuts, *crossings})
     slopes = []
-    for a in _segment_starts(f.lo, cuts):
+    for a in (f.lo, *cuts):
         fa, ga = f.eval_at(a), g.eval_at(a)
         if fa > ga:
             slopes.append(f.slope_right(a))
@@ -212,9 +198,9 @@ def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     """Exact pointwise sum; bottom is absorbing."""
     _require_compatible(f, g)
     if f.is_bottom or g.is_bottom:
-        return bottom_pa(f.group, f.lo, f.hi)
+        return piecewise_affine(f.group, f.lo, f.hi, None)
     cuts = sorted({*f.kinks, *g.kinks})
-    slopes = [f.slope_right(a) + g.slope_right(a) for a in _segment_starts(f.lo, cuts)]
+    slopes = [f.slope_right(a) + g.slope_right(a) for a in (f.lo, *cuts)]
     return piecewise_affine(f.group, f.lo, f.hi, f.anchor + g.anchor, cuts, slopes)
 
 
@@ -226,8 +212,6 @@ def gamma(n: int, f: PiecewiseAffine) -> PiecewiseAffine:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    if f.is_bottom:
-        return bottom_pa(f.group, f.lo / n, None if f.hi is None else f.hi / n)
     return piecewise_affine(
         f.group,
         f.lo / n,

@@ -15,7 +15,7 @@ vertices the sum is a Minkowski sum.  The empty polygon is the zero element
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, bottom_pa, piecewise_affine
+from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, piecewise_affine
 
 __all__ = [
     "NewtonPolygon",
@@ -25,7 +25,6 @@ __all__ = [
     "newton_polygon",
     "poly_join",
     "poly_times",
-    "zero_polygon",
 ]
 
 
@@ -80,10 +79,6 @@ def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
     return NewtonPolygon(group, _reduce(cooked))
 
 
-def zero_polygon(group: SlopeGroup) -> NewtonPolygon:
-    return NewtonPolygon(group, ())
-
-
 def ell(n: NewtonPolygon, lam) -> Fraction | None:
     """Support function max_j(lam x_j + y_j); -inf for the zero polygon."""
     lam = Fraction(lam)
@@ -107,7 +102,7 @@ def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     if n.group != m.group:
         raise GroupMismatchError(f"slope groups differ: {n.group} vs {m.group}")
     if n.is_zero or m.is_zero:
-        return zero_polygon(n.group)
+        return NewtonPolygon(n.group, ())
     sums = [(x1 + x2, y1 + y2) for x1, y1 in n.vertices for x2, y2 in m.vertices]
     return NewtonPolygon(n.group, _reduce(sums))
 
@@ -119,7 +114,7 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     consecutive affine pieces.  The zero polygon maps to constant -inf.
     """
     if n.is_zero:
-        return bottom_pa(n.group, 0, None)
+        return piecewise_affine(n.group, 0, None, None)
     xs = [x for x, _ in n.vertices]
     ys = [y for _, y in n.vertices]
     kinks = [Fraction(ys[i] - ys[i + 1], xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
@@ -132,7 +127,7 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     if f.lo != 0 or f.hi is not None:
         raise ValueError("the transform inverts functions defined on all of [0, inf)")
     if f.is_bottom:
-        return zero_polygon(f.group)
+        return NewtonPolygon(f.group, ())
     if not f.convex:
         raise ValueError("function is not convex")
     xs = list(f.slopes)

@@ -77,8 +77,6 @@ def member_h0(f: CircleFunction, d: Divisor) -> bool:
     """True when D + (f) >= 0 pointwise; the bottom function always belongs."""
     if f.is_bottom:
         return True
-    if f.p != d.p:
-        raise ValueError("mixed primes")
     total = divisor_of(f) + d
     return all(c > 0 for _, c in total.entries)
 
@@ -138,9 +136,10 @@ def dim_filtration(d: Divisor, n: int) -> int:
         steps = range(-floor(dv * scale), floor(cap / rep * scale) + 1)
         if not steps:
             return 0  # the forced jump cannot fit inside the order budget
-        total *= len(steps)
+        total *= steps.stop - steps.start  # len() overflows past sys.maxsize
         if total > 2_000_000:
-            raise ValueError("support enumeration too large for desk scale")
+            raise ValueError(f"support enumeration too large: level n={n} has more "
+                             "than 2,000,000 forced-jump assignments")
         ranges.append(steps)
 
     w = floor(wrap_d * scale)
@@ -161,18 +160,18 @@ class FiltrationReport:
 
 def dim_r(d: Divisor, n_max: int) -> FiltrationReport:
     """Normalized dimensions p**(-n) * dim for n = 0..n_max; the last value
-    estimates the continuous dimension, which equals max(deg D, 0)."""
+    estimates the continuous dimension, which equals max(deg D, 0).
+
+    Levels are computed from n_max down, so a search too large to run fails
+    on its largest level before any smaller level is enumerated.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    levels = []
-    prev = -1
-    for n in range(n_max + 1):
-        dim = dim_filtration(d, n)
-        if dim < prev:
-            raise AssertionError("filtration dimensions must be nondecreasing")
-        prev = dim
-        levels.append((n, dim, Fraction(dim, d.p ** n)))
-    return FiltrationReport(d, tuple(levels), levels[-1][2])
+    dims = [dim_filtration(d, n) for n in range(n_max, -1, -1)][::-1]
+    if any(a > b for a, b in zip(dims, dims[1:])):
+        raise AssertionError("filtration dimensions must be nondecreasing")
+    levels = tuple((n, dim, Fraction(dim, d.p ** n)) for n, dim in enumerate(dims))
+    return FiltrationReport(d, levels, levels[-1][2])
 
 
 def rr_tolerance(deg: Fraction, p: int, n_max: int) -> Fraction:

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .circle import CircleFunction, Divisor, circle_bottom, circle_function, divisor
-from .piecewise import PiecewiseAffine, SlopeGroup, bottom_pa, hp_group, piecewise_affine
+from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, newton_polygon
 from .riemann_roch import FiltrationReport, RiemannRochReport
 
@@ -77,7 +77,7 @@ def polygon_to_json(n: NewtonPolygon) -> dict:
 def polygon_from_json(d: dict) -> NewtonPolygon:
     p = _expect(d, "p")
     scale = parse_frac(d.get("scale", "1"))
-    group = SlopeGroup(None, scale) if p is None else hp_group(p, scale)
+    group = SlopeGroup(p, scale)
     verts = [(parse_frac(x), parse_frac(y)) for x, y in _expect(d, "vertices")]
     return newton_polygon(group, verts)
 
@@ -99,13 +99,13 @@ def pa_to_json(f: PiecewiseAffine) -> dict:
 def pa_from_json(d: dict) -> PiecewiseAffine:
     p = d.get("p")
     scale = parse_frac(d.get("scale", "1"))
-    group = SlopeGroup(None, scale) if p is None else hp_group(p, scale)
+    group = SlopeGroup(p, scale)
     lo_s, hi_s = _expect(d, "domain")
     lo = parse_frac(lo_s)
     hi = None if hi_s is None else parse_frac(hi_s)
     anchor = parse_rmax(_expect(d, "anchor"))
     if anchor is None:
-        return bottom_pa(group, lo, hi)
+        return piecewise_affine(group, lo, hi, None)
     return piecewise_affine(group, lo, hi, anchor,
                      [parse_frac(k) for k in d.get("kinks", [])],
                      [parse_frac(s) for s in _expect(d, "slopes")])

@@ -229,6 +229,37 @@ class TestRecut:
         with pytest.raises(ClosureError):
             from_cut(3, F(3, 2), [F(2)], [F(1, 3), F(1, 3)], 0)
 
+    def test_cut_slope_count_rejected(self):
+        with pytest.raises(ValueError, match="one slope per"):
+            from_cut(3, F(3, 2), [F(2)], [F(0)], 0)
+
+    def test_cut_kinks_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            from_cut(3, F(3, 2), [F(3), F(2)], [F(0), F(0), F(0)], 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            from_cut(3, F(3, 2), [F(2), F(2)], [F(0), F(0), F(0)], 0)
+
+    @pytest.mark.parametrize("kink", [F(1), F(3, 2), F(9, 2), F(5)])
+    def test_cut_kink_outside_window_rejected(self, kink):
+        with pytest.raises(ValueError, match="interior to the"):
+            from_cut(3, F(3, 2), [kink], [F(0), F(0)], 0)
+
+    def test_cut_slope_outside_ring_rejected(self):
+        # the arcs [3/2, 2], [2, 3], [3, 9/2] close up, but 1/2 is not in Z[1/3]
+        with pytest.raises(ValueError, match=r"not in Z\[1/3\]"):
+            from_cut(3, F(3, 2), [F(2), F(3)], [F(1, 2), F(-1, 4), F(0)], 0)
+
+
+class TestMixedPrimes:
+    def test_join_and_times_reject_mixed_primes(self):
+        f = circle_function(2, [], [0], 0)
+        g = circle_function(3, [], [0], 0)
+        for op in (circle_join, circle_times):
+            with pytest.raises(ValueError):
+                op(f, g)
+            with pytest.raises(ValueError):
+                op(g, f)
+
 
 def test_join_and_times_stay_closed():
     rng = random.Random(41)

@@ -9,7 +9,7 @@ from tropcircle.serialize import (
     circle_from_json, circle_to_json, divisor_from_json, divisor_to_json, dumps,
     pa_from_json, pa_to_json, polygon_from_json, polygon_to_json, parse_frac,
 )
-from tropcircle.piecewise import ZZ, bottom_pa, hp_group, piecewise_affine
+from tropcircle.piecewise import ZZ, SlopeGroup, piecewise_affine
 from tropcircle.polygons import newton_polygon
 
 
@@ -49,13 +49,13 @@ def assert_one_line_error(capsys, needle):
 
 class TestRoundTrips:
     def test_polygon(self):
-        n = newton_polygon(hp_group(3, F(1, 2)), [(F(1, 6), 0), (F(1, 2), -1)])
+        n = newton_polygon(SlopeGroup(3, F(1, 2)), [(F(1, 6), 0), (F(1, 2), -1)])
         assert polygon_from_json(polygon_to_json(n)) == n
 
     def test_pa_bounded_and_unbounded(self):
         f = piecewise_affine(ZZ, 0, None, 0, [F(1)], [F(0), F(2)])
         assert pa_from_json(pa_to_json(f)) == f
-        g = bottom_pa(hp_group(2), 1, 2)
+        g = piecewise_affine(SlopeGroup(2), 1, 2, None)
         assert pa_from_json(pa_to_json(g)) == g
 
     def test_circle(self):
@@ -304,6 +304,20 @@ class TestBadInput:
                                                   F(7, 4): F(-4096)}))
         start = time.perf_counter()
         assert main(["rr", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(capsys, "support enumeration too large")
+
+    @pytest.mark.parametrize("payload, n_max", [
+        # a side of the forced-jump box beyond sys.maxsize at n=1
+        ({"p": 10 ** 18 + 3, "support": [{"point": "2", "coeff": "100"}]}, "2"),
+        # every level from n=14 to n=40 is over the cap
+        ({"p": 3, "support": [{"point": "2", "coeff": "1"}]}, "40"),
+    ])
+    def test_oversized_search_exits_2_fast(self, tmp_path, capsys, payload, n_max):
+        import time
+        path = write_json(tmp_path, payload)
+        start = time.perf_counter()
+        assert main(["rr", path, "--n-max", n_max]) == 2
         assert time.perf_counter() - start < 1.0
         assert_one_line_error(capsys, "support enumeration too large")
 

@@ -5,8 +5,8 @@ import pytest
 
 from tropcircle.germs import GERM_BOTTOM, Germ
 from tropcircle.piecewise import (
-    GroupMismatchError, ZZ, bottom_pa, gamma, germ_at, hp_group,
-    order_at, piecewise_affine, pointwise_join, pointwise_times,
+    GroupMismatchError, SlopeGroup, ZZ, gamma, germ_at, order_at,
+    piecewise_affine, pointwise_join, pointwise_times,
 )
 from tropcircle.scalars import rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_pa
@@ -24,7 +24,7 @@ class TestEval:
         assert f.eval_at(F(1, 2)) == 0
 
     def test_bottom(self):
-        f = bottom_pa(ZZ, 0, 3)
+        f = piecewise_affine(ZZ, 0, 3, None)
         assert f.eval_at(1) is None
 
     def test_piecewise_integration(self):
@@ -39,7 +39,7 @@ class TestEval:
 class TestPointwise:
     def test_join_with_bottom(self):
         f = hinge()
-        assert pointwise_join(f, bottom_pa(ZZ, 0, 3)) == f
+        assert pointwise_join(f, piecewise_affine(ZZ, 0, 3, None)) == f
 
     def test_times_constant_shifts(self):
         f = hinge()
@@ -61,7 +61,7 @@ class TestPointwise:
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
-            pointwise_join(hinge(), hinge(group=hp_group(2)))
+            pointwise_join(hinge(), hinge(group=SlopeGroup(2)))
 
     def test_random_pointwise_agreement(self):
         rng = random.Random(3)
@@ -131,12 +131,12 @@ class TestGermAndOrder:
         assert germ_at(c, F(3, 2)) == Germ(F(5), F(0), F(0))
 
     def test_scaled_slopes(self):
-        g3 = hp_group(3)
+        g3 = SlopeGroup(3)
         f = piecewise_affine(g3, 1, 3, 0, [F(2)], [F(1, 3), F(-1, 3)])
         assert germ_at(f, 2) == Germ(f.eval_at(2), F(-2, 3), F(2, 3))
 
     def test_bottom_germ(self):
-        assert germ_at(bottom_pa(ZZ, 0, 3), 1) == GERM_BOTTOM
+        assert germ_at(piecewise_affine(ZZ, 0, 3, None), 1) == GERM_BOTTOM
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestCanonicalForm:
     def test_slope_group_enforced(self):
         with pytest.raises(ValueError):
             piecewise_affine(ZZ, 0, 3, 0, [], [F(1, 2)])
-        piecewise_affine(hp_group(2), 0, 3, 0, [], [F(1, 2)])  # fine
+        piecewise_affine(SlopeGroup(2), 0, 3, 0, [], [F(1, 2)])  # fine
 
     def test_unordered_kinks_rejected(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropcircle.piecewise import GroupMismatchError, ZZ, bottom_pa, hp_group, piecewise_affine
+from tropcircle.piecewise import GroupMismatchError, SlopeGroup, ZZ, piecewise_affine
 from tropcircle.polygons import (
-    ell, from_function, legendre, newton_polygon, poly_join, poly_times, zero_polygon,
+    NewtonPolygon, ell, from_function, legendre, newton_polygon, poly_join, poly_times,
 )
 from tropcircle.scalars import rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_polygon
@@ -88,7 +88,7 @@ class TestLegendre:
         assert f.kinks == (F(3),)
 
     def test_zero_polygon_is_bottom(self):
-        f = legendre(zero_polygon(ZZ))
+        f = legendre(NewtonPolygon(ZZ, ()))
         assert f.is_bottom
 
     def test_matches_support_function(self):
@@ -111,7 +111,7 @@ class TestFromFunction:
         assert from_function(f).vertices == ((F(0), F(0)), (F(1), F(-1)))
 
     def test_bottom(self):
-        assert from_function(bottom_pa(ZZ, 0, None)).is_zero
+        assert from_function(piecewise_affine(ZZ, 0, None, None)).is_zero
 
     def test_roundtrip_random(self):
         rng = random.Random(77)
@@ -151,14 +151,14 @@ class TestSemiring:
             assert ell(j, lam) == rmax_join(ell(a, lam), ell(b, lam))
 
     def test_zero_neutral_and_absorbing(self):
-        z = zero_polygon(ZZ)
+        z = NewtonPolygon(ZZ, ())
         n = newton_polygon(ZZ, [(0, 1), (1, 0)])
         assert poly_join(z, n) == n
         assert poly_times(z, n) == z
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
-            poly_join(newton_polygon(ZZ, [(0, 0)]), newton_polygon(hp_group(2), [(0, 0)]))
+            poly_join(newton_polygon(ZZ, [(0, 0)]), newton_polygon(SlopeGroup(2), [(0, 0)]))
 
     def test_duality_random(self):
         rng = random.Random(99)

@@ -57,6 +57,10 @@ class TestMembership:
         assert member_h0(const, divisor(3, {F(2): F(1, 3)}))
         assert not member_h0(const, divisor(3, {F(2): F(-1, 3)}))
 
+    def test_mixed_primes_rejected(self):
+        with pytest.raises(ValueError, match="mixed primes"):
+            member_h0(circle_function(2, [], [0], 0), divisor(3, {F(2): F(1)}))
+
     def test_function_in_minus_own_divisor(self):
         f = two_arc_example()
         assert member_h0(f, -divisor_of(f))
@@ -147,6 +151,12 @@ class TestDimFiltration:
         with pytest.raises(ValueError, match="too large"):
             dim_filtration(d, 0)
 
+    def test_box_side_beyond_maxsize_raises_value_error(self):
+        # at n=40 the forced jump at 2 ranges over about 3**40 > sys.maxsize
+        # steps, too many for len(range)
+        with pytest.raises(ValueError, match="level n=40"):
+            dim_filtration(divisor(3, {F(2): F(1)}), 40)
+
 
 class TestDimR:
     def test_zero_divisor(self):
@@ -167,6 +177,12 @@ class TestDimR:
     def test_requires_two_levels(self):
         with pytest.raises(ValueError):
             dim_r(divisor(2, {}), 1)
+
+    def test_largest_level_tried_first(self):
+        # levels from n=14 up exceed the cap; the error names n_max, so no
+        # smaller level was enumerated first
+        with pytest.raises(ValueError, match="level n=40 "):
+            dim_r(divisor(3, {F(2): F(1)}), 40)
 
 
 class TestRRCheck:
