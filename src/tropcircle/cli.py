@@ -9,6 +9,7 @@ across runs.
 import argparse
 import json
 import sys
+from math import ceil
 
 from . import serialize as ser
 from .circle import divisor_of, is_principal, jacobian_class
@@ -20,15 +21,12 @@ from .verify import format_report, run as run_verify
 __all__ = ["main"]
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_json(path: str) -> dict:
-    text = _read_text(path)
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -36,6 +34,15 @@ def _read_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
+
+
+def _load(args, path, parse):
+    """Parse a file and, when `--p` is given, require its prime."""
+    data = _read_json(path)
+    obj = parse(data)
+    if args.p is not None and args.p != data["p"]:
+        raise ValueError(f"input carries p={data['p']}, but --p {args.p} was requested")
+    return obj
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -50,10 +57,16 @@ def _fmt_float(q) -> str:
     return "%.6g" % float(q)
 
 
-def _svg_header(width=640, height=400):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-            f'width="{width}" height="{height}">\n'
-            f'<rect width="{width}" height="{height}" fill="white"/>\n')
+_WIDTH, _HEIGHT, _MARGIN = 640, 400, 40
+
+
+def _svg(title, *body) -> str:
+    """White canvas with a title line, then the body elements."""
+    return "".join((f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
+                    f'width="{_WIDTH}" height="{_HEIGHT}">\n'
+                    f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
+                    f'<text x="{_MARGIN}" y="20" font-size="14">{title}</text>\n',
+                    *body, "</svg>\n"))
 
 
 def _svg_polyline(points, color="steelblue"):
@@ -63,13 +76,9 @@ def _svg_polyline(points, color="steelblue"):
 
 def function_svg(f: PiecewiseAffine, title: str) -> str:
     """Rational data is mapped to floats only here, at render time."""
-    width, height, margin = 640, 400, 40
-    out = [_svg_header(width, height)]
-    out.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>\n')
     if f.is_bottom:
-        out.append(f'<text x="{margin}" y="{height // 2}" font-size="14">'
-                   'constant -inf (empty plot)</text>\n</svg>\n')
-        return "".join(out)
+        return _svg(title, f'<text x="{_MARGIN}" y="{_HEIGHT // 2}" font-size="14">'
+                           'constant -inf (empty plot)</text>\n')
     hi = f.hi if f.hi is not None else (f.kinks[-1] + 1 if f.kinks else f.lo + 1)
     xs = [f.lo, *f.kinks, hi]
     ys = [f.eval_at(x) for x in xs]
@@ -79,89 +88,68 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
         y0, y1 = y0 - 1, y1 + 1
     if x0 == x1:
         x1 = x0 + 1
-    sx = (width - 2 * margin) / (x1 - x0)
-    sy = (height - 2 * margin) / (y1 - y0)
-    pts = [(margin + (float(x) - x0) * sx, height - margin - (float(y) - y0) * sy)
+    sx = (_WIDTH - 2 * _MARGIN) / (x1 - x0)
+    sy = (_HEIGHT - 2 * _MARGIN) / (y1 - y0)
+    pts = [(_MARGIN + (float(x) - x0) * sx, _HEIGHT - _MARGIN - (float(y) - y0) * sy)
            for x, y in zip(xs, ys)]
-    out.append(_svg_polyline(pts))
-    out.append(f'<text x="{margin}" y="{height - 10}" font-size="11">'
-               f'x in [{_fmt_float(x0)}, {_fmt_float(x1)}]; '
-               f'y in [{_fmt_float(y0)}, {_fmt_float(y1)}]</text>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+    return _svg(title, _svg_polyline(pts),
+                f'<text x="{_MARGIN}" y="{_HEIGHT - 10}" font-size="11">'
+                f'x in [{_fmt_float(x0)}, {_fmt_float(x1)}]; '
+                f'y in [{_fmt_float(y0)}, {_fmt_float(y1)}]</text>\n')
 
 
 def convergence_svg(report, title: str) -> str:
-    width, height, margin = 640, 400, 40
-    out = [_svg_header(width, height)]
-    out.append(f'<text x="{margin}" y="20" font-size="14">{title}</text>\n')
     levels = report.levels
     top = max([float(norm) for _, _, norm in levels] + [1e-9])
     n_max = levels[-1][0] if levels else 1
-    sx = (width - 2 * margin) / max(n_max, 1)
-    sy = (height - 2 * margin) / top if top else 1.0
-    pts = [(margin + n * sx, height - margin - float(norm) * sy)
+    sx = (_WIDTH - 2 * _MARGIN) / max(n_max, 1)
+    sy = (_HEIGHT - 2 * _MARGIN) / top if top else 1.0
+    pts = [(_MARGIN + n * sx, _HEIGHT - _MARGIN - float(norm) * sy)
            for n, _, norm in levels]
-    out.append(_svg_polyline(pts, "darkorange"))
-    out.append("</svg>\n")
-    return "".join(out)
+    return _svg(title, _svg_polyline(pts, "darkorange"))
 
 
-def _check_prime(args, p) -> None:
-    if getattr(args, "p", None) is not None and args.p != p:
-        raise ValueError(f"input carries p={p}, but --p {args.p} was requested")
+# Each cmd_* returns (output text, exit code); main writes the text to --out.
 
-
-def cmd_legendre(args) -> int:
-    poly = ser.polygon_from_json(_read_json(args.polygon))
-    _check_prime(args, poly.group.p)
+def cmd_legendre(args) -> tuple[str, int]:
+    poly = _load(args, args.polygon, ser.polygon_from_json)
     f = legendre(poly)
     roundtrip = from_function(f) == poly
+    code = 0 if roundtrip else 1
     if args.format == "svg":
-        _write_out(function_svg(f, "support function"), args.out)
-        return 0
-    payload = {
-        "function": ser.pa_to_json(f),
-        "polygon": ser.polygon_to_json(poly),
-        "roundtrip": roundtrip,
-    }
+        return function_svg(f, "support function"), 0
     if args.format == "json":
-        _write_out(ser.dumps(payload), args.out)
-    else:
-        lines = [f"polygon: {poly!r}", f"function: {f!r}", f"roundtrip: {'ok' if roundtrip else 'MISMATCH'}"]
-        if f.is_bottom:
-            lines.append("constant -inf; nothing to plot")
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if roundtrip else 1
-
-
-def cmd_divisor(args) -> int:
-    f = ser.circle_from_json(_read_json(args.function))
-    _check_prime(args, f.p)
+        return ser.dumps({
+            "function": ser.pa_to_json(f),
+            "polygon": ser.polygon_to_json(poly),
+            "roundtrip": roundtrip,
+        }), code
+    lines = [f"polygon: {poly!r}", f"function: {f!r}", f"roundtrip: {'ok' if roundtrip else 'MISMATCH'}"]
     if f.is_bottom:
-        raise ValueError("the bottom function has no divisor")
-    d = divisor_of(f)
+        lines.append("constant -inf; nothing to plot")
+    return "\n".join(lines) + "\n", code
+
+
+def cmd_divisor(args) -> tuple[str, int]:
+    d = divisor_of(_load(args, args.function, ser.circle_from_json))
     degree = d.degree()  # the orders rep * coeff summed over the support
-    payload = {
-        "divisor": ser.divisor_to_json(d),
-        "degree": ser.frac_to_str(degree),
-        "chi": d.chi(),
-        "ordersSumZero": degree == 0,
-    }
+    code = 0 if degree == 0 else 1
     if args.format == "json":
-        _write_out(ser.dumps(payload), args.out)
-    else:
-        lines = [f"divisor: {d!r}",
-                 f"degree: {ser.frac_to_str(degree)}",
-                 f"chi: {d.chi()}",
-                 f"orders sum zero: {'ok' if degree == 0 else 'VIOLATED'}"]
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if degree == 0 else 1
+        return ser.dumps({
+            "divisor": ser.divisor_to_json(d),
+            "degree": ser.frac_to_str(degree),
+            "chi": d.chi(),
+            "ordersSumZero": degree == 0,
+        }), code
+    lines = [f"divisor: {d!r}",
+             f"degree: {ser.frac_to_str(degree)}",
+             f"chi: {d.chi()}",
+             f"orders sum zero: {'ok' if degree == 0 else 'VIOLATED'}"]
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_jacobian(args) -> int:
-    d = ser.divisor_from_json(_read_json(args.divisor))
-    _check_prime(args, d.p)
+def cmd_jacobian(args) -> tuple[str, int]:
+    d = _load(args, args.divisor, ser.divisor_from_json)
     deg, chi = jacobian_class(d)
     rep = is_principal(d)
     payload = {
@@ -173,50 +161,58 @@ def cmd_jacobian(args) -> int:
     if rep.principal:
         payload["witness"] = ser.circle_to_json(rep.witness)
         if args.witness_out:
-            _write_out(ser.dumps(ser.circle_to_json(rep.witness)), args.witness_out)
+            _write_out(ser.dumps(payload["witness"]), args.witness_out)
     if args.format == "json":
-        _write_out(ser.dumps(payload), args.out)
+        return ser.dumps(payload), 0
+    lines = [f"class: (degree={ser.frac_to_str(deg)}, chi={chi})"]
+    if rep.principal:
+        lines.append(f"principal: witness {rep.witness!r}")
     else:
-        lines = [f"class: (degree={ser.frac_to_str(deg)}, chi={chi})"]
-        if rep.principal:
-            lines.append(f"principal: witness {rep.witness!r}")
-        else:
-            lines.append("not principal: obstruction " + ", ".join(rep.obstructions))
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+        lines.append("not principal: obstruction " + ", ".join(rep.obstructions))
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_rr(args) -> int:
-    d = ser.divisor_from_json(_read_json(args.divisor))
-    _check_prime(args, d.p)
+def _check_n_max(d, n_max) -> None:
+    """Every dimension rr prints is below (1 + sum rep*|coeff|) * p**n_max;
+    refuse an n_max at which that bound passes the digit limit of int to
+    str conversion (sys.get_int_max_str_digits(), 0 for none)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n_max < 2:  # dim_r refuses n_max < 2
+        return
+    weight = ceil(1 + sum(rep * abs(c) for rep, c in d.entries))
+    # p**n_max >= 16**limit needs no power; otherwise p**n_max < 2**(8*limit)
+    if n_max * (d.p.bit_length() - 1) >= 4 * limit or weight * d.p ** n_max > 10 ** limit:
+        raise ValueError(f"--n-max {n_max} is too large for p={d.p}: the level "
+                         f"dimensions could exceed {limit} decimal digits")
+
+
+def cmd_rr(args) -> tuple[str, int]:
+    d = _load(args, args.divisor, ser.divisor_from_json)
+    _check_n_max(d, args.n_max)
     report = rr_check(d, args.n_max)
     verdict = "PASS" if report.ok else "FAIL"
+    code = 0 if report.ok else 1
     if args.format == "json":
-        _write_out(ser.dumps(ser.rr_to_json(report)), args.out)
-    elif args.format == "csv":
-        text = "# divisor D\n" + ser.report_to_csv(report.report)
-        text += "# divisor -D\n" + ser.report_to_csv(report.report_neg)
-        text += f"# verdict,{verdict}\n"
-        _write_out(text, args.out)
-    elif args.format == "svg":
-        _write_out(convergence_svg(report.report,
-                                   f"normalized dimensions ({verdict})"), args.out)
-    else:
-        lines = [f"divisor: {d!r}", f"degree: {ser.frac_to_str(report.degree)}",
-                 "n dim(D) dim(-D)"]
-        for (n, dim, _), (_, dim_n, _) in zip(report.report.levels, report.report_neg.levels):
-            lines.append(f"{n} {dim} {dim_n}")
-        lines.append(f"difference: {ser.frac_to_str(report.difference)}")
-        lines.append(f"tolerance: {ser.frac_to_str(report.tolerance)}")
-        lines.append(f"verdict: {'PASS' if report.ok else 'FAIL'}")
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+        return ser.dumps(ser.rr_to_json(report)), code
+    if args.format == "csv":
+        return ("# divisor D\n" + ser.report_to_csv(report.report)
+                + "# divisor -D\n" + ser.report_to_csv(report.report_neg)
+                + f"# verdict,{verdict}\n"), code
+    if args.format == "svg":
+        return convergence_svg(report.report, f"normalized dimensions ({verdict})"), code
+    lines = [f"divisor: {d!r}", f"degree: {ser.frac_to_str(report.degree)}",
+             "n dim(D) dim(-D)"]
+    for (n, dim, _), (_, dim_n, _) in zip(report.report.levels, report.report_neg.levels):
+        lines.append(f"{n} {dim} {dim_n}")
+    lines.append(f"difference: {ser.frac_to_str(report.difference)}")
+    lines.append(f"tolerance: {ser.frac_to_str(report.tolerance)}")
+    lines.append(f"verdict: {verdict}")
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     lines, ok = run_verify(args.seed, args.count)
-    _write_out(format_report(lines), args.out)
-    return 0 if ok else 1
+    return format_report(lines), 0 if ok else 1
 
 
 def _is_circle_file(data) -> bool:
@@ -228,14 +224,13 @@ def _is_circle_file(data) -> bool:
             and ser.parse_frac(lo) == 1 and ser.parse_frac(hi) == p)
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple[str, int]:
     data = _read_json(args.function)
     if _is_circle_file(data):
         f = ser.circle_from_json(data).pa
     else:
         f = ser.pa_from_json(data)
-    _write_out(function_svg(f, "piecewise-affine function"), args.out)
-    return 0
+    return function_svg(f, "piecewise-affine function"), 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,10 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _write_out(text, args.out)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """JSON and CSV encodings of the domain objects.
 
-Rationals travel as strings "a" or "a/b"; the bottom value is the string
-"-inf".  All emitters sort keys and use a fixed separator style so that a
-given object always serializes to the same bytes.
+Rationals travel as strings "a" or "a/b" (a JSON integer is read too, a
+boolean never); the bottom value is the string "-inf".  All emitters sort
+keys and use a fixed separator style so that a given object always
+serializes to the same bytes.
 """
 
 import json
@@ -34,7 +35,7 @@ def frac_to_str(q: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")

@@ -29,15 +29,15 @@ PRIMES = (2, 3, 5)
 
 # -------------------------------------------------------------- generators
 
-def gen_fraction(rng, span=12, den=8):
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+def gen_fraction(rng):
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 8))
 
 def gen_rmax(rng):
     return None if rng.random() < 0.15 else gen_fraction(rng)
 
-def gen_hp(rng, p, span=9, max_exp=2):
-    """Random element num / p**k of Z[1/p]."""
-    return Fraction(rng.randint(-span, span), p ** rng.randint(0, max_exp))
+def gen_hp(rng, p, span=9):
+    """Random element num / p**k of Z[1/p], |num| <= span and k <= 2."""
+    return Fraction(rng.randint(-span, span), p ** rng.randint(0, 2))
 
 def gen_group(rng):
     if rng.random() < 0.4:
@@ -46,46 +46,45 @@ def gen_group(rng):
     scale = Fraction(rng.randint(1, 3), rng.choice((1, p)))
     return SlopeGroup(p, scale)
 
-def gen_group_element(rng, group, span=6):
+def gen_group_element(rng, group):
     if group.p is None:
-        return group.scale * rng.randint(-span, span)
-    return group.scale * Fraction(rng.randint(-span, span), group.p ** rng.randint(0, 2))
+        return group.scale * rng.randint(-6, 6)
+    return group.scale * Fraction(rng.randint(-6, 6), group.p ** rng.randint(0, 2))
 
-def gen_polygon(rng, group, max_pts=4):
+def gen_polygon(rng, group):
     pts = [(gen_group_element(rng, group), gen_fraction(rng))
-           for _ in range(rng.randint(0, max_pts))]
+           for _ in range(rng.randint(0, 4))]
     return polygons.newton_polygon(group, pts)
 
-def gen_pa(rng, group, lo=Fraction(0), hi=Fraction(4), convex=False, allow_bottom=True):
+def gen_pa(rng, group, convex=False, allow_bottom=True):
+    """Random function on [0, 4] with kinks among the multiples of 4/7."""
     if allow_bottom and rng.random() < 0.08:
-        return piecewise.piecewise_affine(group, lo, hi, None)
+        return piecewise.piecewise_affine(group, 0, 4, None)
     nk = rng.randint(0, 3)
-    kinks = sorted(rng.sample([lo + Fraction(i, 7) * (hi - lo) for i in range(1, 7)], nk))
+    kinks = sorted(rng.sample([Fraction(4 * i, 7) for i in range(1, 7)], nk))
     slopes = [gen_group_element(rng, group) for _ in range(nk + 1)]
     if convex:
         slopes.sort()
-    return piecewise.piecewise_affine(group, lo, hi, gen_fraction(rng), kinks, slopes)
+    return piecewise.piecewise_affine(group, 0, 4, gen_fraction(rng), kinks, slopes)
 
-def gen_germ(rng, allow_bottom=True):
-    if allow_bottom and rng.random() < 0.12:
+def gen_germ(rng):
+    if rng.random() < 0.12:
         return GERM_BOTTOM
     return Germ(gen_fraction(rng), gen_fraction(rng), gen_fraction(rng))
 
-def gen_lex(rng, allow_bottom=True):
-    if allow_bottom and rng.random() < 0.12:
+def gen_lex(rng):
+    if rng.random() < 0.12:
         return LEX_BOTTOM
     return LexElement(gen_fraction(rng), gen_fraction(rng))
 
-def gen_circle(rng, p, max_kinks=3, allow_bottom=False):
-    """Random global circle function.
+def gen_circle(rng, p):
+    """Random global circle function with at most 3 kinks, never bottom.
 
     Kinks are drawn from p-power-denominator rationals in (1, p) with the
     last kink of the form p - p**-a, so that solving the final slope from
     the closure condition stays inside Z[1/p].
     """
-    if allow_bottom and rng.random() < 0.1:
-        return circle.circle_bottom(p)
-    m = rng.randint(0, max_kinks)
+    m = rng.randint(0, 3)
     anchor = gen_fraction(rng)
     if m == 0:
         return circle.circle_function(p, [], [0], anchor)

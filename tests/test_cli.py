@@ -70,6 +70,17 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             parse_frac("3/4/5")
 
+    def test_circle_needs_a_prime(self):
+        doc = {"p": None, "domain": ["1", "3"], "anchor": "0", "kinks": [], "slopes": ["0"]}
+        with pytest.raises(ValueError, match="a circle function needs a prime p"):
+            circle_from_json(doc)
+
+    @pytest.mark.parametrize("domain", [["1", "5"], ["0", "3"], ["1", None]])
+    def test_circle_domain_must_be_one_to_p(self, domain):
+        doc = {"p": 3, "domain": domain, "anchor": "0", "kinks": [], "slopes": ["0"]}
+        with pytest.raises(ValueError, match=r"domain \[1, 3\]"):
+            circle_from_json(doc)
+
 
 class TestLegendreCommand:
     def test_text(self, polygon_file, capsys):
@@ -124,6 +135,17 @@ class TestDivisorCommand:
         path.write_text(dumps(bad))
         assert main(["divisor", str(path)]) == 2
 
+    def test_text(self, function_file, capsys):
+        assert main(["divisor", function_file, "--format", "text"]) == 0
+        assert capsys.readouterr().out == ("divisor: Divisor(p=3, 1 -> 4/3, 2 -> -2/3)\n"
+                                           "degree: 0\nchi: 0\norders sum zero: ok\n")
+
+    def test_bottom_anchor_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 3, "domain": ["1", "3"], "anchor": "-inf",
+                                     "kinks": [], "slopes": ["0"], "convex": False})
+        assert main(["divisor", path]) == 2
+        assert_one_line_error(capsys, "the bottom function has no divisor")
+
     def test_csv_format_rejected(self, function_file, capsys):
         # divisor writes only text and json; argparse refuses the rest
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +184,20 @@ class TestJacobianCommand:
         assert main(["jacobian", path, "--p", "5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_obstruction_text(self, tmp_path, capsys):
+        path = divisor_file(tmp_path, divisor(3, {F(1): F(2), F(2): F(-1)}))
+        assert main(["jacobian", path]) == 0
+        assert capsys.readouterr().out == ("class: (degree=0, chi=1)\n"
+                                           "not principal: obstruction chi\n")
+
+    def test_witness_to_stdout_comes_first(self, tmp_path, capsys):
+        f = circle_function(3, [F(2)], [F(1, 3), F(-1, 3)], 0)
+        path = divisor_file(tmp_path, divisor_of(f))
+        assert main(["jacobian", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["jacobian", path, "--format", "json", "--witness-out", "-"]) == 0
+        assert capsys.readouterr().out == dumps(payload["witness"]) + dumps(payload)
+
 
 class TestRRCommand:
     def test_zero_divisor(self, tmp_path, capsys):
@@ -186,6 +222,30 @@ class TestRRCommand:
         path = divisor_file(tmp_path, divisor(2, {F(1): F(1)}))
         assert main(["rr", path, "--n-max", "3", "--format", "svg"]) == 0
         assert capsys.readouterr().out.startswith("<svg")
+
+    def test_json(self, tmp_path, capsys):
+        path = divisor_file(tmp_path, divisor(2, {F(1): F(1)}))
+        assert main(["rr", path, "--n-max", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "PASS"
+        assert (payload["degree"], payload["difference"], payload["tolerance"]) == ("1", "7/8", "1/2")
+        assert [lv["dim"] for lv in payload["report"]["levels"]] == [1, 1, 3, 7]
+        assert payload["report"]["limitEstimate"] == "7/8"
+        assert [lv["normalized"] for lv in payload["reportNegated"]["levels"]] == ["0"] * 4
+        assert payload["reportNegated"]["divisor"]["support"] == [{"coeff": "-1", "point": "1"}]
+
+    def test_n_max_beyond_the_digit_limit_exits_2_fast(self, tmp_path, capsys):
+        import time
+        path = divisor_file(tmp_path, divisor(2, {F(1): F(1)}))
+        start = time.perf_counter()
+        assert main(["rr", path, "--n-max", "20000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(capsys, "--n-max 20000")
+
+    def test_large_prime_below_the_digit_limit_passes(self, tmp_path, capsys):
+        path = divisor_file(tmp_path, divisor(1000000007, {F(1): F(1)}))
+        assert main(["rr", path, "--n-max", "400"]) == 0
+        assert capsys.readouterr().out.endswith("verdict: PASS\n")
 
 
 class TestVerifyCommand:
@@ -297,6 +357,34 @@ class TestBadInput:
         path = write_json(tmp_path, [1, 2])
         assert main([command, path]) == 2
         assert_one_line_error(capsys, "expected a JSON object")
+
+    def test_boolean_coefficient_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "2", "coeff": True}]})
+        assert main(["jacobian", path]) == 2
+        assert_one_line_error(capsys, "True")
+
+    def test_boolean_vertex_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": None, "scale": "1", "vertices": [["0", "0"], [False, "1"]]})
+        assert main(["legendre", path]) == 2
+        assert_one_line_error(capsys, "False")
+
+    def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"p": 3,\n "support": [\n')
+        assert main(["rr", str(path)]) == 2
+        assert_one_line_error(capsys, f"{path}:3:1: Expecting value")
+
+    def test_out_file_holds_the_stdout_bytes(self, polygon_file, tmp_path, capsys):
+        assert main(["legendre", polygon_file, "--format", "json"]) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main(["legendre", polygon_file, "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == expected
+
+    def test_unwritable_out_exits_2(self, function_file, tmp_path, capsys):
+        assert main(["divisor", function_file, "--out", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, str(tmp_path))
 
     def test_enumeration_cap_exits_2_fast(self, tmp_path, capsys):
         import time

@@ -1,0 +1,269 @@
+"""Byte-identical CLI output: every command and format on fixed inputs.
+
+Each case runs `cli.main` in process, inside a directory that holds the
+input files below, and compares the exit code and the SHA-256 (first 16
+hex digits) of stdout and of stderr with the digests in GOLDEN.  A change
+that alters output on purpose prints the new table with
+`PYTHONPATH=src python tests/test_cli_golden.py` and says so.
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from tropcircle import cli
+
+BIG = 1000000007
+
+
+def _support(table):
+    return [{"point": rep, "coeff": c} for rep, c in table]
+
+
+def _circle(p, kinks, slopes, anchor="0"):
+    return {"p": p, "domain": ["1", str(p)], "anchor": anchor,
+            "kinks": kinks, "slopes": slopes, "convex": False}
+
+
+INPUTS = {
+    "poly-z.json": {"p": None, "scale": "1",
+                    "vertices": [["0", "0"], ["1", "-1"], ["3", "-4"], ["2", "-5"], ["1", "-3"]]},
+    "poly-zero.json": {"p": None, "scale": "1", "vertices": []},
+    "poly-3.json": {"p": 3, "scale": "1/2",
+                    "vertices": [["1/6", "0"], ["1/2", "-1"], ["3/2", "-1"], ["1/2", "-5/2"]]},
+    "poly-5.json": {"p": 5, "scale": "1", "vertices": [["0", "1"], ["1/5", "0"], ["2", "-7/3"]]},
+    "fn-2.json": _circle(2, ["3/2"], ["1", "-1"]),
+    "fn-3.json": _circle(3, ["2"], ["1/3", "-1/3"], "-2"),
+    "fn-5.json": _circle(5, ["2", "4"], ["1/5", "-1/5", "1/5"], "7/2"),
+    "fn-big.json": _circle(BIG, ["2"], [str(BIG - 2), "-1"]),
+    "fn-const.json": _circle(5, [], ["0"], "1"),
+    "fn-bottom.json": _circle(3, [], ["0"], "-inf"),
+    "pa-z.json": {"p": None, "scale": "1", "domain": ["0", None], "anchor": "0",
+                  "kinks": ["1", "5/2"], "slopes": ["-1", "0", "2"], "convex": True},
+    "pa-1to5.json": {"p": 2, "scale": "1", "domain": ["1", "5"], "anchor": "0",
+                     "kinks": ["2"], "slopes": ["0", "1"], "convex": True},
+    "div-2.json": {"p": 2, "support": _support([("1", "3"), ("3/2", "-2")])},
+    "div-3.json": {"p": 3, "support": _support([("1", "4/3"), ("2", "-2/3")])},
+    "div-5.json": {"p": 5, "support": _support([("1", "-4/5"), ("2", "-2/5"), ("4", "2/5")])},
+    "div-big.json": {"p": BIG, "support": _support([("1", str(2 * BIG - 2)), ("2", str(1 - BIG))])},
+    "obs-2.json": {"p": 2, "support": _support([("1", "1")])},
+    "obs-3.json": {"p": 3, "support": _support([("1", "2"), ("2", "-1")])},
+    "obs-5.json": {"p": 5, "support": _support([("1", "1"), ("2", "1/5")])},
+    "obs-big.json": {"p": BIG, "support": _support([("1", "1")])},
+    "array.json": [1, 2],
+}
+RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n'}
+
+
+def _cases():
+    cases = {}
+    for poly in ("poly-z", "poly-zero", "poly-3", "poly-5"):
+        for fmt in ("text", "json", "svg"):
+            cases[f"legendre {poly} {fmt}"] = ["legendre", f"{poly}.json", "--format", fmt]
+    for fn in ("fn-2", "fn-3", "fn-5", "fn-big", "fn-const"):
+        for fmt in ("text", "json"):
+            cases[f"divisor {fn} {fmt}"] = ["divisor", f"{fn}.json", "--format", fmt]
+        cases[f"plot {fn}"] = ["plot", f"{fn}.json"]
+    for pa in ("pa-z", "pa-1to5", "fn-bottom"):
+        cases[f"plot {pa}"] = ["plot", f"{pa}.json"]
+    for name in ("2", "3", "5", "big"):
+        for kind in ("div", "obs"):
+            for fmt in ("text", "json"):
+                cases[f"jacobian {kind}-{name} {fmt}"] = ["jacobian", f"{kind}-{name}.json",
+                                                          "--format", fmt]
+        for fmt in ("text", "json"):
+            cases[f"jacobian div-{name} {fmt} witness"] = ["jacobian", f"div-{name}.json",
+                                                           "--witness-out", "-", "--format", fmt]
+    for div in ("div-2", "div-3", "div-5", "obs-3", "obs-5", "obs-big"):
+        for fmt in ("text", "json", "csv", "svg"):
+            cases[f"rr {div} {fmt}"] = ["rr", f"{div}.json", "--n-max", "3", "--format", fmt]
+    cases["rr div-big oversized"] = ["rr", "div-big.json", "--n-max", "2"]
+    cases["verify seed 0"] = ["verify", "--seed", "0", "--count", "20"]
+    cases["verify zero count"] = ["verify", "--count", "0"]
+    cases["verify negative count"] = ["verify", "--count", "-3"]
+    for argv in (["legendre", "poly-3.json"], ["divisor", "fn-3.json"],
+                 ["jacobian", "div-3.json"], ["rr", "div-3.json"]):
+        cases[f"{argv[0]} wrong --p"] = [*argv, "--p", "5"]
+        cases[f"{argv[0]} matching --p"] = [*argv, "--p", "3"]
+    for command in ("legendre", "divisor", "jacobian", "rr", "plot"):
+        cases[f"{command} missing file"] = [command, "missing.json"]
+        cases[f"{command} broken json"] = [command, "broken.json"]
+        cases[f"{command} json array"] = [command, "array.json"]
+    cases["divisor bottom"] = ["divisor", "fn-bottom.json"]
+    cases["divisor polygon file"] = ["divisor", "poly-3.json"]
+    cases["plot bad format"] = ["plot", "fn-3.json", "--format", "json"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def run_case(argv):
+    """(exit code, stdout digest, stderr digest) of one in-process call;
+    an argument error exits through SystemExit, which counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, _sha(out.getvalue()), _sha(err.getvalue())
+
+
+def write_inputs(directory):
+    for name, doc in INPUTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+    for name, text in RAW_INPUTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_inputs(directory)
+    return directory
+
+
+GOLDEN = {
+    'divisor bottom': (2, 'e3b0c44298fc1c14', '56f9fa95a307a2bc'),
+    'divisor broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'divisor fn-2 json': (0, '9c32da9ed2300cb5', 'e3b0c44298fc1c14'),
+    'divisor fn-2 text': (0, '4ba1b8e6e8348da9', 'e3b0c44298fc1c14'),
+    'divisor fn-3 json': (0, '2bb82611153e3368', 'e3b0c44298fc1c14'),
+    'divisor fn-3 text': (0, 'f3e48334ed3ae015', 'e3b0c44298fc1c14'),
+    'divisor fn-5 json': (0, 'c9fadce1157b93a6', 'e3b0c44298fc1c14'),
+    'divisor fn-5 text': (0, '6e1f78b87db1a832', 'e3b0c44298fc1c14'),
+    'divisor fn-big json': (0, '1a797748a3ec1a04', 'e3b0c44298fc1c14'),
+    'divisor fn-big text': (0, 'fd3925ade5ed0f78', 'e3b0c44298fc1c14'),
+    'divisor fn-const json': (0, '4ac8524c7dee5e94', 'e3b0c44298fc1c14'),
+    'divisor fn-const text': (0, '78cb7a24f89fa6e3', 'e3b0c44298fc1c14'),
+    'divisor json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'divisor matching --p': (0, 'f3e48334ed3ae015', 'e3b0c44298fc1c14'),
+    'divisor missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'divisor polygon file': (2, 'e3b0c44298fc1c14', '7b314ade2640655c'),
+    'divisor wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
+    'jacobian broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'jacobian div-2 json': (0, '20e0f2fe7b27ea4e', 'e3b0c44298fc1c14'),
+    'jacobian div-2 json witness': (0, 'ddedbfccc07e5831', 'e3b0c44298fc1c14'),
+    'jacobian div-2 text': (0, 'da7bf5ec6089db48', 'e3b0c44298fc1c14'),
+    'jacobian div-2 text witness': (0, '0c509d8cae3f1863', 'e3b0c44298fc1c14'),
+    'jacobian div-3 json': (0, '8b44598cadaf110e', 'e3b0c44298fc1c14'),
+    'jacobian div-3 json witness': (0, '32ec4222226fd326', 'e3b0c44298fc1c14'),
+    'jacobian div-3 text': (0, '40018ce33428544a', 'e3b0c44298fc1c14'),
+    'jacobian div-3 text witness': (0, 'e13cd9ebcf8d4ac1', 'e3b0c44298fc1c14'),
+    'jacobian div-5 json': (0, 'cb986be19466b27a', 'e3b0c44298fc1c14'),
+    'jacobian div-5 json witness': (0, '04c1f3629a911ded', 'e3b0c44298fc1c14'),
+    'jacobian div-5 text': (0, '580b5e55563d3ce1', 'e3b0c44298fc1c14'),
+    'jacobian div-5 text witness': (0, 'af730a84b776e925', 'e3b0c44298fc1c14'),
+    'jacobian div-big json': (0, '1048a74d501d83dd', 'e3b0c44298fc1c14'),
+    'jacobian div-big json witness': (0, 'b62f901eb1481795', 'e3b0c44298fc1c14'),
+    'jacobian div-big text': (0, 'b212d1e6f9794067', 'e3b0c44298fc1c14'),
+    'jacobian div-big text witness': (0, '4a5a41b1ea4df789', 'e3b0c44298fc1c14'),
+    'jacobian json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'jacobian matching --p': (0, '40018ce33428544a', 'e3b0c44298fc1c14'),
+    'jacobian missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'jacobian obs-2 json': (0, '2f445a8fe9c6679c', 'e3b0c44298fc1c14'),
+    'jacobian obs-2 text': (0, 'b5c2ef5d61a560ef', 'e3b0c44298fc1c14'),
+    'jacobian obs-3 json': (0, '2c03a0be7364caf7', 'e3b0c44298fc1c14'),
+    'jacobian obs-3 text': (0, 'facdd1f7757dda11', 'e3b0c44298fc1c14'),
+    'jacobian obs-5 json': (0, '87ce53cb63952fa1', 'e3b0c44298fc1c14'),
+    'jacobian obs-5 text': (0, 'ff8bd53d1123b671', 'e3b0c44298fc1c14'),
+    'jacobian obs-big json': (0, '7d36c90dfa6dba0b', 'e3b0c44298fc1c14'),
+    'jacobian obs-big text': (0, '2d1789a2dac19f47', 'e3b0c44298fc1c14'),
+    'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
+    'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'legendre json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'legendre matching --p': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
+    'legendre missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'legendre poly-3 json': (0, '98a6811ef3618c9e', 'e3b0c44298fc1c14'),
+    'legendre poly-3 svg': (0, '1fe1bcdfafcc232a', 'e3b0c44298fc1c14'),
+    'legendre poly-3 text': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
+    'legendre poly-5 json': (0, 'c6b3a15dc2e99288', 'e3b0c44298fc1c14'),
+    'legendre poly-5 svg': (0, '2b8ff12b32ea227e', 'e3b0c44298fc1c14'),
+    'legendre poly-5 text': (0, 'b57eea25c6625d8c', 'e3b0c44298fc1c14'),
+    'legendre poly-z json': (0, 'e2a6c155ff98fd08', 'e3b0c44298fc1c14'),
+    'legendre poly-z svg': (0, '83c11a0a7baa23b4', 'e3b0c44298fc1c14'),
+    'legendre poly-z text': (0, 'a73ce48f63284465', 'e3b0c44298fc1c14'),
+    'legendre poly-zero json': (0, '136ae5ae31a0c1d4', 'e3b0c44298fc1c14'),
+    'legendre poly-zero svg': (0, '62d4d409ef855926', 'e3b0c44298fc1c14'),
+    'legendre poly-zero text': (0, '718163a089551561', 'e3b0c44298fc1c14'),
+    'legendre wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
+    'plot bad format': (2, 'e3b0c44298fc1c14', '4d879981d285830b'),
+    'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'plot fn-2': (0, '118bcbb8fc9bb16a', 'e3b0c44298fc1c14'),
+    'plot fn-3': (0, 'a3e75d0f336d93e4', 'e3b0c44298fc1c14'),
+    'plot fn-5': (0, 'bc3ca59b25176836', 'e3b0c44298fc1c14'),
+    'plot fn-big': (0, '01242e1a8593487b', 'e3b0c44298fc1c14'),
+    'plot fn-bottom': (0, '07fb3c2ba0d5451f', 'e3b0c44298fc1c14'),
+    'plot fn-const': (0, 'fc160bd5c3d550e9', 'e3b0c44298fc1c14'),
+    'plot json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'plot missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'plot pa-1to5': (0, 'f05d5adacff7751a', 'e3b0c44298fc1c14'),
+    'plot pa-z': (0, '8d8b3c2de57e5612', 'e3b0c44298fc1c14'),
+    'rr broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'rr div-2 csv': (0, 'a5fa215f17fc1f9b', 'e3b0c44298fc1c14'),
+    'rr div-2 json': (0, '1bdd2cada793884b', 'e3b0c44298fc1c14'),
+    'rr div-2 svg': (0, 'b79c329aa691987f', 'e3b0c44298fc1c14'),
+    'rr div-2 text': (0, 'f43638639f3df3b2', 'e3b0c44298fc1c14'),
+    'rr div-3 csv': (0, 'a39abc81e7811387', 'e3b0c44298fc1c14'),
+    'rr div-3 json': (0, '2da7bcb8368ef190', 'e3b0c44298fc1c14'),
+    'rr div-3 svg': (0, '55666859b7b5fad3', 'e3b0c44298fc1c14'),
+    'rr div-3 text': (0, '8ee5451bb30f6459', 'e3b0c44298fc1c14'),
+    'rr div-5 csv': (0, '582efdc3089f26bc', 'e3b0c44298fc1c14'),
+    'rr div-5 json': (0, '3d91779ecab946f2', 'e3b0c44298fc1c14'),
+    'rr div-5 svg': (0, 'ca8d410e56edf73a', 'e3b0c44298fc1c14'),
+    'rr div-5 text': (0, '0bfa8235d56ba31d', 'e3b0c44298fc1c14'),
+    'rr div-big oversized': (2, 'e3b0c44298fc1c14', '87083402d3262544'),
+    'rr json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'rr matching --p': (0, 'b4f2228cb14e1a7c', 'e3b0c44298fc1c14'),
+    'rr missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'rr obs-3 csv': (0, '73ed4c39ecaa99b1', 'e3b0c44298fc1c14'),
+    'rr obs-3 json': (0, '3e8a71669c25fe20', 'e3b0c44298fc1c14'),
+    'rr obs-3 svg': (0, 'bf9e3266dd20d043', 'e3b0c44298fc1c14'),
+    'rr obs-3 text': (0, '9c412db43ed8ae1e', 'e3b0c44298fc1c14'),
+    'rr obs-5 csv': (0, '8db751689eecf752', 'e3b0c44298fc1c14'),
+    'rr obs-5 json': (0, '42194ef0b3bc1ce9', 'e3b0c44298fc1c14'),
+    'rr obs-5 svg': (0, '9e2d3ad107e8b28b', 'e3b0c44298fc1c14'),
+    'rr obs-5 text': (0, '0b4581290099bba9', 'e3b0c44298fc1c14'),
+    'rr obs-big csv': (0, '4a0702d3cc43fc6e', 'e3b0c44298fc1c14'),
+    'rr obs-big json': (0, '4e785fe2ba2afa6d', 'e3b0c44298fc1c14'),
+    'rr obs-big svg': (0, '9eaea9c22dd70976', 'e3b0c44298fc1c14'),
+    'rr obs-big text': (0, '8b4650d02fd45698', 'e3b0c44298fc1c14'),
+    'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
+    'verify negative count': (2, 'e3b0c44298fc1c14', 'd5d62f40ed43b5aa'),
+    'verify seed 0': (0, '60ef2809f0351947', 'e3b0c44298fc1c14'),
+    'verify zero count': (0, 'c651cbdaf052c1ff', 'e3b0c44298fc1c14'),
+}
+
+
+def test_every_case_has_a_digest():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, input_dir, monkeypatch):
+    monkeypatch.chdir(input_dir)
+    assert run_case(CASES[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        write_inputs(directory)
+        os.chdir(directory)
+        rows = {name: run_case(argv) for name, argv in sorted(CASES.items())}
+    sys.stdout.write("GOLDEN = {\n")
+    for name, row in rows.items():
+        sys.stdout.write(f"    {name!r}: {row!r},\n")
+    sys.stdout.write("}\n")
