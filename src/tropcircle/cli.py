@@ -3,12 +3,15 @@
 Commands: legendre, divisor, jacobian, rr, verify, plot.  File arguments
 accept "-" for stdin.  Exit codes: 0 success, 1 property failure, 2 input
 error.  Output for a fixed (input, seed, flags) triple is byte-identical
-across runs.
+across runs.  `main` can be called repeatedly in one process: the argument
+parser is built on the first call and reused, since parsing reads it
+without changing it.
 """
 
 import argparse
 import json
 import sys
+from functools import cache
 from math import ceil
 
 from . import serialize as ser
@@ -31,6 +34,8 @@ def _read_json(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
@@ -241,7 +246,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
     top = _Parser(prog="tropcircle",
                   description="Exact tropical algebra on Newton polygons "
                               "and the circle R*+/p^Z")

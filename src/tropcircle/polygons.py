@@ -14,6 +14,7 @@ vertices the sum is a Minkowski sum.  The empty polygon is the zero element
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, piecewise_affine
 
@@ -50,26 +51,39 @@ def _reduce(pts):
     Steps: keep the best y per x, build the strictly concave upper hull
     (ties between chords drop the middle point), then drop leading vertices
     whose winning interval lies in lam <= 0.
+
+    The tests run on the integers X = x*dx and Y = y*dy, where dx and dy are
+    the least common multiples of the x and y denominators.  That is exact:
+    scaling x by dx > 0 and y by dy > 0 keeps the order of the x values and
+    of the y values, and multiplies both sides of the chord test
+    (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.  The kept
+    vertices are returned as the original (x, y) pairs.
     """
+    dx = lcm(*{x.denominator for x, _ in pts})
+    dy = lcm(*{y.denominator for _, y in pts})
     best = {}
-    for x, y in pts:
-        if x not in best or y > best[x]:
-            best[x] = y
-    pts = sorted(best.items())
-    hull = []
     for v in pts:
+        x, y = v
+        key_x = x.numerator * (dx // x.denominator)
+        key_y = y.numerator * (dy // y.denominator)
+        if key_x not in best or key_y > best[key_x][0]:
+            best[key_x] = (key_y, v)
+    hull = []  # (X, Y, original pair), X increasing
+    for key_x, (key_y, v) in sorted(best.items()):
         while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (b[1] - a[1]) * (v[0] - b[0]) <= (v[1] - b[1]) * (b[0] - a[0]):
+            ax, ay, _ = hull[-2]
+            bx, by, _ = hull[-1]
+            if (by - ay) * (key_x - bx) <= (key_y - by) * (bx - ax):
                 hull.pop()
             else:
                 break
-        hull.append(v)
-    # the crossing of hull[0] and hull[1] sits at lam = (y0 - y1)/(x1 - x0);
-    # when it is <= 0 the first vertex never wins on the open half-line
-    while len(hull) >= 2 and hull[0][1] <= hull[1][1]:
-        hull.pop(0)
-    return tuple(hull)
+        hull.append((key_x, key_y, v))
+    # the crossing of hull[i] and hull[i+1] sits at lam = (y_i - y_i+1)/(x_i+1 - x_i);
+    # when it is <= 0 vertex i never wins on the open half-line
+    start = 0
+    while start + 1 < len(hull) and hull[start][1] <= hull[start + 1][1]:
+        start += 1
+    return tuple(v for _, _, v in hull[start:])
 
 
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:

@@ -9,6 +9,7 @@ Z/(p-1)Z all read off the reduced numerator and denominator.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "BOTTOM",
@@ -80,12 +81,21 @@ def require_prime(p) -> int:
     """Return p when it is a prime int below 2**64; raise ValueError otherwise.
 
     divisor() and SlopeGroup, the two constructors that take a prime, call
-    this; the arithmetic downstream never re-checks p.
+    this; the arithmetic downstream never re-checks p.  The primality test
+    runs once per prime: accepted primes are remembered (see _checked_prime).
     """
     if type(p) is not int:
         raise ValueError(f"p must be a prime integer, got {p!r}")
     if p >= 2 ** 64:
         raise ValueError(f"p must be below 2**64, got {p}")
+    return _checked_prime(p)
+
+
+@lru_cache(maxsize=1024)
+def _checked_prime(p: int) -> int:
+    """p, when is_prime(p); a composite raises, so it is never remembered
+    and is refused again on every call.  The cache holds at most 1024 of
+    the most recently used primes."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p

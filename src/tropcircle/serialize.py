@@ -7,6 +7,8 @@ serializes to the same bytes.
 """
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .circle import CircleFunction, Divisor, circle_bottom, circle_function, divisor
@@ -34,12 +36,25 @@ def frac_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# the exponent of a decimal string such as "1.5e3"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_frac(s) -> Fraction:
+    """Read a rational from an int or a string.  A string's exponent may not
+    pass sys.get_int_max_str_digits() in magnitude (0 sets no bound): the
+    power of ten it asks for could not be printed and would take unbounded
+    time and memory to build."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
     try:
+        exponent = _EXPONENT.search(s)
+        if exponent:
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(int(exponent[1])) > limit:
+                raise ValueError(f"exponent beyond the {limit}-digit limit")
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {s!r}: {exc}") from None

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from test_cli_golden import GOLDEN, run_case, write_inputs
+from tropcircle import cli
 from tropcircle.circle import circle_function, divisor, divisor_of
 from tropcircle.cli import main
 from tropcircle.serialize import (
@@ -69,6 +73,11 @@ class TestRoundTrips:
     def test_malformed_rational(self):
         with pytest.raises(ValueError):
             parse_frac("3/4/5")
+
+    @pytest.mark.parametrize("text, value", [("3", F(3)), ("1/2", F(1, 2)),
+                                             ("1.5", F(3, 2)), ("1e3", F(1000))])
+    def test_decimal_strings(self, text, value):
+        assert parse_frac(text) == value
 
     def test_circle_needs_a_prime(self):
         doc = {"p": None, "domain": ["1", "3"], "anchor": "0", "kinks": [], "slopes": ["0"]}
@@ -248,6 +257,24 @@ class TestRRCommand:
         assert capsys.readouterr().out.endswith("verdict: PASS\n")
 
 
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch):
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        assert run_case(["verify", "--count", "x"]) == (
+            2, digest(b""), digest(b"error: argument --count: invalid int value: 'x'\n"))
+        assert run_case(["jacobian", "div-3.json", "--p", "5"]) == GOLDEN["jacobian wrong --p"]
+        assert run_case(["jacobian", "div-3.json"]) == GOLDEN["jacobian div-3 text"]
+        assert run_case(["verify", "--count", "0"]) == GOLDEN["verify zero count"]
+
+
 class TestVerifyCommand:
     def test_ok_run(self, capsys):
         assert main(["verify", "--seed", "3", "--count", "25"]) == 0
@@ -408,6 +435,20 @@ class TestBadInput:
         assert main(["rr", path, "--n-max", n_max]) == 2
         assert time.perf_counter() - start < 1.0
         assert_one_line_error(capsys, "support enumeration too large")
+
+    @pytest.mark.parametrize("coeff", ["1e999999999", "1e-999999999"])
+    def test_huge_exponent_exits_2_fast(self, tmp_path, capsys, coeff):
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "2", "coeff": coeff}]})
+        start = time.perf_counter()
+        assert main(["jacobian", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(capsys, "exponent beyond the")
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert main(["jacobian", str(path)]) == 2
+        assert_one_line_error(capsys, f"{path}: JSON nested too deeply")
 
     def test_large_prime_is_fast(self, tmp_path, capsys):
         import time

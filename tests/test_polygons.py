@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcircle.piecewise import GroupMismatchError, SlopeGroup, ZZ, piecewise_affine
 from tropcircle.polygons import (
-    NewtonPolygon, ell, from_function, legendre, newton_polygon, poly_join, poly_times,
+    NewtonPolygon, _reduce, ell, from_function, legendre, newton_polygon, poly_join, poly_times,
 )
 from tropcircle.scalars import rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_polygon
@@ -21,7 +22,54 @@ def sample_lams():
     return [F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(2), F(3), F(5), F(17, 3), F(40)]
 
 
+def fraction_reduce(pts):
+    """Reference reduction on the Fraction coordinates themselves: best y
+    per x, strictly concave upper hull, then the leading vertices that never
+    win on lam > 0 dropped."""
+    best = {}
+    for x, y in pts:
+        if x not in best or y > best[x]:
+            best[x] = y
+    pts = sorted(best.items())
+    hull = []
+    for v in pts:
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (b[1] - a[1]) * (v[0] - b[0]) <= (v[1] - b[1]) * (b[0] - a[0]):
+                hull.pop()
+            else:
+                break
+        hull.append(v)
+    while len(hull) >= 2 and hull[0][1] <= hull[1][1]:
+        hull.pop(0)
+    return tuple(hull)
+
+
+@st.composite
+def vertex_sets(draw):
+    """Raw vertices in a scaled group scale*Z[1/p] (Z when p is None), with
+    y denominators drawn from pairwise coprime moduli and their products,
+    plus repeated abscissae and collinear triples."""
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    scale = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(5, 7)]))
+    xs = st.builds(lambda k, e: scale * F(k, 1 if p is None else p ** e),
+                   st.integers(-6, 6), st.integers(0, 2))
+    ys = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 11, 13, 35, 143]))
+    pts = draw(st.lists(st.tuples(xs, ys), max_size=16))
+    repeats = draw(st.lists(st.tuples(st.integers(0, 15), ys), max_size=4))
+    pts += [(pts[i][0], y) for i, y in repeats if i < len(pts)]
+    for _ in range(draw(st.integers(0, 2))):
+        (x0, y0), (sx, sy) = draw(st.tuples(xs, ys)), draw(st.tuples(xs, ys))
+        pts += [(x0 + t * sx, y0 + t * sy) for t in range(3)]
+    return draw(st.permutations(pts))
+
+
 class TestReduce:
+    @settings(max_examples=400, deadline=None)
+    @given(vertex_sets())
+    def test_integer_hull_matches_fraction_hull(self, pts):
+        assert _reduce(pts) == fraction_reduce(pts)
+
     def assert_same_support(self, raw):
         n = newton_polygon(ZZ, raw)
         for lam in sample_lams():

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from tropcircle import scalars
 from tropcircle.circle import divisor
+from tropcircle.piecewise import SlopeGroup
 from tropcircle.scalars import (
     BOTTOM, chi, in_zp, is_prime, padic_abs, require_prime, rmax_join, rmax_times,
 )
@@ -170,3 +172,15 @@ class TestRequirePrime:
     def test_rejects_beyond_two_to_the_64(self):
         with pytest.raises(ValueError, match=r"2\*\*64"):
             require_prime(2 ** 89 - 1)
+
+    def test_each_prime_is_tested_once(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(scalars, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        scalars._checked_prime.cache_clear()
+        for _ in range(100):
+            SlopeGroup(2 ** 61 - 1)
+        assert tested == [2 ** 61 - 1]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be prime"):
+                require_prime(4)
+        assert tested == [2 ** 61 - 1, 4, 4]
