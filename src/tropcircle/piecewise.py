@@ -14,9 +14,10 @@ so structural equality is semantic equality.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import in_zp, require_prime
+from .scalars import _is_power_of, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -50,13 +51,26 @@ class SlopeGroup:
             raise ValueError("scale must be positive")
 
     def contains(self, q) -> bool:
-        q = Fraction(q) / self.scale
+        """True when q / scale lies in Z (p None) or in Z[1/p].
+
+        With q = a/b and scale = s/t both in lowest terms, q / scale is
+        (a*t) / (b*s), and its reduced denominator is b*s // gcd(a*t, b*s).
+        That is the denominator Fraction(q) / scale would carry, so the test
+        is exact; it reads four integers and builds no quotient.  For q = 0
+        the gcd is b*s and the denominator 1.
+        """
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        scale = self.scale
+        bs = q.denominator * scale.numerator
+        den = bs // gcd(q.numerator * scale.denominator, bs)
         if self.p is None:
-            return q.denominator == 1
-        return in_zp(q, self.p)
+            return den == 1
+        return _is_power_of(den, self.p)
 
     def require(self, q) -> Fraction:
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if not self.contains(q):
             raise ValueError(f"slope {q} is not in {self}")
         return q
@@ -123,8 +137,10 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
     Merges pieces with equal adjacent slopes so that every stored kink is a
     genuine kink; a bottom function may not carry kinks.
     """
-    lo = Fraction(lo)
-    hi = None if hi is None else Fraction(hi)
+    if type(lo) is not Fraction:
+        lo = Fraction(lo)
+    if hi is not None and type(hi) is not Fraction:
+        hi = Fraction(hi)
     if lo < 0:
         raise ValueError("domain must sit inside [0, inf)")
     if hi is not None and hi <= lo:
@@ -133,8 +149,9 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
         if kinks:
             raise ValueError("the bottom function has no kinks")
         return PiecewiseAffine(group, lo, hi, None, (), ())
-    anchor = Fraction(anchor)
-    kinks = tuple(Fraction(k) for k in kinks)
+    if type(anchor) is not Fraction:
+        anchor = Fraction(anchor)
+    kinks = tuple(k if type(k) is Fraction else Fraction(k) for k in kinks)
     if slopes is None:
         slopes = (Fraction(0),)
     slopes = tuple(group.require(s) for s in slopes)
@@ -176,7 +193,7 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
         fa, ga = f.eval_at(a), g.eval_at(a)
         fs, gs = f.slope_right(a), g.slope_right(a)
         if fs != gs and fa != ga:
-            t = a + Fraction(ga - fa, fs - gs)
+            t = a + (ga - fa) / (fs - gs)
             i = bisect_right(cuts, a)
             b = cuts[i] if i < len(cuts) else f.hi
             if t > a and (b is None or t < b):

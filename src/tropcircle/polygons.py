@@ -89,7 +89,7 @@ def _reduce(pts):
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
     """Reduce an arbitrary finite vertex set; the support function over
     lam >= 0 is unchanged by the reduction."""
-    cooked = [(group.require(x), Fraction(y)) for x, y in pts]
+    cooked = [(group.require(x), y if type(y) is Fraction else Fraction(y)) for x, y in pts]
     return NewtonPolygon(group, _reduce(cooked))
 
 
@@ -131,7 +131,7 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
         return piecewise_affine(n.group, 0, None, None)
     xs = [x for x, _ in n.vertices]
     ys = [y for _, y in n.vertices]
-    kinks = [Fraction(ys[i] - ys[i + 1], xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    kinks = [(ys[i] - ys[i + 1]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
     return piecewise_affine(n.group, 0, None, ys[0], kinks, xs)
 
 

@@ -113,17 +113,24 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def in_zp(q, p: int) -> bool:
-    """True when the reduced denominator of q is a power of p."""
-    den = Fraction(q).denominator
+def _is_power_of(den: int, p: int) -> bool:
+    """True when the positive integer den is a power of p (p**0 = 1 included)."""
     while den % p == 0:
         den //= p
     return den == 1
 
 
+def in_zp(q, p: int) -> bool:
+    """True when the reduced denominator of q is a power of p."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return _is_power_of(q.denominator, p)
+
+
 def padic_abs(q, p: int) -> Fraction:
     """p-adic absolute value p**(v_p(den) - v_p(num)); 0 maps to 0."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q == 0:
         return Fraction(0)
     e = padic_valuation(q.denominator, p) - padic_valuation(q.numerator, p)
@@ -137,4 +144,8 @@ def chi(q, p: int) -> int:
     reduced numerator alone represents the class.  For p = 2 the group is
     trivial and the result is 0.
     """
-    return Fraction(q).numerator % (p - 1) if p > 2 else 0
+    if p <= 2:
+        return 0
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator % (p - 1)

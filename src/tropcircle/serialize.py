@@ -32,32 +32,70 @@ __all__ = [
 
 
 def frac_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # the exponent of a decimal string such as "1.5e3"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# an error message quotes at most this many characters of the input
+_QUOTE_LEN = 40
+# 2**(3*d) < 10**d, so a numerator or denominator of at most this many bits
+# is shorter than the least nonzero limit sys.set_int_max_str_digits() takes
+_SHORT_BITS = 3 * sys.int_info.str_digits_check_threshold
+
+
+def _quote(s) -> str:
+    text = repr(s)
+    return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
 
 
 def parse_frac(s) -> Fraction:
-    """Read a rational from an int or a string.  A string's exponent may not
-    pass sys.get_int_max_str_digits() in magnitude (0 sets no bound): the
-    power of ten it asks for could not be printed and would take unbounded
-    time and memory to build."""
+    """Read a rational from an int or a string.
+
+    A rational whose numerator or denominator has more decimal digits than
+    sys.get_int_max_str_digits() (0 sets no bound) is refused here, since
+    it could not be printed.  So is a string whose exponent passes that
+    limit in magnitude, before the power of ten it asks for is built, which
+    would take unbounded time and memory.  An error quotes at most 40
+    characters of the input.
+    """
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {s!r}")
-    try:
-        exponent = _EXPONENT.search(s)
-        if exponent:
-            limit = sys.get_int_max_str_digits()
-            if limit and abs(int(exponent[1])) > limit:
-                raise ValueError(f"exponent beyond the {limit}-digit limit")
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {s!r}: {exc}") from None
+        q = Fraction(s)
+    elif isinstance(s, str):
+        try:
+            exponent = _EXPONENT.search(s)
+            if exponent:
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(exponent[1])) > limit:
+                    raise ValueError
+            q = Fraction(s.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
+        except ValueError:
+            raise ValueError(_refusal(s)) from None
+    else:
+        raise ValueError(f"expected a rational string, got {_quote(s)}")
+    if q.numerator.bit_length() > _SHORT_BITS or q.denominator.bit_length() > _SHORT_BITS:
+        limit = sys.get_int_max_str_digits()
+        if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
+            name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
+            raise ValueError(f"{name} has more than {limit} digits")
+    return q
+
+
+def _refusal(s: str) -> str:
+    """Why Fraction(s) or the exponent check refused s, in one short line;
+    Python's own message repeats the whole string."""
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(c.isdigit() for c in s) > limit:
+        # int() refuses a digit string longer than the limit
+        return f"rational {_quote(s)} has more than {limit} digits"
+    exponent = _EXPONENT.search(s)
+    if limit and exponent and abs(int(exponent[1])) > limit:
+        return f"malformed rational {_quote(s)}: exponent beyond the {limit}-digit limit"
+    return f"malformed rational {_quote(s)}"
 
 
 def rmax_to_str(v: Fraction | None) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction as F
 
@@ -36,6 +37,15 @@ def divisor_file(tmp_path, d, name="div.json"):
     path = tmp_path / name
     path.write_text(dumps(divisor_to_json(d)))
     return str(path)
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """Python's default limit on int <-> str conversion, whatever the host sets."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def write_json(tmp_path, payload, name="in.json"):
@@ -443,6 +453,35 @@ class TestBadInput:
         assert main(["jacobian", path]) == 2
         assert time.perf_counter() - start < 1.0
         assert_one_line_error(capsys, "exponent beyond the")
+
+    @pytest.mark.parametrize("literal", ["1e4300", "1e-4300", "1" * 4301],
+                             ids=["1e4300", "1e-4300", "4301 digits"])
+    @pytest.mark.parametrize("command, payload", [
+        ("jacobian", lambda x: {"p": 3, "support": [{"point": "2", "coeff": x}]}),
+        ("divisor", lambda x: {"p": 3, "domain": ["1", "3"], "anchor": x,
+                               "kinks": [], "slopes": ["0"]}),
+        ("legendre", lambda x: {"p": None, "scale": "1", "vertices": [["0", x], ["1", "0"]]}),
+    ], ids=["jacobian", "divisor", "legendre"])
+    def test_literal_beyond_the_digit_limit_exits_2(self, tmp_path, capsys, digit_limit_4300,
+                                                    command, payload, literal):
+        # a numerator or denominator of 4301 digits could not be printed
+        path = write_json(tmp_path, payload(literal))
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: rational '1")
+        assert err.endswith(" has more than 4300 digits\n") and len(err) < 100
+
+    def test_literal_at_the_digit_limit_is_read(self, tmp_path, capsys, digit_limit_4300):
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "2", "coeff": "1e4299"}]})
+        assert main(["jacobian", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == "2" + "0" * 4299
+
+    def test_malformed_long_literal_is_quoted_short(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "2", "coeff": "x" * 5000}]})
+        assert main(["jacobian", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed rational 'xxx") and len(err) < 100
 
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

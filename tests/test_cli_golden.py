@@ -38,6 +38,13 @@ INPUTS = {
     "poly-3.json": {"p": 3, "scale": "1/2",
                     "vertices": [["1/6", "0"], ["1/2", "-1"], ["3/2", "-1"], ["1/2", "-5/2"]]},
     "poly-5.json": {"p": 5, "scale": "1", "vertices": [["0", "1"], ["1/5", "0"], ["2", "-7/3"]]},
+    "poly-3-scaled.json": {"p": 3, "scale": "3/2",
+                           "vertices": [["1/2", "0"], ["3/2", "-1"], ["9/2", "-7"], ["1/2", "-3"],
+                                        ["0", "-5"]]},
+    "poly-z-scaled.json": {"p": None, "scale": "2/3",
+                           "vertices": [["0", "1"], ["2/3", "0"], ["4/3", "-1/2"], ["2", "-3"]]},
+    # 1/4 = (3/2) * (1/6) is outside (3/2) * Z[1/3]
+    "poly-outside.json": {"p": 3, "scale": "3/2", "vertices": [["1/2", "0"], ["1/4", "1"]]},
     "fn-2.json": _circle(2, ["3/2"], ["1", "-1"]),
     "fn-3.json": _circle(3, ["2"], ["1/3", "-1/3"], "-2"),
     "fn-5.json": _circle(5, ["2", "4"], ["1/5", "-1/5", "1/5"], "7/2"),
@@ -63,7 +70,7 @@ RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n'}
 
 def _cases():
     cases = {}
-    for poly in ("poly-z", "poly-zero", "poly-3", "poly-5"):
+    for poly in ("poly-z", "poly-zero", "poly-3", "poly-5", "poly-3-scaled", "poly-z-scaled"):
         for fmt in ("text", "json", "svg"):
             cases[f"legendre {poly} {fmt}"] = ["legendre", f"{poly}.json", "--format", fmt]
     for fn in ("fn-2", "fn-3", "fn-5", "fn-big", "fn-const"):
@@ -85,6 +92,7 @@ def _cases():
             cases[f"rr {div} {fmt}"] = ["rr", f"{div}.json", "--n-max", "3", "--format", fmt]
     cases["rr div-big oversized"] = ["rr", "div-big.json", "--n-max", "2"]
     cases["verify seed 0"] = ["verify", "--seed", "0", "--count", "20"]
+    cases["verify seed 0 count 1000"] = ["verify", "--seed", "0", "--count", "1000"]
     cases["verify zero count"] = ["verify", "--count", "0"]
     cases["verify negative count"] = ["verify", "--count", "-3"]
     for argv in (["legendre", "poly-3.json"], ["divisor", "fn-3.json"],
@@ -98,6 +106,7 @@ def _cases():
     cases["divisor bottom"] = ["divisor", "fn-bottom.json"]
     cases["divisor polygon file"] = ["divisor", "poly-3.json"]
     cases["plot bad format"] = ["plot", "fn-3.json", "--format", "json"]
+    cases["legendre vertex outside the scaled group"] = ["legendre", "poly-outside.json"]
     return cases
 
 
@@ -190,15 +199,22 @@ GOLDEN = {
     'legendre poly-3 json': (0, '98a6811ef3618c9e', 'e3b0c44298fc1c14'),
     'legendre poly-3 svg': (0, '1fe1bcdfafcc232a', 'e3b0c44298fc1c14'),
     'legendre poly-3 text': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
+    'legendre poly-3-scaled json': (0, '3e0d09a59ca70b59', 'e3b0c44298fc1c14'),
+    'legendre poly-3-scaled svg': (0, 'f4903e6b02223e28', 'e3b0c44298fc1c14'),
+    'legendre poly-3-scaled text': (0, '8ac657d71861645c', 'e3b0c44298fc1c14'),
     'legendre poly-5 json': (0, 'c6b3a15dc2e99288', 'e3b0c44298fc1c14'),
     'legendre poly-5 svg': (0, '2b8ff12b32ea227e', 'e3b0c44298fc1c14'),
     'legendre poly-5 text': (0, 'b57eea25c6625d8c', 'e3b0c44298fc1c14'),
     'legendre poly-z json': (0, 'e2a6c155ff98fd08', 'e3b0c44298fc1c14'),
     'legendre poly-z svg': (0, '83c11a0a7baa23b4', 'e3b0c44298fc1c14'),
     'legendre poly-z text': (0, 'a73ce48f63284465', 'e3b0c44298fc1c14'),
+    'legendre poly-z-scaled json': (0, 'e4ce44a6ac82805c', 'e3b0c44298fc1c14'),
+    'legendre poly-z-scaled svg': (0, 'a5d1a51baaa60119', 'e3b0c44298fc1c14'),
+    'legendre poly-z-scaled text': (0, '77ad2126c55d8753', 'e3b0c44298fc1c14'),
     'legendre poly-zero json': (0, '136ae5ae31a0c1d4', 'e3b0c44298fc1c14'),
     'legendre poly-zero svg': (0, '62d4d409ef855926', 'e3b0c44298fc1c14'),
     'legendre poly-zero text': (0, '718163a089551561', 'e3b0c44298fc1c14'),
+    'legendre vertex outside the scaled group': (2, 'e3b0c44298fc1c14', '78c5829df3b6ec77'),
     'legendre wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'plot bad format': (2, 'e3b0c44298fc1c14', '4d879981d285830b'),
     'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
@@ -244,6 +260,7 @@ GOLDEN = {
     'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'verify negative count': (2, 'e3b0c44298fc1c14', 'd5d62f40ed43b5aa'),
     'verify seed 0': (0, '60ef2809f0351947', 'e3b0c44298fc1c14'),
+    'verify seed 0 count 1000': (0, '9eb5ab5c2ad50f05', 'e3b0c44298fc1c14'),
     'verify zero count': (0, 'c651cbdaf052c1ff', 'e3b0c44298fc1c14'),
 }
 

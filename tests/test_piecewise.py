@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tropcircle.germs import GERM_BOTTOM, Germ
 from tropcircle.piecewise import (
     GroupMismatchError, SlopeGroup, ZZ, gamma, germ_at, order_at,
     piecewise_affine, pointwise_join, pointwise_times,
 )
-from tropcircle.scalars import rmax_join, rmax_times
+from tropcircle.scalars import in_zp, rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_pa
 
 
@@ -179,3 +180,26 @@ class TestCanonicalForm:
     def test_unordered_kinks_rejected(self):
         with pytest.raises(ValueError):
             piecewise_affine(ZZ, 0, 3, 0, [F(2), F(1)], [F(0), F(1), F(2)])
+
+
+# scales whose numerator or denominator carries one of the primes below
+SCALES = [F(1), F(3, 2), F(2, 3), F(9), F(1, 9), F(5, 7)]
+
+
+class TestSlopeGroupMembership:
+    @given(p=st.sampled_from([None, 2, 3, 5]),
+           scale=st.sampled_from(SCALES),
+           q=st.one_of(st.integers(-60, 60),
+                       st.builds(F, st.integers(-600, 600), st.integers(1, 600))))
+    @example(p=3, scale=F(3, 2), q=0)
+    @example(p=None, scale=F(2, 3), q=F(-4, 3))
+    @example(p=2, scale=F(5, 7), q=-5)
+    def test_contains_matches_the_quotient(self, p, scale, q):
+        quotient = F(q) / scale
+        expected = quotient.denominator == 1 if p is None else in_zp(quotient, p)
+        assert SlopeGroup(p, scale).contains(q) == expected
+
+    @pytest.mark.parametrize("value", [3, "3/2", F(3, 2)])
+    def test_require_returns_an_exact_fraction(self, value):
+        q = SlopeGroup(3, F(3, 2)).require(value)
+        assert type(q) is F and q == F(value)
