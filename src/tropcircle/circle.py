@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import chi, in_zp, require_prime
+from .scalars import _quote, chi, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -115,7 +115,7 @@ def divisor(p: int, table) -> Divisor:
         rep = normalize_point(p, lam)
         c = Fraction(c)
         if not in_zp(c, p):
-            raise ValueError(f"coefficient {c} is not in Z[1/{p}]")
+            raise ValueError(f"coefficient {_quote(c)} is not in Z[1/{p}]")
         merged[rep] = merged.get(rep, 0) + c
     return _collect(p, merged)
 
@@ -187,7 +187,7 @@ def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
         return CircleFunction(p, pa)
     closure = pa.eval_at(p) - pa.eval_at(1)
     if closure != 0:
-        raise ClosureError(f"slopes do not close up: value(p) - value(1) = {closure}")
+        raise ClosureError(f"slopes do not close up: value(p) - value(1) = {_quote(closure)}")
     return CircleFunction(p, pa)
 
 
@@ -212,7 +212,7 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
     cut = piecewise_affine(SlopeGroup(p), start, p * start, anchor, kinks, slopes)
     closure = cut.eval_at(p * start) - cut.anchor
     if closure != 0:
-        raise ClosureError(f"slopes do not close up around the cut: {closure}")
+        raise ClosureError(f"slopes do not close up around the cut: {_quote(closure)}")
     # right-slope of the folded function at each of its arc starts in [1, p)
     bounds = [start, *cut.kinks, p * start]
     breaks: dict = {}

@@ -34,6 +34,10 @@ def _read_json(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError:
+        # int() refuses a literal longer than the int to str digit limit
+        raise ValueError(f"{path}: integer literal with more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _is_power_of, require_prime
+from .scalars import _is_power_of, _quote, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -72,7 +72,7 @@ class SlopeGroup:
         if type(q) is not Fraction:
             q = Fraction(q)
         if not self.contains(q):
-            raise ValueError(f"slope {q} is not in {self}")
+            raise ValueError(f"slope {_quote(q)} is not in {_quote(self)}")
         return q
 
     def __str__(self) -> str:
@@ -104,7 +104,7 @@ class PiecewiseAffine:
     def eval_at(self, lam) -> Fraction | None:
         lam = Fraction(lam)
         if lam < self.lo or (self.hi is not None and lam > self.hi):
-            raise ValueError(f"{lam} outside domain [{self.lo}, {self.hi}]")
+            raise ValueError(f"{_quote(lam)} outside domain [{_quote(self.lo)}, {_quote(self.hi)}]")
         if self.is_bottom:
             return None
         val = self.anchor
@@ -174,9 +174,10 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
 
 def _require_compatible(f: PiecewiseAffine, g: PiecewiseAffine) -> None:
     if f.group != g.group:
-        raise GroupMismatchError(f"slope groups differ: {f.group} vs {g.group}")
+        raise GroupMismatchError(f"slope groups differ: {_quote(f.group)} vs {_quote(g.group)}")
     if f.lo != g.lo or f.hi != g.hi:
-        raise ValueError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
+        raise ValueError(f"domain mismatch: [{_quote(f.lo)}, {_quote(f.hi)}] "
+                         f"vs [{_quote(g.lo)}, {_quote(g.hi)}]")
 
 
 def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
@@ -247,7 +248,7 @@ def germ_at(f: PiecewiseAffine, lam) -> Germ:
     """
     lam = Fraction(lam)
     if lam <= f.lo or (f.hi is not None and lam >= f.hi):
-        raise ValueError(f"{lam} is not interior to [{f.lo}, {f.hi}]")
+        raise ValueError(f"{_quote(lam)} is not interior to [{_quote(f.lo)}, {_quote(f.hi)}]")
     if f.is_bottom:
         return GERM_BOTTOM
     return Germ(f.eval_at(lam), lam * f.slope_right(lam), lam * f.slope_left(lam))

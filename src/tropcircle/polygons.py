@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, piecewise_affine
+from .scalars import _quote
 
 __all__ = [
     "NewtonPolygon",
@@ -106,7 +107,7 @@ def ell(n: NewtonPolygon, lam) -> Fraction | None:
 def poly_join(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     """Semiring addition: pointwise max of support functions."""
     if n.group != m.group:
-        raise GroupMismatchError(f"slope groups differ: {n.group} vs {m.group}")
+        raise GroupMismatchError(f"slope groups differ: {_quote(n.group)} vs {_quote(m.group)}")
     return NewtonPolygon(n.group, _reduce([*n.vertices, *m.vertices]))
 
 
@@ -114,7 +115,7 @@ def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     """Semiring multiplication: pointwise sum of support functions, i.e. the
     Minkowski sum of the vertex sets followed by reduction."""
     if n.group != m.group:
-        raise GroupMismatchError(f"slope groups differ: {n.group} vs {m.group}")
+        raise GroupMismatchError(f"slope groups differ: {_quote(n.group)} vs {_quote(m.group)}")
     if n.is_zero or m.is_zero:
         return NewtonPolygon(n.group, ())
     sums = [(x1 + x2, y1 + y2) for x1, y1 in n.vertices for x2, y2 in m.vertices]

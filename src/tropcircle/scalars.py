@@ -27,6 +27,16 @@ __all__ = [
 # neutral for rmax_join and absorbing for rmax_times.
 BOTTOM = None
 
+# an error message quotes at most this many characters of a value
+_QUOTE_LEN = 40
+
+
+def _quote(value) -> str:
+    """value as an error message shows it, cut to at most 40 characters: a
+    string in quotes (its repr), anything else as str() prints it."""
+    text = repr(value) if isinstance(value, str) else str(value)
+    return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
+
 
 def rmax_join(a, b):
     """Tropical addition max(a, b); -inf is the neutral element."""
@@ -85,9 +95,9 @@ def require_prime(p) -> int:
     runs once per prime: accepted primes are remembered (see _checked_prime).
     """
     if type(p) is not int:
-        raise ValueError(f"p must be a prime integer, got {p!r}")
+        raise ValueError(f"p must be a prime integer, got {_quote(p)}")
     if p >= 2 ** 64:
-        raise ValueError(f"p must be below 2**64, got {p}")
+        raise ValueError(f"p must be below 2**64, got {_quote(p)}")
     return _checked_prime(p)
 
 

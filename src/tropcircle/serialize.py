@@ -1,20 +1,34 @@
 """JSON and CSV encodings of the domain objects.
 
 Rationals travel as strings "a" or "a/b" (a JSON integer is read too, a
-boolean never); the bottom value is the string "-inf".  All emitters sort
-keys and use a fixed separator style so that a given object always
-serializes to the same bytes.
+boolean never); the bottom value is the string "-inf".
+
+Reading: `parse_frac` takes a fast path for an ASCII string of the form
+-?digits or -?digits/digits, the only forms the emitters write, and builds
+the value from int() of its parts.  Every other string (a decimal, an
+exponent, a sign "+", surrounding whitespace, "_" separators, non-ASCII
+digits, malformed text) takes the general path: the exponent check, then
+Fraction(str).  Either way the value then passes the same digit-limit check.
+
+Writing: `dumps` is one recursive emitter over exactly the types the
+payload builders produce: str, int, bool, None, dict with str keys and
+list or tuple.  Any other value raises TypeError.  It writes the bytes of
+json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) plus a
+newline: keys sorted, one value per line, one space of indent per level,
+non-ASCII characters escaped.  So a given object always serializes to the
+same bytes.
 """
 
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .circle import CircleFunction, Divisor, circle_bottom, circle_function, divisor
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, newton_polygon
 from .riemann_roch import FiltrationReport, RiemannRochReport
+from .scalars import _quote
 
 __all__ = [
     "dumps",
@@ -32,23 +46,21 @@ __all__ = [
 
 
 def frac_to_str(q: Fraction) -> str:
+    """"a" or "a/b"; a numerator or denominator with more decimal digits
+    than sys.get_int_max_str_digits() is refused in one line."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueError(f"result has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 # the exponent of a decimal string such as "1.5e3"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-# an error message quotes at most this many characters of the input
-_QUOTE_LEN = 40
 # 2**(3*d) < 10**d, so a numerator or denominator of at most this many bits
 # is shorter than the least nonzero limit sys.set_int_max_str_digits() takes
 _SHORT_BITS = 3 * sys.int_info.str_digits_check_threshold
-
-
-def _quote(s) -> str:
-    text = repr(s)
-    return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
 
 
 def parse_frac(s) -> Fraction:
@@ -65,12 +77,16 @@ def parse_frac(s) -> Fraction:
         q = Fraction(s)
     elif isinstance(s, str):
         try:
-            exponent = _EXPONENT.search(s)
-            if exponent:
-                limit = sys.get_int_max_str_digits()
-                if limit and abs(int(exponent[1])) > limit:
-                    raise ValueError
-            q = Fraction(s.strip())
+            num, slash, den = s.partition("/")
+            if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            else:
+                exponent = _EXPONENT.search(s)
+                if exponent:
+                    limit = sys.get_int_max_str_digits()
+                    if limit and abs(int(exponent[1])) > limit:
+                        raise ValueError
+                q = Fraction(s.strip())
         except ZeroDivisionError:
             raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
         except ValueError:
@@ -109,7 +125,53 @@ def parse_rmax(s) -> Fraction | None:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """obj as indented JSON text with sorted keys and a final newline."""
+    parts = []
+    _emit(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, newline: str, out) -> None:
+    """Pass the JSON text of obj to out, piece by piece; `newline` is the
+    line break plus the indent of obj's own line."""
+    kind = type(obj)
+    if kind is str:
+        out(encode_basestring_ascii(obj))
+    elif kind is dict:
+        if not obj:
+            out("{}")
+            return
+        inner = newline + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out("[]")
+            return
+        inner = newline + " "
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif kind is int:
+        out(str(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _expect(d: dict, key: str):

@@ -85,9 +85,26 @@ class TestRoundTrips:
             parse_frac("3/4/5")
 
     @pytest.mark.parametrize("text, value", [("3", F(3)), ("1/2", F(1, 2)),
-                                             ("1.5", F(3, 2)), ("1e3", F(1000))])
+                                             ("1.5", F(3, 2)), ("1e3", F(1000)),
+                                             ("-0", F(0)), ("007/014", F(1, 2)), ("+3", F(3)),
+                                             (" 3 ", F(3)), ("1_0", F(10)), ("١٢", F(12))])
     def test_decimal_strings(self, text, value):
         assert parse_frac(text) == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "malformed rational '1/0': zero denominator"),
+        ("-", "malformed rational '-'"),
+        ("1/", "malformed rational '1/'"),
+        ("/2", "malformed rational '/2'"),
+        ("1/-2", "malformed rational '1/-2'"),
+        ("3/4/5", "malformed rational '3/4/5'"),
+        ("--3", "malformed rational '--3'"),
+        ("", "malformed rational ''"),
+    ])
+    def test_malformed_rational_message(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_frac(text)
+        assert str(exc.value) == message
 
     def test_circle_needs_a_prime(self):
         doc = {"p": None, "domain": ["1", "3"], "anchor": "0", "kinks": [], "slopes": ["0"]}
@@ -454,8 +471,8 @@ class TestBadInput:
         assert time.perf_counter() - start < 1.0
         assert_one_line_error(capsys, "exponent beyond the")
 
-    @pytest.mark.parametrize("literal", ["1e4300", "1e-4300", "1" * 4301],
-                             ids=["1e4300", "1e-4300", "4301 digits"])
+    @pytest.mark.parametrize("literal", ["1e4300", "1e-4300", "1" * 4301, "1/" + "1" * 4301],
+                             ids=["1e4300", "1e-4300", "4301 digits", "4301-digit denominator"])
     @pytest.mark.parametrize("command, payload", [
         ("jacobian", lambda x: {"p": 3, "support": [{"point": "2", "coeff": x}]}),
         ("divisor", lambda x: {"p": 3, "domain": ["1", "3"], "anchor": x,
@@ -482,6 +499,28 @@ class TestBadInput:
         assert main(["jacobian", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed rational 'xxx") and len(err) < 100
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_result_beyond_the_digit_limit_exits_2(self, tmp_path, capsys, digit_limit_4300, fmt):
+        # each coefficient prints, but the degree 1*9e4299 + 2*9e4299 has 4,301 digits
+        path = write_json(tmp_path, {"p": 3, "support": [{"point": "1", "coeff": "9e4299"},
+                                                         {"point": "2", "coeff": "9e4299"}]})
+        assert main(["jacobian", path, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "error: result has more than 4300 digits\n")
+
+    def test_long_value_in_a_message_is_quoted_short(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": None, "scale": "1",
+                                     "vertices": [["1" * 4000 + "/7", "0"], ["0", "0"]]})
+        assert main(["legendre", path]) == 2
+        assert capsys.readouterr() == ("", "error: slope " + "1" * 37 + "... is not in Z\n")
+
+    def test_json_integer_literal_beyond_the_digit_limit_exits_2(self, tmp_path, capsys,
+                                                                 digit_limit_4300):
+        path = tmp_path / "in.json"
+        path.write_text('{"p": 3, "support": [{"point": "2", "coeff": ' + "1" * 4301 + "}]}")
+        assert main(["jacobian", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: integer literal with more than 4300 digits\n")
 
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

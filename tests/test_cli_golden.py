@@ -64,8 +64,13 @@ INPUTS = {
     "obs-5.json": {"p": 5, "support": _support([("1", "1"), ("2", "1/5")])},
     "obs-big.json": {"p": BIG, "support": _support([("1", "1")])},
     "array.json": [1, 2],
+    # each coefficient prints, but the degree 1*9e4299 + 2*9e4299 has 4,301 digits
+    "div-wide.json": {"p": 3, "support": _support([("1", "9e4299"), ("2", "9e4299")])},
+    "poly-long-x.json": {"p": None, "scale": "1", "vertices": [["1" * 4000 + "/7", "0"], ["0", "0"]]},
 }
-RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n'}
+RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
+              "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
+                                       + "1" * 4301 + '}]}'}
 
 
 def _cases():
@@ -107,6 +112,9 @@ def _cases():
     cases["divisor polygon file"] = ["divisor", "poly-3.json"]
     cases["plot bad format"] = ["plot", "fn-3.json", "--format", "json"]
     cases["legendre vertex outside the scaled group"] = ["legendre", "poly-outside.json"]
+    cases["jacobian result beyond the digit limit"] = ["jacobian", "div-wide.json"]
+    cases["legendre long value quoted short"] = ["legendre", "poly-long-x.json"]
+    cases["jacobian integer literal beyond the digit limit"] = ["jacobian", "div-long-literal.json"]
     return cases
 
 
@@ -180,6 +188,7 @@ GOLDEN = {
     'jacobian div-big json witness': (0, 'b62f901eb1481795', 'e3b0c44298fc1c14'),
     'jacobian div-big text': (0, 'b212d1e6f9794067', 'e3b0c44298fc1c14'),
     'jacobian div-big text witness': (0, '4a5a41b1ea4df789', 'e3b0c44298fc1c14'),
+    'jacobian integer literal beyond the digit limit': (2, 'e3b0c44298fc1c14', '3e0cd295e2fc0fb3'),
     'jacobian json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
     'jacobian matching --p': (0, '40018ce33428544a', 'e3b0c44298fc1c14'),
     'jacobian missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
@@ -191,9 +200,11 @@ GOLDEN = {
     'jacobian obs-5 text': (0, 'ff8bd53d1123b671', 'e3b0c44298fc1c14'),
     'jacobian obs-big json': (0, '7d36c90dfa6dba0b', 'e3b0c44298fc1c14'),
     'jacobian obs-big text': (0, '2d1789a2dac19f47', 'e3b0c44298fc1c14'),
+    'jacobian result beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
     'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'legendre json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'legendre long value quoted short': (2, 'e3b0c44298fc1c14', '933a18739c956f53'),
     'legendre matching --p': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
     'legendre missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'legendre poly-3 json': (0, '98a6811ef3618c9e', 'e3b0c44298fc1c14'),
