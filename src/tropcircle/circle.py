@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _quote, chi, in_zp, require_prime
+from .scalars import _digit_limited, _quote, chi, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -99,6 +99,7 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-other)
 
+    @_digit_limited
     def __repr__(self) -> str:
         if self.is_empty:
             return f"Divisor(p={self.p}, 0)"
@@ -171,6 +172,7 @@ class CircleFunction:
             out.append((k, s_right - s_left))
         return out
 
+    @_digit_limited
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"CircleFunction(p={self.p}, bottom)"

@@ -90,7 +90,9 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
                            'constant -inf (empty plot)</text>\n')
     hi = f.hi if f.hi is not None else (f.kinks[-1] + 1 if f.kinks else f.lo + 1)
     xs = [f.lo, *f.kinks, hi]
-    ys = [f.eval_at(x) for x in xs]
+    ys = [f.anchor]  # one walk over the pieces: each adds its exact rise
+    for a, b, s in zip(xs, xs[1:], f.slopes):
+        ys.append(ys[-1] + s * (b - a))
     x0, x1 = float(f.lo), float(hi)
     y0, y1 = float(min(ys)), float(max(ys))
     if y0 == y1:

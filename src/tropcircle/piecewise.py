@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _is_power_of, _quote, require_prime
+from .scalars import _digit_limited, _is_power_of, _quote, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -102,7 +102,8 @@ class PiecewiseAffine:
         return all(a < b for a, b in zip(self.slopes, self.slopes[1:]))
 
     def eval_at(self, lam) -> Fraction | None:
-        lam = Fraction(lam)
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
         if lam < self.lo or (self.hi is not None and lam > self.hi):
             raise ValueError(f"{_quote(lam)} outside domain [{_quote(self.lo)}, {_quote(self.hi)}]")
         if self.is_bottom:
@@ -124,6 +125,7 @@ class PiecewiseAffine:
         """Slope on the piece immediately to the left of lam."""
         return self.slopes[bisect_left(self.kinks, lam)]
 
+    @_digit_limited
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"PA(bottom on [{self.lo}, {self.hi}])"
@@ -182,44 +184,81 @@ def _require_compatible(f: PiecewiseAffine, g: PiecewiseAffine) -> None:
 
 def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     """Exact pointwise max.  Kinks of the result are kinks of the operands
-    plus the crossing points of their graphs."""
+    plus the crossing points of their graphs.
+
+    One left-to-right sweep over both sorted kink tuples, one index per
+    operand.  A piece [a, b] runs from one cut to the next kink of either
+    operand (or to the domain's end), so both operands are affine on it.
+    The sweep carries the two values at a: fa and ga, stepped by fs*(b-a)
+    and gs*(b-a) to the next cut.  On the piece the larger value at a wins;
+    on a tie the larger slope does.  When the loser has the larger slope
+    the graphs cross at t = a + (ga-fa)/(fs-gs), which is a kink when it
+    lies strictly inside the piece; after it the larger slope wins.
+
+    The carried values are exact: they are Fractions, and each step adds
+    the exact rise of an affine piece, so fa is f's value at a, the same
+    number eval_at would return.
+    """
     _require_compatible(f, g)
     if f.is_bottom:
         return g
     if g.is_bottom:
         return f
-    cuts = sorted({*f.kinks, *g.kinks})
-    crossings = []
-    for a in (f.lo, *cuts):
-        fa, ga = f.eval_at(a), g.eval_at(a)
-        fs, gs = f.slope_right(a), g.slope_right(a)
-        if fs != gs and fa != ga:
-            t = a + (ga - fa) / (fs - gs)
-            i = bisect_right(cuts, a)
-            b = cuts[i] if i < len(cuts) else f.hi
-            if t > a and (b is None or t < b):
-                crossings.append(t)
-    cuts = sorted({*cuts, *crossings})
-    slopes = []
-    for a in (f.lo, *cuts):
-        fa, ga = f.eval_at(a), g.eval_at(a)
-        if fa > ga:
-            slopes.append(f.slope_right(a))
-        elif ga > fa:
-            slopes.append(g.slope_right(a))
+    fk, fsl, gk, gsl = f.kinks, f.slopes, g.kinks, g.slopes
+    nf, ng = len(fk), len(gk)
+    i = j = 0
+    a, fa, ga = f.lo, f.anchor, g.anchor
+    kinks, slopes = [], []
+    while True:
+        fs, gs = fsl[i], gsl[j]
+        if i < nf:
+            b = fk[i] if j == ng or fk[i] <= gk[j] else gk[j]
         else:
-            slopes.append(max(f.slope_right(a), g.slope_right(a)))
-    return piecewise_affine(f.group, f.lo, f.hi, max(f.anchor, g.anchor), cuts, slopes)
+            b = gk[j] if j < ng else f.hi
+        if fa == ga:
+            slopes.append(fs if fs >= gs else gs)
+        else:
+            win, lose = (fs, gs) if fa > ga else (gs, fs)
+            slopes.append(win)
+            if lose > win:
+                t = a + (ga - fa) / (fs - gs)
+                if b is None or t < b:
+                    kinks.append(t)
+                    slopes.append(lose)
+        if i == nf and j == ng:
+            break
+        d = b - a
+        fa += fs * d
+        ga += gs * d
+        kinks.append(b)
+        if i < nf and fk[i] == b:
+            i += 1
+        if j < ng and gk[j] == b:
+            j += 1
+        a = b
+    return piecewise_affine(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
 
 
 def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
-    """Exact pointwise sum; bottom is absorbing."""
+    """Exact pointwise sum; bottom is absorbing.  One sweep over both kink
+    tuples: each piece between consecutive cuts gets the sum of the two
+    slopes there."""
     _require_compatible(f, g)
     if f.is_bottom or g.is_bottom:
         return piecewise_affine(f.group, f.lo, f.hi, None)
-    cuts = sorted({*f.kinks, *g.kinks})
-    slopes = [f.slope_right(a) + g.slope_right(a) for a in (f.lo, *cuts)]
-    return piecewise_affine(f.group, f.lo, f.hi, f.anchor + g.anchor, cuts, slopes)
+    fk, fsl, gk, gsl = f.kinks, f.slopes, g.kinks, g.slopes
+    nf, ng = len(fk), len(gk)
+    i = j = 0
+    kinks, slopes = [], [fsl[0] + gsl[0]]
+    while i < nf or j < ng:
+        b = fk[i] if i < nf and (j == ng or fk[i] <= gk[j]) else gk[j]
+        if i < nf and fk[i] == b:
+            i += 1
+        if j < ng and gk[j] == b:
+            j += 1
+        kinks.append(b)
+        slopes.append(fsl[i] + gsl[j])
+    return piecewise_affine(f.group, f.lo, f.hi, f.anchor + g.anchor, kinks, slopes)
 
 
 def gamma(n: int, f: PiecewiseAffine) -> PiecewiseAffine:
@@ -246,7 +285,8 @@ def germ_at(f: PiecewiseAffine, lam) -> Germ:
     The one-sided slopes are scaled by the point itself, so they land in the
     group attached to the point rather than the ambient slope group.
     """
-    lam = Fraction(lam)
+    if type(lam) is not Fraction:
+        lam = Fraction(lam)
     if lam <= f.lo or (f.hi is not None and lam >= f.hi):
         raise ValueError(f"{_quote(lam)} is not interior to [{_quote(f.lo)}, {_quote(f.hi)}]")
     if f.is_bottom:

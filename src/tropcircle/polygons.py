@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, piecewise_affine
-from .scalars import _quote
+from .scalars import _digit_limited, _quote
 
 __all__ = [
     "NewtonPolygon",
@@ -39,6 +39,7 @@ class NewtonPolygon:
     def is_zero(self) -> bool:
         return not self.vertices
 
+    @_digit_limited
     def __repr__(self) -> str:
         if self.is_zero:
             return "NewtonPolygon(zero)"
@@ -96,7 +97,8 @@ def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
 
 def ell(n: NewtonPolygon, lam) -> Fraction | None:
     """Support function max_j(lam x_j + y_j); -inf for the zero polygon."""
-    lam = Fraction(lam)
+    if type(lam) is not Fraction:
+        lam = Fraction(lam)
     if lam < 0:
         raise ValueError("the support function lives on [0, inf)")
     if n.is_zero:

@@ -8,8 +8,9 @@ Fractions: membership, the p-adic absolute value and the residue in
 Z/(p-1)Z all read off the reduced numerator and denominator.
 """
 
+import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 __all__ = [
     "BOTTOM",
@@ -36,6 +37,24 @@ def _quote(value) -> str:
     string in quotes (its repr), anything else as str() prints it."""
     text = repr(value) if isinstance(value, str) else str(value)
     return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
+
+
+def _too_many_digits() -> ValueError:
+    """The one-line refusal of a number whose decimal form would pass
+    sys.get_int_max_str_digits()."""
+    return ValueError(f"result has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _digit_limited(method):
+    """Wrap a __repr__ so that a number past the int to str digit limit is
+    refused with _too_many_digits() rather than Python's multi-line hint."""
+    @wraps(method)
+    def wrapper(self):
+        try:
+            return method(self)
+        except ValueError:
+            raise _too_many_digits() from None
+    return wrapper
 
 
 def rmax_join(a, b):

@@ -28,7 +28,7 @@ from .circle import CircleFunction, Divisor, circle_bottom, circle_function, div
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, newton_polygon
 from .riemann_roch import FiltrationReport, RiemannRochReport
-from .scalars import _quote
+from .scalars import _quote, _too_many_digits, require_prime
 
 __all__ = [
     "dumps",
@@ -53,7 +53,7 @@ def frac_to_str(q: Fraction) -> str:
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:
-        raise ValueError(f"result has more than {sys.get_int_max_str_digits()} digits") from None
+        raise _too_many_digits() from None
 
 
 # the exponent of a decimal string such as "1.5e3"
@@ -238,6 +238,7 @@ def circle_from_json(d: dict) -> CircleFunction:
     p = _expect(d, "p")
     if p is None:
         raise ValueError("a circle function needs a prime p")
+    require_prime(p)  # before the domain message, which echoes p whole
     lo_s, hi_s = _expect(d, "domain")
     if parse_frac(lo_s) != 1 or hi_s is None or parse_frac(hi_s) != p:
         raise ValueError(f"circle functions live on the domain [1, {p}]")

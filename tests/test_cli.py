@@ -395,6 +395,23 @@ class TestBadInput:
         assert main(["divisor", path]) == 2
         assert_one_line_error(capsys, "prime integer")
 
+    def test_long_string_p_function_quoted_short(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"p": "3" * 5000, "domain": ["1", "3"], "anchor": "0",
+                                     "kinks": [], "slopes": ["0"], "convex": False})
+        assert main(["divisor", path]) == 2
+        assert_one_line_error(capsys, "prime integer, got '333")
+
+    @pytest.mark.parametrize("build", [
+        lambda big: piecewise_affine(ZZ, 0, 3, big),
+        lambda big: newton_polygon(ZZ, [(F(1), big)]),
+        lambda big: circle_function(3, [], [0], big),
+        lambda big: divisor(3, {2: big}),
+    ])
+    def test_text_forms_refuse_past_the_digit_limit(self, digit_limit_4300, build):
+        with pytest.raises(ValueError) as exc:
+            repr(build(F(10) ** 4300))
+        assert str(exc.value) == "result has more than 4300 digits"
+
     def test_p_beyond_two_to_the_64_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, {"p": 2 ** 89 - 1,
                                      "support": [{"point": "2", "coeff": "1"}]})

@@ -67,6 +67,11 @@ INPUTS = {
     # each coefficient prints, but the degree 1*9e4299 + 2*9e4299 has 4,301 digits
     "div-wide.json": {"p": 3, "support": _support([("1", "9e4299"), ("2", "9e4299")])},
     "poly-long-x.json": {"p": None, "scale": "1", "vertices": [["1" * 4000 + "/7", "0"], ["0", "0"]]},
+    # p is checked before the domain, whose message would echo p whole
+    "fn-long-p.json": {**_circle(3, [], ["0"]), "p": "3" * 5000},
+    # every slope prints, but the wrap jump 9e4299 + 2*9e4299 has 4,301 digits
+    "fn-wide.json": _circle(2, ["3/2"], ["9e4299", "-9e4299"]),
+    "fn-4-kinks.json": _circle(3, ["3/2", "2", "7/3", "8/3"], ["1", "-1", "1", "0", "-1"], "1/2"),
 }
 RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
               "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
@@ -115,6 +120,10 @@ def _cases():
     cases["jacobian result beyond the digit limit"] = ["jacobian", "div-wide.json"]
     cases["legendre long value quoted short"] = ["legendre", "poly-long-x.json"]
     cases["jacobian integer literal beyond the digit limit"] = ["jacobian", "div-long-literal.json"]
+    cases["divisor long p quoted short"] = ["divisor", "fn-long-p.json"]
+    for fmt in ("text", "json"):
+        cases[f"divisor {fmt} beyond the digit limit"] = ["divisor", "fn-wide.json", "--format", fmt]
+    cases["plot fn-4-kinks"] = ["plot", "fn-4-kinks.json"]
     return cases
 
 
@@ -167,9 +176,12 @@ GOLDEN = {
     'divisor fn-const json': (0, '4ac8524c7dee5e94', 'e3b0c44298fc1c14'),
     'divisor fn-const text': (0, '78cb7a24f89fa6e3', 'e3b0c44298fc1c14'),
     'divisor json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
+    'divisor json beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
+    'divisor long p quoted short': (2, 'e3b0c44298fc1c14', '41444955aa93603d'),
     'divisor matching --p': (0, 'f3e48334ed3ae015', 'e3b0c44298fc1c14'),
     'divisor missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'divisor polygon file': (2, 'e3b0c44298fc1c14', '7b314ade2640655c'),
+    'divisor text beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
     'divisor wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'jacobian broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'jacobian div-2 json': (0, '20e0f2fe7b27ea4e', 'e3b0c44298fc1c14'),
@@ -231,6 +243,7 @@ GOLDEN = {
     'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'plot fn-2': (0, '118bcbb8fc9bb16a', 'e3b0c44298fc1c14'),
     'plot fn-3': (0, 'a3e75d0f336d93e4', 'e3b0c44298fc1c14'),
+    'plot fn-4-kinks': (0, 'e125f48799b34259', 'e3b0c44298fc1c14'),
     'plot fn-5': (0, 'bc3ca59b25176836', 'e3b0c44298fc1c14'),
     'plot fn-big': (0, '01242e1a8593487b', 'e3b0c44298fc1c14'),
     'plot fn-bottom': (0, '07fb3c2ba0d5451f', 'e3b0c44298fc1c14'),

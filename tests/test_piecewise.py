@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcircle.germs import GERM_BOTTOM, Germ
 from tropcircle.piecewise import (
     GroupMismatchError, SlopeGroup, ZZ, gamma, germ_at, order_at,
     piecewise_affine, pointwise_join, pointwise_times,
 )
+from tropcircle.polygons import legendre, newton_polygon
 from tropcircle.scalars import in_zp, rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_pa
 
@@ -203,3 +204,75 @@ class TestSlopeGroupMembership:
     def test_require_returns_an_exact_fraction(self, value):
         q = SlopeGroup(3, F(3, 2)).require(value)
         assert type(q) is F and q == F(value)
+
+
+# ---------------------------------------------------- the merge sweep as a law
+
+def _element(draw, group):
+    p = group.p or 1
+    return group.scale * F(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 2)))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two functions sharing a slope group and a domain: [0, 4], [0, inf)
+    (support functions from legendre) or a circle domain [1, p].  Kinks and
+    values sit on coarse grids, so shared kinks, ties and crossings on a
+    kink come up often; either operand may be bottom."""
+    domain = draw(st.sampled_from(["0..4", "0..inf", "circle"]))
+    if domain == "circle":
+        p = draw(st.sampled_from([2, 3, 5]))
+        group, lo, hi = SlopeGroup(p), F(1), F(p)
+        grid = [F(i, p * p) for i in range(p * p + 1, p ** 3)]
+    else:
+        group = draw(st.sampled_from([ZZ, SlopeGroup(2), SlopeGroup(3, F(3, 2))]))
+        lo, hi = F(0), F(4)
+        grid = [F(i, 6) for i in range(1, 24)]
+
+    def one():
+        if draw(st.integers(0, 11)) == 0:
+            return piecewise_affine(group, lo, None if domain == "0..inf" else hi, None)
+        if domain == "0..inf":
+            n = draw(st.integers(1, 4))
+            pts = [(_element(draw, group), F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
+                   for _ in range(n)]
+            return legendre(newton_polygon(group, pts))
+        kinks = sorted(draw(st.sets(st.sampled_from(grid), max_size=4)))
+        slopes = [_element(draw, group) for _ in range(len(kinks) + 1)]
+        return piecewise_affine(group, lo, hi, F(draw(st.integers(-6, 6)), draw(st.integers(1, 2))),
+                                kinks, slopes)
+
+    f = one()
+    return f, (f if draw(st.integers(0, 7)) == 0 else one())
+
+
+def _probes(h, f, g):
+    """Every kink of h, f and g (h's include the crossings), the domain's
+    ends and the midpoint between each two consecutive of these points."""
+    cuts = sorted({h.lo, *h.kinks, *f.kinks, *g.kinks})
+    cuts.append(h.hi if h.hi is not None else cuts[-1] + 1)
+    return cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+
+
+_V = piecewise_affine(ZZ, 0, 4, 2, [F(2)], [F(-1), F(1)])            # |t - 2|
+_ZERO = piecewise_affine(ZZ, 0, 4, 0)
+_UP = piecewise_affine(ZZ, 0, 4, 0, [], [F(1)])                       # t
+_STEP = piecewise_affine(ZZ, 0, 4, 1, [F(1)], [F(0), F(-1)])          # kink where it meets t
+_BOTTOM = piecewise_affine(ZZ, 0, 4, None)
+
+
+class TestSweepLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=operand_pairs())
+    @example(pair=(_V, _V))            # equal operands
+    @example(pair=(_V, _ZERO))         # graphs touch at a kink without crossing
+    @example(pair=(_UP, _STEP))        # crossing exactly on a kink
+    @example(pair=(_UP, _BOTTOM))      # bottom
+    def test_join_and_times_agree_pointwise(self, pair):
+        for f, g in (pair, pair[::-1]):
+            for op, law in ((pointwise_join, rmax_join), (pointwise_times, rmax_times)):
+                h = op(f, g)
+                assert all(s != t for s, t in zip(h.slopes, h.slopes[1:]))
+                assert list(h.kinks) == sorted(set(h.kinks))
+                for lam in _probes(h, f, g):
+                    assert h.eval_at(lam) == law(f.eval_at(lam), g.eval_at(lam))
