@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import ceil
+from math import ceil, inf
 
 from . import serialize as ser
 from .circle import divisor_of, is_principal, jacobian_class
@@ -83,6 +83,29 @@ def _svg_polyline(points, color="steelblue"):
     return f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>\n'
 
 
+_OUT_OF_RANGE = "cannot plot: values beyond the float range or precision"
+
+
+def _floats(values) -> list[float]:
+    """values as floats for drawing; a value past the float range is refused."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(_OUT_OF_RANGE) from None
+
+
+def _scale(size, lo, hi) -> float:
+    """Pixels per unit on an axis of `size` pixels drawn from lo to hi.
+    Refuses a range that floats cannot draw: empty once rounded (the +-1
+    padding of a flat plot is lost at 1e300), infinitely long, or so short
+    that the scale overflows."""
+    span = hi - lo
+    scale = (size - 2 * _MARGIN) / span if span > 0 else inf
+    if not 0 < scale < inf:  # an infinite span gives 0, a tiny one inf
+        raise ValueError(_OUT_OF_RANGE)
+    return scale
+
+
 def function_svg(f: PiecewiseAffine, title: str) -> str:
     """Rational data is mapped to floats only here, at render time."""
     if f.is_bottom:
@@ -93,16 +116,15 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
     ys = [f.anchor]  # one walk over the pieces: each adds its exact rise
     for a, b, s in zip(xs, xs[1:], f.slopes):
         ys.append(ys[-1] + s * (b - a))
-    x0, x1 = float(f.lo), float(hi)
-    y0, y1 = float(min(ys)), float(max(ys))
+    xs, ys = _floats(xs), _floats(ys)
+    x0, x1 = xs[0], xs[-1]
+    y0, y1 = min(ys), max(ys)  # float() keeps order, so these are float(min) and float(max)
     if y0 == y1:
         y0, y1 = y0 - 1, y1 + 1
     if x0 == x1:
         x1 = x0 + 1
-    sx = (_WIDTH - 2 * _MARGIN) / (x1 - x0)
-    sy = (_HEIGHT - 2 * _MARGIN) / (y1 - y0)
-    pts = [(_MARGIN + (float(x) - x0) * sx, _HEIGHT - _MARGIN - (float(y) - y0) * sy)
-           for x, y in zip(xs, ys)]
+    sx, sy = _scale(_WIDTH, x0, x1), _scale(_HEIGHT, y0, y1)
+    pts = [(_MARGIN + (x - x0) * sx, _HEIGHT - _MARGIN - (y - y0) * sy) for x, y in zip(xs, ys)]
     return _svg(title, _svg_polyline(pts),
                 f'<text x="{_MARGIN}" y="{_HEIGHT - 10}" font-size="11">'
                 f'x in [{_fmt_float(x0)}, {_fmt_float(x1)}]; '
@@ -111,12 +133,13 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
 
 def convergence_svg(report, title: str) -> str:
     levels = report.levels
-    top = max([float(norm) for _, _, norm in levels] + [1e-9])
+    norms = _floats(norm for _, _, norm in levels)
+    top = max(norms + [1e-9])
     n_max = levels[-1][0] if levels else 1
     sx = (_WIDTH - 2 * _MARGIN) / max(n_max, 1)
-    sy = (_HEIGHT - 2 * _MARGIN) / top if top else 1.0
-    pts = [(_MARGIN + n * sx, _HEIGHT - _MARGIN - float(norm) * sy)
-           for n, _, norm in levels]
+    sy = (_HEIGHT - 2 * _MARGIN) / top  # top >= 1e-9
+    pts = [(_MARGIN + n * sx, _HEIGHT - _MARGIN - norm * sy)
+           for (n, _, _), norm in zip(levels, norms)]
     return _svg(title, _svg_polyline(pts, "darkorange"))
 
 

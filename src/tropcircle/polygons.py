@@ -46,6 +46,19 @@ class NewtonPolygon:
         return "NewtonPolygon(%s)" % ", ".join(f"({x}, {y})" for x, y in self.vertices)
 
 
+def _scaled(qs):
+    """(d, [q*d for q in qs]): d is the least common multiple of the
+    denominators of the rationals qs (1 when qs is empty), so each q*d is
+    an integer."""
+    pairs = []
+    d = 1
+    for q in qs:
+        pair = q.as_integer_ratio()
+        pairs.append(pair)
+        d = lcm(d, pair[1])
+    return d, [num * (d // den) for num, den in pairs]
+
+
 def _reduce(pts):
     """Keep exactly the vertices that win max_j(lam x_j + y_j) on a nonempty
     open sub-interval of [0, inf).
@@ -55,19 +68,19 @@ def _reduce(pts):
     whose winning interval lies in lam <= 0.
 
     The tests run on the integers X = x*dx and Y = y*dy, where dx and dy are
-    the least common multiples of the x and y denominators.  That is exact:
-    scaling x by dx > 0 and y by dy > 0 keeps the order of the x values and
-    of the y values, and multiplies both sides of the chord test
-    (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.  The kept
-    vertices are returned as the original (x, y) pairs.
+    the least common multiples of the x and y denominators (`_scaled`).
+    That is exact: scaling x by dx > 0 and y by dy > 0 keeps the order of
+    the x values and of the y values, and multiplies both sides of the
+    chord test (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.
+    The kept vertices are returned as the original (x, y) pairs.
     """
-    dx = lcm(*{x.denominator for x, _ in pts})
-    dy = lcm(*{y.denominator for _, y in pts})
+    if not pts:
+        return ()
+    xs, ys = zip(*pts)
+    _, xs = _scaled(xs)
+    _, ys = _scaled(ys)
     best = {}
-    for v in pts:
-        x, y = v
-        key_x = x.numerator * (dx // x.denominator)
-        key_y = y.numerator * (dy // y.denominator)
+    for key_x, key_y, v in zip(xs, ys, pts):
         if key_x not in best or key_y > best[key_x][0]:
             best[key_x] = (key_y, v)
     hull = []  # (X, Y, original pair), X increasing
@@ -129,26 +142,53 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
 
     Slopes are exactly the vertex x-coordinates; kinks are the crossings of
     consecutive affine pieces.  The zero polygon maps to constant -inf.
+
+    The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  It
+    is computed on the integers X = x*dx and Y = y*dy of `_scaled` (dx, dy
+    the least common multiples of the x and y denominators), as the one
+    Fraction((Y_i - Y_i+1)*dx, (X_i+1 - X_i)*dy).  That is exact for the
+    reason `_reduce` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
+    x_i+1 - x_i = (X_i+1 - X_i)/dx, with dx, dy > 0.
     """
     if n.is_zero:
         return piecewise_affine(n.group, 0, None, None)
-    xs = [x for x, _ in n.vertices]
-    ys = [y for _, y in n.vertices]
-    kinks = [(ys[i] - ys[i + 1]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    xs, ys = zip(*n.vertices)
+    dx, big_x = _scaled(xs)
+    dy, big_y = _scaled(ys)
+    kinks = [Fraction((y0 - y1) * dx, (x1 - x0) * dy)
+             for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:])]
     return piecewise_affine(n.group, 0, None, ys[0], kinks, xs)
 
 
 def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     """Inverse of legendre: rebuild the polygon from a convex function on
-    [0, inf) whose slopes lie in the group.  Exact round trip both ways."""
+    [0, inf) whose slopes lie in the group.  Exact round trip both ways.
+
+    The vertices are (x_i, y_i) with x_i the slopes, y_0 the anchor and
+    y_i+1 = y_i + k_i*(x_i - x_i+1) across kink k_i.  With the slopes scaled
+    to the integers X = x*dx and the kinks to K = k*dk (`_scaled`), the step
+    is K_i*(X_i - X_i+1)/(dk*dx).  So every y_i*d, with
+    d = lcm(anchor denominator, dk*dx), is an integer: the ordinates are
+    summed as integers over that one denominator, and each becomes one
+    Fraction.  Convexity is the same test on X: strictly increasing, as the
+    positive scaling keeps the order.  The result still goes through
+    newton_polygon, which checks the slope group and reduces.
+    """
     if f.lo != 0 or f.hi is not None:
         raise ValueError("the transform inverts functions defined on all of [0, inf)")
     if f.is_bottom:
         return NewtonPolygon(f.group, ())
-    if not f.convex:
+    xs = f.slopes
+    dx, big_x = _scaled(xs)
+    if any(x0 >= x1 for x0, x1 in zip(big_x, big_x[1:])):
         raise ValueError("function is not convex")
-    xs = list(f.slopes)
-    ys = [f.anchor]
-    for k, x_prev, x_next in zip(f.kinks, xs, xs[1:]):
-        ys.append(ys[-1] + k * (x_prev - x_next))
+    dk, big_k = _scaled(f.kinks)
+    anchor = f.anchor
+    d = lcm(anchor.denominator, dk * dx)
+    step = d // (dk * dx)
+    y = anchor.numerator * (d // anchor.denominator)
+    ys = [anchor]
+    for k, x0, x1 in zip(big_k, big_x, big_x[1:]):
+        y += k * (x0 - x1) * step
+        ys.append(Fraction(y, d))
     return newton_polygon(f.group, zip(xs, ys))

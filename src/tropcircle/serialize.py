@@ -8,7 +8,8 @@ Reading: `parse_frac` takes a fast path for an ASCII string of the form
 the value from int() of its parts.  Every other string (a decimal, an
 exponent, a sign "+", surrounding whitespace, "_" separators, non-ASCII
 digits, malformed text) takes the general path: the exponent check, then
-Fraction(str).  Either way the value then passes the same digit-limit check.
+Fraction(str), then a digit-limit check on the parsed value; on the fast
+path int() already makes that check.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -72,6 +73,13 @@ def parse_frac(s) -> Fraction:
     limit in magnitude, before the power of ten it asks for is built, which
     would take unbounded time and memory.  An error quotes at most 40
     characters of the input.
+
+    The fast path needs no digit-limit test after parsing: int(str) itself
+    refuses a digit string longer than sys.get_int_max_str_digits(), with a
+    ValueError that _refusal words as the test would, and reducing num/den
+    only shrinks both parts.  An int argument and the general path, whose
+    decimals and exponents can build parts longer than the string, keep
+    the test.
     """
     if isinstance(s, int) and not isinstance(s, bool):
         q = Fraction(s)
@@ -79,14 +87,13 @@ def parse_frac(s) -> Fraction:
         try:
             num, slash, den = s.partition("/")
             if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            else:
-                exponent = _EXPONENT.search(s)
-                if exponent:
-                    limit = sys.get_int_max_str_digits()
-                    if limit and abs(int(exponent[1])) > limit:
-                        raise ValueError
-                q = Fraction(s.strip())
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            exponent = _EXPONENT.search(s)
+            if exponent:
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(exponent[1])) > limit:
+                    raise ValueError
+            q = Fraction(s.strip())
         except ZeroDivisionError:
             raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
         except ValueError:

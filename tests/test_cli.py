@@ -1,10 +1,13 @@
 import hashlib
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_cli_golden import GOLDEN, run_case, write_inputs
 from tropcircle import cli
@@ -383,6 +386,24 @@ class TestPlotCommand:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("command, payload", [
+        # float() overflows
+        ("plot", {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "1e400",
+                  "kinks": [], "slopes": ["0"]}),
+        # in the float range, but the +-1 padding of a flat plot is lost
+        ("plot", {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "1e300",
+                  "kinks": [], "slopes": ["0"]}),
+        ("legendre", {"p": None, "scale": "1", "vertices": [["0", "1e300"], ["1", "0"]]}),
+        # a domain too short for a finite scale
+        ("plot", {"p": None, "scale": "1", "domain": ["0", "1e-307"], "anchor": "0",
+                  "kinks": [], "slopes": ["1"]}),
+    ], ids=["plot 1e400", "plot 1e300", "legendre 1e300", "plot short domain"])
+    def test_svg_beyond_the_float_range_exits_2(self, tmp_path, capsys, command, payload):
+        flags = ["--format", "svg"] if command == "legendre" else []
+        assert main([command, write_json(tmp_path, payload), *flags]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot plot: values beyond the float range or precision\n")
+
     @pytest.mark.parametrize("command", ["jacobian", "rr"])
     def test_float_p_divisor_exits_2(self, tmp_path, capsys, command):
         path = write_json(tmp_path, {"p": 3.0, "support": [{"point": "2", "coeff": "1"}]})
@@ -554,3 +575,92 @@ class TestBadInput:
         assert time.perf_counter() - start < 1.0
         payload = json.loads(capsys.readouterr().out)
         assert payload["chi"] == 1 and payload["obstructions"] == ["degree", "chi"]
+
+
+# Generated input for `legendre` and `plot`: a file of valid rationals,
+# some huge or tiny, in which up to two parts are then spoiled with the
+# values that broke earlier releases ("-inf" where it means nothing, JSON
+# floats, booleans, empty strings and lists) or removed.
+VALID = st.sampled_from(["0", "1", "-3", "1/2", "-7/4", "5/9", "3/2", "1.5", "١٢", 7,
+                         "1e300", "-1e300", "1e400", "-1e400", "1e-400"])
+ODD = st.sampled_from(["-inf", "", "x", None, True, [], 1.5, 0.0, 1e308, float("inf"),
+                       float("nan")])
+
+
+def slots(node):
+    """(container, key) for every value inside a JSON document, at any depth."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from slots(value)
+
+
+def spoil(draw, doc):
+    """A copy of doc with up to two values swapped for odd ones or, in an
+    object, removed."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(list(slots(doc))))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(ODD)
+    return doc
+
+
+@st.composite
+def polygon_docs(draw):
+    return spoil(draw, {"p": draw(st.sampled_from([None, 2, 3, 5])),
+                        "scale": draw(st.sampled_from(["1", "1/2", "3/2"])),
+                        "vertices": draw(st.lists(st.lists(VALID, min_size=2, max_size=2),
+                                                  max_size=5))})
+
+
+@st.composite
+def function_docs(draw):
+    p = draw(st.sampled_from([None, 2, 3]))
+    domain = draw(st.sampled_from([["0", None], ["0", "1"], ["0", "1e400"], ["1", "5"],
+                                   ["1", str(p)]]))
+    kinks = sorted(draw(st.lists(VALID, max_size=2)), key=parse_frac)
+    return spoil(draw, {"p": p, "scale": "1", "domain": domain, "anchor": draw(VALID),
+                        "kinks": kinks,
+                        "slopes": draw(st.lists(VALID, min_size=len(kinks) + 1,
+                                                max_size=len(kinks) + 1))})
+
+
+def run_on_stdin(argv, text):
+    """(exit code, stderr) of one in-process call reading its file from stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+class TestGeneratedInput:
+    """Every generated file ends with exit 0 or 1 and no stderr, or with one
+    short `error:` line and exit 2; an escaping exception fails the test."""
+
+    def assert_total(self, argv, doc):
+        start = time.perf_counter()
+        code, err = run_on_stdin(argv, json.dumps(doc))
+        assert time.perf_counter() - start < 5.0
+        assert code in (0, 1, 2)
+        assert (code == 2) == bool(err)
+        assert not err or (err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polygon_docs(), st.sampled_from(["text", "json", "svg"]))
+    def test_legendre(self, doc, fmt):
+        self.assert_total(["legendre", "-", "--format", fmt], doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(function_docs())
+    def test_plot(self, doc):
+        self.assert_total(["plot", "-"], doc)

@@ -72,6 +72,17 @@ INPUTS = {
     # every slope prints, but the wrap jump 9e4299 + 2*9e4299 has 4,301 digits
     "fn-wide.json": _circle(2, ["3/2"], ["9e4299", "-9e4299"]),
     "fn-4-kinks.json": _circle(3, ["3/2", "2", "7/3", "8/3"], ["1", "-1", "1", "0", "-1"], "1/2"),
+    # y denominators 2, 3, 5, 7, 11, 13: pairwise coprime, every vertex kept
+    "poly-coprime.json": {"p": None, "scale": "1",
+                          "vertices": [["0", "1/2"], ["1", "1/3"], ["2", "-1/5"], ["3", "-9/7"],
+                                       ["5", "-60/11"], ["8", "-207/13"]]},
+    # past the float range; and inside it, but too large for the +-1 padding
+    "pa-1e400.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "1e400",
+                      "kinks": [], "slopes": ["0"]},
+    "pa-1e300.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "1e300",
+                      "kinks": [], "slopes": ["0"]},
+    "poly-1e300.json": {"p": None, "scale": "1", "vertices": [["0", "1e300"], ["1", "0"]]},
+    "div-1e400.json": {"p": 2, "support": _support([("1", "1e400")])},
 }
 RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
               "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
@@ -124,6 +135,12 @@ def _cases():
     for fmt in ("text", "json"):
         cases[f"divisor {fmt} beyond the digit limit"] = ["divisor", "fn-wide.json", "--format", fmt]
     cases["plot fn-4-kinks"] = ["plot", "fn-4-kinks.json"]
+    cases["legendre poly-coprime json"] = ["legendre", "poly-coprime.json", "--format", "json"]
+    cases["plot beyond the float range"] = ["plot", "pa-1e400.json"]
+    cases["plot beyond float precision"] = ["plot", "pa-1e300.json"]
+    cases["legendre svg beyond float precision"] = ["legendre", "poly-1e300.json", "--format", "svg"]
+    cases["rr svg beyond the float range"] = ["rr", "div-1e400.json", "--n-max", "2",
+                                              "--format", "svg"]
     return cases
 
 
@@ -228,6 +245,7 @@ GOLDEN = {
     'legendre poly-5 json': (0, 'c6b3a15dc2e99288', 'e3b0c44298fc1c14'),
     'legendre poly-5 svg': (0, '2b8ff12b32ea227e', 'e3b0c44298fc1c14'),
     'legendre poly-5 text': (0, 'b57eea25c6625d8c', 'e3b0c44298fc1c14'),
+    'legendre poly-coprime json': (0, '322a89b3458f1f9c', 'e3b0c44298fc1c14'),
     'legendre poly-z json': (0, 'e2a6c155ff98fd08', 'e3b0c44298fc1c14'),
     'legendre poly-z svg': (0, '83c11a0a7baa23b4', 'e3b0c44298fc1c14'),
     'legendre poly-z text': (0, 'a73ce48f63284465', 'e3b0c44298fc1c14'),
@@ -237,9 +255,12 @@ GOLDEN = {
     'legendre poly-zero json': (0, '136ae5ae31a0c1d4', 'e3b0c44298fc1c14'),
     'legendre poly-zero svg': (0, '62d4d409ef855926', 'e3b0c44298fc1c14'),
     'legendre poly-zero text': (0, '718163a089551561', 'e3b0c44298fc1c14'),
+    'legendre svg beyond float precision': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'legendre vertex outside the scaled group': (2, 'e3b0c44298fc1c14', '78c5829df3b6ec77'),
     'legendre wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'plot bad format': (2, 'e3b0c44298fc1c14', '4d879981d285830b'),
+    'plot beyond float precision': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
+    'plot beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'plot fn-2': (0, '118bcbb8fc9bb16a', 'e3b0c44298fc1c14'),
     'plot fn-3': (0, 'a3e75d0f336d93e4', 'e3b0c44298fc1c14'),
@@ -281,6 +302,7 @@ GOLDEN = {
     'rr obs-big json': (0, '4e785fe2ba2afa6d', 'e3b0c44298fc1c14'),
     'rr obs-big svg': (0, '9eaea9c22dd70976', 'e3b0c44298fc1c14'),
     'rr obs-big text': (0, '8b4650d02fd45698', 'e3b0c44298fc1c14'),
+    'rr svg beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'verify negative count': (2, 'e3b0c44298fc1c14', 'd5d62f40ed43b5aa'),
     'verify seed 0': (0, '60ef2809f0351947', 'e3b0c44298fc1c14'),

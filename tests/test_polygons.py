@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropcircle.piecewise import GroupMismatchError, SlopeGroup, ZZ, piecewise_affine
+from tropcircle.piecewise import (
+    GroupMismatchError, PiecewiseAffine, SlopeGroup, ZZ, piecewise_affine,
+)
 from tropcircle.polygons import (
     NewtonPolygon, _reduce, ell, from_function, legendre, newton_polygon, poly_join, poly_times,
 )
@@ -45,23 +47,85 @@ def fraction_reduce(pts):
     return tuple(hull)
 
 
+# pairwise coprime moduli and some of their products
+DENOMINATORS = [1, 2, 3, 4, 5, 7, 11, 13, 35, 143]
+
+
 @st.composite
-def vertex_sets(draw):
-    """Raw vertices in a scaled group scale*Z[1/p] (Z when p is None), with
-    y denominators drawn from pairwise coprime moduli and their products,
-    plus repeated abscissae and collinear triples."""
+def grouped_vertex_sets(draw):
+    """(group, raw vertices): vertices in a scaled group scale*Z[1/p] (Z
+    when p is None), with y denominators drawn from DENOMINATORS, plus
+    repeated abscissae and collinear triples."""
     p = draw(st.sampled_from([None, 2, 3, 5]))
     scale = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(5, 7)]))
     xs = st.builds(lambda k, e: scale * F(k, 1 if p is None else p ** e),
                    st.integers(-6, 6), st.integers(0, 2))
-    ys = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 11, 13, 35, 143]))
+    ys = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
     pts = draw(st.lists(st.tuples(xs, ys), max_size=16))
     repeats = draw(st.lists(st.tuples(st.integers(0, 15), ys), max_size=4))
     pts += [(pts[i][0], y) for i, y in repeats if i < len(pts)]
     for _ in range(draw(st.integers(0, 2))):
         (x0, y0), (sx, sy) = draw(st.tuples(xs, ys)), draw(st.tuples(xs, ys))
         pts += [(x0 + t * sx, y0 + t * sy) for t in range(3)]
-    return draw(st.permutations(pts))
+    return SlopeGroup(p, scale), draw(st.permutations(pts))
+
+
+def vertex_sets():
+    return grouped_vertex_sets().map(lambda drawn: drawn[1])
+
+
+def fraction_legendre(n):
+    """Reference transform on the Fraction coordinates: each kink is
+    (y_i - y_i+1) / (x_i+1 - x_i)."""
+    if n.is_zero:
+        return piecewise_affine(n.group, 0, None, None)
+    xs = [x for x, _ in n.vertices]
+    ys = [y for _, y in n.vertices]
+    kinks = [(ys[i] - ys[i + 1]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    return piecewise_affine(n.group, 0, None, ys[0], kinks, xs)
+
+
+def fraction_from_function(f):
+    """Reference inverse on the Fractions: the convexity test on the
+    slopes, then y_i+1 = y_i + k_i * (x_i - x_i+1) from the anchor."""
+    if f.lo != 0 or f.hi is not None:
+        raise ValueError("the transform inverts functions defined on all of [0, inf)")
+    if f.is_bottom:
+        return NewtonPolygon(f.group, ())
+    if not f.convex:
+        raise ValueError("function is not convex")
+    xs = list(f.slopes)
+    ys = [f.anchor]
+    for k, x_prev, x_next in zip(f.kinks, xs, xs[1:]):
+        ys.append(ys[-1] + k * (x_prev - x_next))
+    return newton_polygon(f.group, zip(xs, ys))
+
+
+def outcome(func, arg):
+    """func(arg), or the type and message of the ValueError it raises."""
+    try:
+        return func(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def functions_on_half_line(draw):
+    """Piecewise-affine functions on [0, inf) whose slopes are the abscissae
+    of a grouped vertex set in drawn order (so convex or not), with kinks
+    and anchor over DENOMINATORS; some are bottom, some bounded."""
+    kind = draw(st.sampled_from(["convex"] * 6 + ["drawn order"] * 2 + ["bottom", "bounded"]))
+    group, pts = draw(grouped_vertex_sets())
+    slopes = list(dict.fromkeys(x for x, _ in pts))
+    if kind != "drawn order":
+        slopes.sort()
+    if not slopes or kind == "bottom":
+        return piecewise_affine(group, 0, None, None)
+    fracs = st.builds(F, st.integers(1, 400), st.sampled_from(DENOMINATORS))
+    kinks = sorted(draw(st.sets(fracs, min_size=len(slopes) - 1, max_size=len(slopes) - 1)))
+    anchor = draw(st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS)))
+    hi = (kinks[-1] if kinks else 0) + 1 if kind == "bounded" else None
+    return piecewise_affine(group, 0, hi, anchor, kinks, slopes)
 
 
 class TestReduce:
@@ -147,6 +211,31 @@ class TestLegendre:
             f = legendre(n)
             for lam in sample_lams():
                 assert f.eval_at(lam) == ell(n, lam)
+
+
+class TestIntegerTransform:
+    """legendre and from_function run on integers scaled by the least common
+    denominators; they agree with the Fraction formulas kept above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_vertex_sets())
+    def test_legendre_matches_fraction_kinks(self, drawn):
+        n = newton_polygon(*drawn)
+        f = legendre(n)
+        assert f == fraction_legendre(n)
+        assert from_function(f) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(functions_on_half_line())
+    def test_from_function_matches_fraction_accumulation(self, f):
+        # equal polygons, or the same ValueError (not convex, bounded domain)
+        assert outcome(from_function, f) == outcome(fraction_from_function, f)
+
+    def test_equal_neighbouring_slopes_are_not_convex(self):
+        # only the raw constructor keeps equal neighbours; piecewise_affine merges them
+        f = PiecewiseAffine(ZZ, F(0), None, F(0), (F(1),), (F(1), F(1)))
+        assert outcome(from_function, f) == (ValueError, "function is not convex")
+        assert outcome(fraction_from_function, f) == (ValueError, "function is not convex")
 
 
 class TestFromFunction:
