@@ -213,11 +213,16 @@ def _check_n_max(d, n_max) -> None:
     limit = sys.get_int_max_str_digits()
     if not limit or n_max < 2:  # dim_r refuses n_max < 2
         return
-    weight = ceil(1 + sum(rep * abs(c) for rep, c in d.entries))
-    # p**n_max >= 16**limit needs no power; otherwise p**n_max < 2**(8*limit)
-    if n_max * (d.p.bit_length() - 1) >= 4 * limit or weight * d.p ** n_max > 10 ** limit:
-        raise ValueError(f"--n-max {n_max} is too large for p={d.p}: the level "
-                         f"dimensions could exceed {limit} decimal digits")
+    # p**n_max >= 16**limit > 10**limit needs no power of p
+    if n_max * (d.p.bit_length() - 1) < 4 * limit:
+        bound = ceil(1 + sum(rep * abs(c) for rep, c in d.entries)) * d.p ** n_max
+        # decided by bit length, as 2**(3*limit) < 10**limit < 2**(4*limit):
+        # 10**limit is built only for a bound between those powers of 2
+        bits = bound.bit_length()
+        if bits <= 3 * limit or (bits <= 4 * limit and bound <= 10 ** limit):
+            return
+    raise ValueError(f"--n-max {n_max} is too large for p={d.p}: the level "
+                     f"dimensions could exceed {limit} decimal digits")
 
 
 def cmd_rr(args) -> tuple[str, int]:
@@ -253,7 +258,9 @@ def _is_circle_file(data) -> bool:
     """A function file holds a circle function when it carries a prime p
     and its domain is exactly [1, p]; anything else is a plain PA file."""
     p = data.get("p")
-    lo, hi = data.get("domain", (None, None))
+    if "domain" not in data:
+        return False
+    lo, hi = ser._pair(data["domain"], "domain")
     return (p is not None and hi is not None
             and ser.parse_frac(lo) == 1 and ser.parse_frac(hi) == p)
 

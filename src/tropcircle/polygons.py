@@ -14,10 +14,10 @@ vertices the sum is a Minkowski sum.  The empty polygon is the zero element
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup, piecewise_affine
-from .scalars import _digit_limited, _quote
+from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup
+from .scalars import _digit_limited, _is_power_of, _quote
 
 __all__ = [
     "NewtonPolygon",
@@ -46,22 +46,19 @@ class NewtonPolygon:
         return "NewtonPolygon(%s)" % ", ".join(f"({x}, {y})" for x, y in self.vertices)
 
 
-def _scaled(qs):
-    """(d, [q*d for q in qs]): d is the least common multiple of the
-    denominators of the rationals qs (1 when qs is empty), so each q*d is
-    an integer."""
-    pairs = []
-    d = 1
-    for q in qs:
-        pair = q.as_integer_ratio()
-        pairs.append(pair)
-        d = lcm(d, pair[1])
+def _scaled(pairs):
+    """(d, [num*(d // den) for num, den in pairs]): the rationals given as
+    (num, den) pairs with den > 0, not necessarily in lowest terms, scaled
+    to integers by d, the least common multiple of the dens (1 when pairs
+    is empty)."""
+    d = lcm(*[den for _, den in pairs])
     return d, [num * (d // den) for num, den in pairs]
 
 
-def _reduce(pts):
-    """Keep exactly the vertices that win max_j(lam x_j + y_j) on a nonempty
-    open sub-interval of [0, inf).
+def _hull(xs, ys) -> list:
+    """Indices of exactly the vertices (xs[i], ys[i]) that win
+    max_j(lam x_j + y_j) on a nonempty open sub-interval of [0, inf), in
+    increasing x.  Coordinates are (num, den) pairs as `_scaled` takes them.
 
     Steps: keep the best y per x, build the strictly concave upper hull
     (ties between chords drop the middle point), then drop leading vertices
@@ -72,19 +69,20 @@ def _reduce(pts):
     That is exact: scaling x by dx > 0 and y by dy > 0 keeps the order of
     the x values and of the y values, and multiplies both sides of the
     chord test (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.
-    The kept vertices are returned as the original (x, y) pairs.
+
+    So the kept vertices have strictly increasing x, and the crossings
+    (y_i - y_i+1)/(x_i+1 - x_i) of neighbours, the kinks of the support
+    function, are strictly increasing (strict concavity) and > 0 (the
+    leading drop); `legendre` relies on both.
     """
-    if not pts:
-        return ()
-    xs, ys = zip(*pts)
-    _, xs = _scaled(xs)
-    _, ys = _scaled(ys)
+    _, big_x = _scaled(xs)
+    _, big_y = _scaled(ys)
     best = {}
-    for key_x, key_y, v in zip(xs, ys, pts):
+    for i, (key_x, key_y) in enumerate(zip(big_x, big_y)):
         if key_x not in best or key_y > best[key_x][0]:
-            best[key_x] = (key_y, v)
-    hull = []  # (X, Y, original pair), X increasing
-    for key_x, (key_y, v) in sorted(best.items()):
+            best[key_x] = (key_y, i)
+    hull = []  # (X, Y, index), X increasing
+    for key_x, (key_y, i) in sorted(best.items()):
         while len(hull) >= 2:
             ax, ay, _ = hull[-2]
             bx, by, _ = hull[-1]
@@ -92,20 +90,67 @@ def _reduce(pts):
                 hull.pop()
             else:
                 break
-        hull.append((key_x, key_y, v))
+        hull.append((key_x, key_y, i))
     # the crossing of hull[i] and hull[i+1] sits at lam = (y_i - y_i+1)/(x_i+1 - x_i);
     # when it is <= 0 vertex i never wins on the open half-line
     start = 0
     while start + 1 < len(hull) and hull[start][1] <= hull[start + 1][1]:
         start += 1
-    return tuple(v for _, _, v in hull[start:])
+    return [i for _, _, i in hull[start:]]
+
+
+def _reduce(pts):
+    """The vertices of the list pts that `_hull` keeps, as the original
+    (x, y) pairs of Fractions."""
+    keep = _hull([x.as_integer_ratio() for x, _ in pts], [y.as_integer_ratio() for _, y in pts])
+    return tuple(pts[i] for i in keep)
+
+
+def _in_group(group: SlopeGroup, xs) -> bool:
+    """True when every x of the (num, den) pairs xs lies in the group.
+
+    One test for the whole list: with d the least common multiple of the
+    dens, X_i = x_i*d and scale = s/t in lowest terms, x_i/scale is
+    X_i*t/(d*s), whose reduced denominator is N // g_i with N = d*s and
+    g_i = gcd(X_i*t, N).  Every one of them is 1 (p None) or a power of p
+    exactly when their least common multiple is, and
+    lcm_i(N/g_i) = N/gcd_i(g_i) = N // gcd(gcd_i(X_i)*t, N), since every
+    g_i divides N.  d need not be the least common denominator: any common
+    one gives the same reduced denominators.
+    """
+    d, big_x = _scaled(xs)
+    scale = group.scale
+    big_n = d * scale.numerator
+    den = big_n // gcd(gcd(*big_x) * scale.denominator, big_n)
+    return den == 1 or (group.p is not None and _is_power_of(den, group.p))
+
+
+def _require_group(group: SlopeGroup, xs) -> None:
+    """Raise as group.require does on the first x of the (num, den) pairs
+    xs outside the group; the list is scanned only when `_in_group` fails."""
+    if not _in_group(group, xs):
+        for num, den in xs:
+            group.require(Fraction(num, den))
+
+
+def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
+    """newton_polygon on coordinates given as (num, den) integer pairs with
+    den > 0, not necessarily in lowest terms; a Fraction is built only for
+    the kept vertices."""
+    _require_group(group, xs)
+    return NewtonPolygon(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in _hull(xs, ys)))
 
 
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
     """Reduce an arbitrary finite vertex set; the support function over
-    lam >= 0 is unchanged by the reduction."""
-    cooked = [(group.require(x), y if type(y) is Fraction else Fraction(y)) for x, y in pts]
-    return NewtonPolygon(group, _reduce(cooked))
+    lam >= 0 is unchanged by the reduction.  Every x must lie in the group,
+    the dropped ones too."""
+    cooked = [(x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
+              for x, y in pts]
+    xs = [x.as_integer_ratio() for x, _ in cooked]
+    _require_group(group, xs)
+    keep = _hull(xs, [y.as_integer_ratio() for _, y in cooked])
+    return NewtonPolygon(group, tuple(cooked[i] for i in keep))
 
 
 def ell(n: NewtonPolygon, lam) -> Fraction | None:
@@ -147,17 +192,25 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     is computed on the integers X = x*dx and Y = y*dy of `_scaled` (dx, dy
     the least common multiples of the x and y denominators), as the one
     Fraction((Y_i - Y_i+1)*dx, (X_i+1 - X_i)*dy).  That is exact for the
-    reason `_reduce` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
+    reason `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
     x_i+1 - x_i = (X_i+1 - X_i)/dx, with dx, dy > 0.
+
+    The function is built without piecewise_affine's checks, which the
+    reduced vertex list already meets: every x lies in the group (the
+    constructors in this module check it or, for sums, preserve it), the
+    x are strictly increasing, so no two pieces share a slope and none
+    merge, and the kinks are strictly increasing and > 0, inside the
+    domain (see `_hull`).  n must be reduced, as every constructor in this
+    module returns it.
     """
     if n.is_zero:
-        return piecewise_affine(n.group, 0, None, None)
+        return PiecewiseAffine(n.group, Fraction(0), None, None, (), ())
     xs, ys = zip(*n.vertices)
-    dx, big_x = _scaled(xs)
-    dy, big_y = _scaled(ys)
-    kinks = [Fraction((y0 - y1) * dx, (x1 - x0) * dy)
-             for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:])]
-    return piecewise_affine(n.group, 0, None, ys[0], kinks, xs)
+    dx, big_x = _scaled([x.as_integer_ratio() for x in xs])
+    dy, big_y = _scaled([y.as_integer_ratio() for y in ys])
+    kinks = tuple(Fraction((y0 - y1) * dx, (x1 - x0) * dy)
+                  for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:]))
+    return PiecewiseAffine(n.group, Fraction(0), None, ys[0], kinks, xs)
 
 
 def from_function(f: PiecewiseAffine) -> NewtonPolygon:
@@ -171,24 +224,31 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     d = lcm(anchor denominator, dk*dx), is an integer: the ordinates are
     summed as integers over that one denominator, and each becomes one
     Fraction.  Convexity is the same test on X: strictly increasing, as the
-    positive scaling keeps the order.  The result still goes through
-    newton_polygon, which checks the slope group and reduces.
+    positive scaling keeps the order.
+
+    The polygon is built without newton_polygon's checks.  f's slopes lie
+    in its group (piecewise_affine checked them), and its kinks are
+    strictly increasing inside (0, inf).  With strictly increasing slopes,
+    vertex i wins exactly on (k_i-1, k_i), a nonempty open interval of
+    [0, inf) (k_-1 = 0, k_m = inf), so every vertex is kept, in x order:
+    the reduction would change nothing.  Each ordinate is still computed
+    from the kinks, so from_function(legendre(n)) == n is a real check.
     """
     if f.lo != 0 or f.hi is not None:
         raise ValueError("the transform inverts functions defined on all of [0, inf)")
     if f.is_bottom:
         return NewtonPolygon(f.group, ())
     xs = f.slopes
-    dx, big_x = _scaled(xs)
+    dx, big_x = _scaled([x.as_integer_ratio() for x in xs])
     if any(x0 >= x1 for x0, x1 in zip(big_x, big_x[1:])):
         raise ValueError("function is not convex")
-    dk, big_k = _scaled(f.kinks)
+    dk, big_k = _scaled([k.as_integer_ratio() for k in f.kinks])
     anchor = f.anchor
     d = lcm(anchor.denominator, dk * dx)
     step = d // (dk * dx)
     y = anchor.numerator * (d // anchor.denominator)
-    ys = [anchor]
-    for k, x0, x1 in zip(big_k, big_x, big_x[1:]):
+    vertices = [(xs[0], anchor)]
+    for k, x0, x1, x in zip(big_k, big_x, big_x[1:], xs[1:]):
         y += k * (x0 - x1) * step
-        ys.append(Fraction(y, d))
-    return newton_polygon(f.group, zip(xs, ys))
+        vertices.append((x, Fraction(y, d)))
+    return NewtonPolygon(f.group, tuple(vertices))

@@ -9,7 +9,10 @@ the value from int() of its parts.  Every other string (a decimal, an
 exponent, a sign "+", surrounding whitespace, "_" separators, non-ASCII
 digits, malformed text) takes the general path: the exponent check, then
 Fraction(str), then a digit-limit check on the parsed value; on the fast
-path int() already makes that check.
+path int() already makes that check.  `polygon_from_json` keeps the fast
+path's integers as (num, den) pairs and builds Fractions only for the
+vertices the hull keeps.  A vertex or a domain is a JSON list of exactly
+two items.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -27,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from .circle import CircleFunction, Divisor, circle_bottom, circle_function, divisor
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
-from .polygons import NewtonPolygon, newton_polygon
+from .polygons import NewtonPolygon, _polygon_of_ratios
 from .riemann_roch import FiltrationReport, RiemannRochReport
 from .scalars import _quote, _too_many_digits, require_prime
 
@@ -74,9 +77,10 @@ def parse_frac(s) -> Fraction:
     would take unbounded time and memory.  An error quotes at most 40
     characters of the input.
 
-    The fast path needs no digit-limit test after parsing: int(str) itself
-    refuses a digit string longer than sys.get_int_max_str_digits(), with a
-    ValueError that _refusal words as the test would, and reducing num/den
+    The fast path (`_plain_ratio`) needs no digit-limit test after parsing:
+    int(str) itself refuses a digit string longer than
+    sys.get_int_max_str_digits(), which sends the string down the general
+    path, where _refusal words it as the test would; and reducing num/den
     only shrinks both parts.  An int argument and the general path, whose
     decimals and exponents can build parts longer than the string, keep
     the test.
@@ -84,10 +88,10 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         q = Fraction(s)
     elif isinstance(s, str):
+        plain = _plain_ratio(s)
+        if plain:
+            return Fraction(*plain)
         try:
-            num, slash, den = s.partition("/")
-            if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             exponent = _EXPONENT.search(s)
             if exponent:
                 limit = sys.get_int_max_str_digits()
@@ -106,6 +110,33 @@ def parse_frac(s) -> Fraction:
             name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
             raise ValueError(f"{name} has more than {limit} digits")
     return q
+
+
+def _plain_ratio(s: str) -> tuple[int, int] | None:
+    """(num, den) for an ASCII string of the form -?digits or
+    -?digits/digits with den > 0, not reduced; None for any other string,
+    for a zero denominator and for digits past the limit that int() takes,
+    all of which the general path of parse_frac words."""
+    num, slash, den = s.partition("/")
+    if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            pair = int(num), int(den) if slash else 1
+        except ValueError:
+            return None
+        if pair[1]:
+            return pair
+    return None
+
+
+def _ratio(s) -> tuple[int, int]:
+    """parse_frac(s) as a (num, den) pair with den > 0, not necessarily in
+    lowest terms: a plain string builds no Fraction, anything else goes
+    through parse_frac and its messages."""
+    if isinstance(s, str):
+        plain = _plain_ratio(s)
+        if plain:
+            return plain
+    return parse_frac(s).as_integer_ratio()
 
 
 def _refusal(s: str) -> str:
@@ -187,6 +218,14 @@ def _expect(d: dict, key: str):
     return d[key]
 
 
+def _pair(value, name: str) -> list:
+    """value when it is a JSON list of exactly two items; a vertex or a
+    domain of any other shape is refused, naming it."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two items")
+    return value
+
+
 # ---------------------------------------------------------------- polygons
 
 def polygon_to_json(n: NewtonPolygon) -> dict:
@@ -201,8 +240,15 @@ def polygon_from_json(d: dict) -> NewtonPolygon:
     p = _expect(d, "p")
     scale = parse_frac(d.get("scale", "1"))
     group = SlopeGroup(p, scale)
-    verts = [(parse_frac(x), parse_frac(y)) for x, y in _expect(d, "vertices")]
-    return newton_polygon(group, verts)
+    vertices = _expect(d, "vertices")
+    if not isinstance(vertices, list):
+        raise ValueError("vertices must be a list")
+    xs, ys = [], []
+    for i, vertex in enumerate(vertices):
+        x, y = _pair(vertex, f"vertices[{i}]")
+        xs.append(_ratio(x))
+        ys.append(_ratio(y))
+    return _polygon_of_ratios(group, xs, ys)
 
 
 # --------------------------------------------------------------- functions
@@ -223,7 +269,7 @@ def pa_from_json(d: dict) -> PiecewiseAffine:
     p = d.get("p")
     scale = parse_frac(d.get("scale", "1"))
     group = SlopeGroup(p, scale)
-    lo_s, hi_s = _expect(d, "domain")
+    lo_s, hi_s = _pair(_expect(d, "domain"), "domain")
     lo = parse_frac(lo_s)
     hi = None if hi_s is None else parse_frac(hi_s)
     anchor = parse_rmax(_expect(d, "anchor"))
@@ -246,7 +292,7 @@ def circle_from_json(d: dict) -> CircleFunction:
     if p is None:
         raise ValueError("a circle function needs a prime p")
     require_prime(p)  # before the domain message, which echoes p whole
-    lo_s, hi_s = _expect(d, "domain")
+    lo_s, hi_s = _pair(_expect(d, "domain"), "domain")
     if parse_frac(lo_s) != 1 or hi_s is None or parse_frac(hi_s) != p:
         raise ValueError(f"circle functions live on the domain [1, {p}]")
     anchor = parse_rmax(_expect(d, "anchor"))

@@ -460,6 +460,23 @@ class TestBadInput:
         assert main(["legendre", path]) == 2
         assert_one_line_error(capsys, "False")
 
+    @pytest.mark.parametrize("command, payload, name", [
+        ("legendre", {"p": None, "vertices": ["12", "34"]}, "vertices[0]"),
+        ("legendre", {"p": None, "vertices": [["0", "0"], ["1"]]}, "vertices[1]"),
+        ("legendre", {"p": 2, "vertices": [["0", "0"], ["1", "2", "3"]]}, "vertices[1]"),
+        ("legendre", {"p": None, "vertices": "00"}, "vertices"),
+        ("plot", {"p": None, "domain": "01", "anchor": "0", "slopes": ["0"]}, "domain"),
+        ("plot", {"p": 3, "domain": ["1", "3", "5"], "anchor": "0", "slopes": ["0"]}, "domain"),
+        ("plot", {"p": None, "domain": None, "anchor": "0", "slopes": ["0"]}, "domain"),
+        ("divisor", {"p": 3, "domain": "13", "anchor": "0", "slopes": ["0"]}, "domain"),
+    ])
+    def test_wrong_shape_exits_2_naming_it(self, tmp_path, capsys, command, payload, name):
+        # a two-character string once passed as a pair, and other shapes
+        # ended with Python's unpacking message
+        path = write_json(tmp_path, payload)
+        assert main([command, path]) == 2
+        assert_one_line_error(capsys, f"error: {name} must be a list")
+
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"p": 3,\n "support": [\n')

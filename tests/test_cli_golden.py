@@ -83,6 +83,12 @@ INPUTS = {
                       "kinks": [], "slopes": ["0"]},
     "poly-1e300.json": {"p": None, "scale": "1", "vertices": [["0", "1e300"], ["1", "0"]]},
     "div-1e400.json": {"p": 2, "support": _support([("1", "1e400")])},
+    # a vertex or a domain must be a JSON list of exactly two items
+    "poly-string-vertices.json": {"p": None, "scale": "1", "vertices": ["12", "34"]},
+    "poly-triple-vertex.json": {"p": None, "scale": "1", "vertices": [["0", "0"], ["1", "2", "3"]]},
+    "pa-string-domain.json": {"p": None, "scale": "1", "domain": "01", "anchor": "0",
+                              "kinks": [], "slopes": ["0"]},
+    "fn-short-domain.json": {**_circle(3, [], ["0"]), "domain": ["1"]},
 }
 RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
               "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
@@ -141,6 +147,10 @@ def _cases():
     cases["legendre svg beyond float precision"] = ["legendre", "poly-1e300.json", "--format", "svg"]
     cases["rr svg beyond the float range"] = ["rr", "div-1e400.json", "--n-max", "2",
                                               "--format", "svg"]
+    cases["legendre vertices given as strings"] = ["legendre", "poly-string-vertices.json"]
+    cases["legendre vertex of three items"] = ["legendre", "poly-triple-vertex.json"]
+    cases["plot domain given as a string"] = ["plot", "pa-string-domain.json"]
+    cases["divisor domain of one item"] = ["divisor", "fn-short-domain.json"]
     return cases
 
 
@@ -182,6 +192,7 @@ def input_dir(tmp_path_factory):
 GOLDEN = {
     'divisor bottom': (2, 'e3b0c44298fc1c14', '56f9fa95a307a2bc'),
     'divisor broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'divisor domain of one item': (2, 'e3b0c44298fc1c14', '12765fb8ac170169'),
     'divisor fn-2 json': (0, '9c32da9ed2300cb5', 'e3b0c44298fc1c14'),
     'divisor fn-2 text': (0, '4ba1b8e6e8348da9', 'e3b0c44298fc1c14'),
     'divisor fn-3 json': (0, '2bb82611153e3368', 'e3b0c44298fc1c14'),
@@ -256,12 +267,15 @@ GOLDEN = {
     'legendre poly-zero svg': (0, '62d4d409ef855926', 'e3b0c44298fc1c14'),
     'legendre poly-zero text': (0, '718163a089551561', 'e3b0c44298fc1c14'),
     'legendre svg beyond float precision': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
+    'legendre vertex of three items': (2, 'e3b0c44298fc1c14', 'c53e9c4e1076340f'),
     'legendre vertex outside the scaled group': (2, 'e3b0c44298fc1c14', '78c5829df3b6ec77'),
+    'legendre vertices given as strings': (2, 'e3b0c44298fc1c14', '920ea8678da5298e'),
     'legendre wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'plot bad format': (2, 'e3b0c44298fc1c14', '4d879981d285830b'),
     'plot beyond float precision': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'plot beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'plot domain given as a string': (2, 'e3b0c44298fc1c14', '12765fb8ac170169'),
     'plot fn-2': (0, '118bcbb8fc9bb16a', 'e3b0c44298fc1c14'),
     'plot fn-3': (0, 'a3e75d0f336d93e4', 'e3b0c44298fc1c14'),
     'plot fn-4-kinks': (0, 'e125f48799b34259', 'e3b0c44298fc1c14'),

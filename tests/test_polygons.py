@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropcircle.piecewise import (
     GroupMismatchError, PiecewiseAffine, SlopeGroup, ZZ, piecewise_affine,
 )
 from tropcircle.polygons import (
-    NewtonPolygon, _reduce, ell, from_function, legendre, newton_polygon, poly_join, poly_times,
+    NewtonPolygon, _in_group, _reduce, _require_group, ell, from_function, legendre, newton_polygon,
+    poly_join, poly_times,
 )
 from tropcircle.scalars import rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_polygon
@@ -236,6 +237,44 @@ class TestIntegerTransform:
         f = PiecewiseAffine(ZZ, F(0), None, F(0), (F(1),), (F(1), F(1)))
         assert outcome(from_function, f) == (ValueError, "function is not convex")
         assert outcome(fraction_from_function, f) == (ValueError, "function is not convex")
+
+
+class TestUncheckedConstructors:
+    """legendre and from_function build their results without the checks of
+    piecewise_affine and newton_polygon, which the reduced vertex list and
+    a convex function on [0, inf) already pass; newton_polygon tests the
+    slope group once per list.  Each is compared with the checked path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_vertex_sets())
+    def test_legendre_equals_the_checked_constructor(self, drawn):
+        f = legendre(newton_polygon(*drawn))
+        assert f == piecewise_affine(f.group, 0, None, f.anchor, f.kinks, f.slopes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(functions_on_half_line())
+    def test_from_function_equals_newton_polygon(self, f):
+        assume(f.hi is None and not f.is_bottom and f.convex)
+        n = from_function(f)
+        assert n == newton_polygon(f.group, n.vertices)
+        assert len(n.vertices) == len(f.slopes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([None, 2, 3, 5]),
+           st.sampled_from([F(1), F(1, 2), F(2, 3), F(5, 7), F(6), F(9, 4)]),
+           st.lists(st.tuples(st.integers(-30, 30),
+                              st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 25, 27])), max_size=6))
+    def test_group_test_agrees_with_contains(self, p, scale, pairs):
+        # pairs are (num, den), not necessarily in lowest terms
+        group = SlopeGroup(p, scale)
+        outside = [F(num, den) for num, den in pairs if not group.contains(F(num, den))]
+        assert _in_group(group, pairs) == (not outside)
+        if outside:
+            with pytest.raises(ValueError) as exc:
+                _require_group(group, pairs)
+            assert str(exc.value) == f"slope {outside[0]} is not in {group}"
+        else:
+            _require_group(group, pairs)
 
 
 class TestFromFunction:

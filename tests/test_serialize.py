@@ -1,16 +1,20 @@
 """The rational reader and the JSON writer of `serialize`, against the
 standard library as the reference: `Fraction(str)` for `parse_frac` and
-`json.dumps` for `dumps`."""
+`json.dumps` for `dumps`.  The polygon reader, which builds no Fraction
+for the vertices its hull drops, against `parse_frac` and
+`newton_polygon`."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcircle.piecewise import SlopeGroup
+from tropcircle.polygons import newton_polygon
 from tropcircle.scalars import _quote
-from tropcircle.serialize import dumps, parse_frac
+from tropcircle.serialize import dumps, parse_frac, polygon_from_json
 
 
 class TestReader:
@@ -20,6 +24,64 @@ class TestReader:
     @example("-0/7")
     def test_plain_strings_read_as_fraction_does(self, text):
         assert parse_frac(text) == F(text)
+
+
+def outcome(func, arg):
+    """func(arg), or the type and message of the ValueError it raises."""
+    try:
+        return func(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def checked_polygon(doc):
+    """The polygon reader's reference: every coordinate through parse_frac,
+    the vertex list through newton_polygon."""
+    group = SlopeGroup(doc["p"], parse_frac(doc["scale"]))
+    return newton_polygon(group, [(parse_frac(x), parse_frac(y)) for x, y in doc["vertices"]])
+
+
+# every form parse_frac reads or refuses: unreduced and signed zeros,
+# decimals, exponents, the forms only Fraction(str) takes, zero
+# denominators, strings past the digit limit, JSON ints, floats, booleans
+DIGITS = sys.get_int_max_str_digits() or 4300
+ODD_VALUES = ["6/4", "-0", "-0/3", "0/0", "3/0", "-5/0", "1.5", "-2.25", "1e3", "3e-2", "5E+1",
+              "+5", " 5", "5 ", "5_0", "1/3 ", "x", "", "1//2", "١٢", "1" * (DIGITS + 1),
+              "1/" + "3" * (DIGITS + 1), "2" * (DIGITS + 1) + "/0", "9e" + str(DIGITS + 1),
+              "1" * DIGITS + "/7", 0, 7, -12, True, 1.5, None]
+
+
+@st.composite
+def polygon_docs(draw):
+    """A polygon file whose abscissae mostly lie in its group, written in
+    lowest terms or not, with odd values mixed in."""
+    p = draw(st.sampled_from([None, 2, 3]))
+    scale = draw(st.sampled_from([F(1), F(1, 2), F(3, 2), F(6)]))
+
+    def in_group(k, e, m):
+        # x as (m*num)/(m*den), so m > 1 writes it unreduced
+        x = scale * F(k, 1 if p is None else p ** e)
+        if m == 1 and x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator * m}/{x.denominator * m}"
+
+    xs = st.builds(in_group, st.integers(-9, 9), st.integers(0, 2), st.integers(1, 3))
+    ys = st.builds(lambda a, b: f"{a}/{b}", st.integers(-40, 40), st.integers(1, 12))
+    odd = st.sampled_from(ODD_VALUES)
+    coordinate_x = st.one_of(xs, xs, xs, odd)
+    coordinate_y = st.one_of(ys, ys, ys, odd, st.integers(-40, 40))
+    vertices = draw(st.lists(st.tuples(coordinate_x, coordinate_y).map(list), max_size=12))
+    return {"p": p, "scale": str(scale), "vertices": vertices}
+
+
+class TestPolygonReader:
+    @settings(max_examples=300, deadline=None)
+    @given(polygon_docs())
+    @example({"p": None, "scale": "1", "vertices": [["6/4", "0"], ["-0", "1"]]})
+    @example({"p": 3, "scale": "3/2", "vertices": [["3/6", "-0"], ["9/6", "1"], ["1/4", "0"]]})
+    def test_reads_as_parse_frac_and_newton_polygon(self, doc):
+        # the same polygon, or the same refusal
+        assert outcome(polygon_from_json, doc) == outcome(checked_polygon, doc)
 
 
 class TestWriter:
