@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _digit_limited, _quote, chi, in_zp, require_prime
+from .scalars import _fracs, _quote, chi, frac_to_str, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -99,11 +99,10 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-other)
 
-    @_digit_limited
     def __repr__(self) -> str:
         if self.is_empty:
             return f"Divisor(p={self.p}, 0)"
-        body = ", ".join(f"{rep} -> {c}" for rep, c in self.entries)
+        body = ", ".join(f"{frac_to_str(rep)} -> {frac_to_str(c)}" for rep, c in self.entries)
         return f"Divisor(p={self.p}, {body})"
 
 
@@ -172,12 +171,11 @@ class CircleFunction:
             out.append((k, s_right - s_left))
         return out
 
-    @_digit_limited
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"CircleFunction(p={self.p}, bottom)"
-        return (f"CircleFunction(p={self.p}, anchor={self.anchor}, "
-                f"kinks={list(self.kinks)}, slopes={list(self.slopes)})")
+        return (f"CircleFunction(p={self.p}, anchor={frac_to_str(self.anchor)}, "
+                f"kinks={_fracs(self.kinks)}, slopes={_fracs(self.slopes)})")
 
 
 def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:

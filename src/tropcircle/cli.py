@@ -19,6 +19,7 @@ from .circle import divisor_of, is_principal, jacobian_class
 from .piecewise import PiecewiseAffine
 from .polygons import from_function, legendre
 from .riemann_roch import rr_check
+from .scalars import _fits_digits
 from .verify import format_report, run as run_verify
 
 __all__ = ["main"]
@@ -207,19 +208,16 @@ def cmd_jacobian(args) -> tuple[str, int]:
 
 
 def _check_n_max(d, n_max) -> None:
-    """Every dimension rr prints is below (1 + sum rep*|coeff|) * p**n_max;
-    refuse an n_max at which that bound passes the digit limit of int to
-    str conversion (sys.get_int_max_str_digits(), 0 for none)."""
+    """Every dimension rr prints is below bound = (1 + sum rep*|coeff|) *
+    p**n_max; refuse an n_max at which bound - 1 passes the digit limit of
+    int to str conversion (`_fits_digits`)."""
     limit = sys.get_int_max_str_digits()
     if not limit or n_max < 2:  # dim_r refuses n_max < 2
         return
     # p**n_max >= 16**limit > 10**limit needs no power of p
     if n_max * (d.p.bit_length() - 1) < 4 * limit:
         bound = ceil(1 + sum(rep * abs(c) for rep, c in d.entries)) * d.p ** n_max
-        # decided by bit length, as 2**(3*limit) < 10**limit < 2**(4*limit):
-        # 10**limit is built only for a bound between those powers of 2
-        bits = bound.bit_length()
-        if bits <= 3 * limit or (bits <= 4 * limit and bound <= 10 ** limit):
+        if _fits_digits(bound - 1):
             return
     raise ValueError(f"--n-max {n_max} is too large for p={d.p}: the level "
                      f"dimensions could exceed {limit} decimal digits")

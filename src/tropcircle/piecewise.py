@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _digit_limited, _is_power_of, _quote, require_prime
+from .scalars import _fracs, _is_power_of, _quote, frac_to_str, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -51,22 +51,24 @@ class SlopeGroup:
             raise ValueError("scale must be positive")
 
     def contains(self, q) -> bool:
-        """True when q / scale lies in Z (p None) or in Z[1/p].
-
-        With q = a/b and scale = s/t both in lowest terms, q / scale is
-        (a*t) / (b*s), and its reduced denominator is b*s // gcd(a*t, b*s).
-        That is the denominator Fraction(q) / scale would carry, so the test
-        is exact; it reads four integers and builds no quotient.  For q = 0
-        the gcd is b*s and the denominator 1.
-        """
+        """True when q / scale lies in Z (p None) or in Z[1/p]."""
         if type(q) is not Fraction:
             q = Fraction(q)
+        return self._contains_ratio(q.numerator, q.denominator)
+
+    def _contains_ratio(self, a: int, b: int) -> bool:
+        """contains(a/b) for integers a and b > 0, not necessarily coprime.
+
+        With scale = s/t in lowest terms, (a/b) / scale is (a*t) / (b*s),
+        and its reduced denominator is b*s // gcd(a*t, b*s), whatever common
+        factor a and b share.  That is the denominator Fraction(a, b) / scale
+        would carry, so the test is exact; it reads four integers and builds
+        no quotient.  For a = 0 the gcd is b*s and the denominator 1.
+        """
         scale = self.scale
-        bs = q.denominator * scale.numerator
-        den = bs // gcd(q.numerator * scale.denominator, bs)
-        if self.p is None:
-            return den == 1
-        return _is_power_of(den, self.p)
+        bs = b * scale.numerator
+        den = bs // gcd(a * scale.denominator, bs)
+        return den == 1 or (self.p is not None and _is_power_of(den, self.p))
 
     def require(self, q) -> Fraction:
         if type(q) is not Fraction:
@@ -125,12 +127,13 @@ class PiecewiseAffine:
         """Slope on the piece immediately to the left of lam."""
         return self.slopes[bisect_left(self.kinks, lam)]
 
-    @_digit_limited
     def __repr__(self) -> str:
+        hi = "None" if self.hi is None else frac_to_str(self.hi)
+        domain = f"[{frac_to_str(self.lo)}, {hi}]"
         if self.is_bottom:
-            return f"PA(bottom on [{self.lo}, {self.hi}])"
-        return (f"PA([{self.lo}, {self.hi}], anchor={self.anchor}, "
-                f"kinks={list(self.kinks)}, slopes={list(self.slopes)})")
+            return f"PA(bottom on {domain})"
+        return (f"PA({domain}, anchor={frac_to_str(self.anchor)}, "
+                f"kinks={_fracs(self.kinks)}, slopes={_fracs(self.slopes)})")
 
 
 def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseAffine:

@@ -14,10 +14,10 @@ vertices the sum is a Minkowski sum.  The empty polygon is the zero element
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup
-from .scalars import _digit_limited, _is_power_of, _quote
+from .scalars import _quote, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -39,11 +39,11 @@ class NewtonPolygon:
     def is_zero(self) -> bool:
         return not self.vertices
 
-    @_digit_limited
     def __repr__(self) -> str:
         if self.is_zero:
             return "NewtonPolygon(zero)"
-        return "NewtonPolygon(%s)" % ", ".join(f"({x}, {y})" for x, y in self.vertices)
+        return "NewtonPolygon(%s)" % ", ".join(f"({frac_to_str(x)}, {frac_to_str(y)})"
+                                               for x, y in self.vertices)
 
 
 def _scaled(pairs):
@@ -106,30 +106,12 @@ def _reduce(pts):
     return tuple(pts[i] for i in keep)
 
 
-def _in_group(group: SlopeGroup, xs) -> bool:
-    """True when every x of the (num, den) pairs xs lies in the group.
-
-    One test for the whole list: with d the least common multiple of the
-    dens, X_i = x_i*d and scale = s/t in lowest terms, x_i/scale is
-    X_i*t/(d*s), whose reduced denominator is N // g_i with N = d*s and
-    g_i = gcd(X_i*t, N).  Every one of them is 1 (p None) or a power of p
-    exactly when their least common multiple is, and
-    lcm_i(N/g_i) = N/gcd_i(g_i) = N // gcd(gcd_i(X_i)*t, N), since every
-    g_i divides N.  d need not be the least common denominator: any common
-    one gives the same reduced denominators.
-    """
-    d, big_x = _scaled(xs)
-    scale = group.scale
-    big_n = d * scale.numerator
-    den = big_n // gcd(gcd(*big_x) * scale.denominator, big_n)
-    return den == 1 or (group.p is not None and _is_power_of(den, group.p))
-
-
 def _require_group(group: SlopeGroup, xs) -> None:
     """Raise as group.require does on the first x of the (num, den) pairs
-    xs outside the group; the list is scanned only when `_in_group` fails."""
-    if not _in_group(group, xs):
-        for num, den in xs:
+    xs outside the group; each pair is tested as it stands, with no
+    Fraction built."""
+    for num, den in xs:
+        if not group._contains_ratio(num, den):
             group.require(Fraction(num, den))
 
 

@@ -6,15 +6,23 @@ ordinary +.  Slopes and divisor coefficients live in Z[1/p], the subring of
 rationals whose denominator is a power of a fixed prime p.  They are plain
 Fractions: membership, the p-adic absolute value and the residue in
 Z/(p-1)Z all read off the reduced numerator and denominator.
+
+Every rational the package prints goes through `frac_to_str`, as "a" or
+"a/b": the JSON and CSV writers and the reprs that the text formats show.
+Python refuses to convert an int of more than sys.get_int_max_str_digits()
+decimal digits to str (0 sets no bound); `frac_to_str` words that refusal
+as one line, and `_fits_digits` is the one test of an int against the
+limit, for the readers that refuse such a value before it is printed.
 """
 
 import sys
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 __all__ = [
     "BOTTOM",
     "chi",
+    "frac_to_str",
     "in_zp",
     "is_prime",
     "padic_abs",
@@ -39,22 +47,32 @@ def _quote(value) -> str:
     return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
 
 
-def _too_many_digits() -> ValueError:
-    """The one-line refusal of a number whose decimal form would pass
-    sys.get_int_max_str_digits()."""
-    return ValueError(f"result has more than {sys.get_int_max_str_digits()} digits")
+def frac_to_str(q: Fraction) -> str:
+    """"a" or "a/b"; a numerator or denominator with more decimal digits
+    than sys.get_int_max_str_digits() is refused in one line."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueError(f"result has more than {sys.get_int_max_str_digits()} digits") from None
 
 
-def _digit_limited(method):
-    """Wrap a __repr__ so that a number past the int to str digit limit is
-    refused with _too_many_digits() rather than Python's multi-line hint."""
-    @wraps(method)
-    def wrapper(self):
-        try:
-            return method(self)
-        except ValueError:
-            raise _too_many_digits() from None
-    return wrapper
+def _fracs(qs) -> str:
+    """A sequence of rationals as the reprs print it: [a, b/c, ...]."""
+    return f"[{', '.join(map(frac_to_str, qs))}]"
+
+
+def _fits_digits(n: int) -> bool:
+    """True when str(n) has at most sys.get_int_max_str_digits() digits,
+    the sign aside (0 sets no bound).
+
+    Decided by bit length, as 2**(3*limit) < 10**limit < 2**(4*limit):
+    10**limit is built only for an n between those powers of 2.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = n.bit_length()
+    return not limit or bits <= 3 * limit or (bits <= 4 * limit and abs(n) < 10 ** limit)
 
 
 def rmax_join(a, b):

@@ -1,18 +1,19 @@
 """JSON and CSV encodings of the domain objects.
 
-Rationals travel as strings "a" or "a/b" (a JSON integer is read too, a
-boolean never); the bottom value is the string "-inf".
+Rationals travel as the strings "a" or "a/b" of `scalars.frac_to_str` (a
+JSON integer is read too, a boolean never); the bottom value is the string
+"-inf".
 
 Reading: `parse_frac` takes a fast path for an ASCII string of the form
 -?digits or -?digits/digits, the only forms the emitters write, and builds
 the value from int() of its parts.  Every other string (a decimal, an
 exponent, a sign "+", surrounding whitespace, "_" separators, non-ASCII
 digits, malformed text) takes the general path: the exponent check, then
-Fraction(str), then a digit-limit check on the parsed value; on the fast
-path int() already makes that check.  `polygon_from_json` keeps the fast
-path's integers as (num, den) pairs and builds Fractions only for the
-vertices the hull keeps.  A vertex or a domain is a JSON list of exactly
-two items.
+Fraction(str), then the digit-limit test `scalars._fits_digits` on the
+parsed value; on the fast path int() already makes that check.
+`polygon_from_json` keeps the fast path's integers as (num, den) pairs and
+builds Fractions only for the vertices the hull keeps.  A vertex or a
+domain is a JSON list of exactly two items.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -32,7 +33,7 @@ from .circle import CircleFunction, Divisor, circle_bottom, circle_function, div
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, _polygon_of_ratios
 from .riemann_roch import FiltrationReport, RiemannRochReport
-from .scalars import _quote, _too_many_digits, require_prime
+from .scalars import _fits_digits, _quote, frac_to_str, require_prime
 
 __all__ = [
     "dumps",
@@ -49,22 +50,8 @@ __all__ = [
 ]
 
 
-def frac_to_str(q: Fraction) -> str:
-    """"a" or "a/b"; a numerator or denominator with more decimal digits
-    than sys.get_int_max_str_digits() is refused in one line."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise _too_many_digits() from None
-
-
 # the exponent of a decimal string such as "1.5e3"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-# 2**(3*d) < 10**d, so a numerator or denominator of at most this many bits
-# is shorter than the least nonzero limit sys.set_int_max_str_digits() takes
-_SHORT_BITS = 3 * sys.int_info.str_digits_check_threshold
 
 
 def parse_frac(s) -> Fraction:
@@ -104,11 +91,9 @@ def parse_frac(s) -> Fraction:
             raise ValueError(_refusal(s)) from None
     else:
         raise ValueError(f"expected a rational string, got {_quote(s)}")
-    if q.numerator.bit_length() > _SHORT_BITS or q.denominator.bit_length() > _SHORT_BITS:
-        limit = sys.get_int_max_str_digits()
-        if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
-            name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
-            raise ValueError(f"{name} has more than {limit} digits")
+    if not (_fits_digits(q.numerator) and _fits_digits(q.denominator)):
+        name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
+        raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
     return q
 
 

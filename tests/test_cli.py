@@ -1,13 +1,14 @@
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_cli_golden import GOLDEN, run_case, write_inputs
 from tropcircle import cli
@@ -19,6 +20,7 @@ from tropcircle.serialize import (
 )
 from tropcircle.piecewise import ZZ, SlopeGroup, piecewise_affine
 from tropcircle.polygons import newton_polygon
+from tropcircle.verify import gen_circle, gen_divisor_deg0_chi0
 
 
 @pytest.fixture
@@ -594,10 +596,10 @@ class TestBadInput:
         assert payload["chi"] == 1 and payload["obstructions"] == ["degree", "chi"]
 
 
-# Generated input for `legendre` and `plot`: a file of valid rationals,
-# some huge or tiny, in which up to two parts are then spoiled with the
-# values that broke earlier releases ("-inf" where it means nothing, JSON
-# floats, booleans, empty strings and lists) or removed.
+# Generated input for the CLI: a file of valid rationals, some huge
+# or tiny, in which up to two parts are then spoiled with the values that
+# broke earlier releases ("-inf" where it means nothing, JSON floats,
+# booleans, empty strings and lists) or removed; `verify` gets odd flags.
 VALID = st.sampled_from(["0", "1", "-3", "1/2", "-7/4", "5/9", "3/2", "1.5", "١٢", 7,
                          "1e300", "-1e300", "1e400", "-1e400", "1e-400"])
 ODD = st.sampled_from(["-inf", "", "x", None, True, [], 1.5, 0.0, 1e308, float("inf"),
@@ -645,6 +647,38 @@ def function_docs(draw):
                                                 max_size=len(kinks) + 1))})
 
 
+@st.composite
+def circle_docs(draw):
+    """A circle-function file: a valid one from verify.gen_circle, or one
+    built from VALID on the domain [1, p], which mostly fails the closure."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        doc = circle_to_json(gen_circle(random.Random(draw(st.integers(0, 2 ** 32))), p))
+    else:
+        kinks = sorted(draw(st.lists(VALID, max_size=2)), key=parse_frac)
+        doc = {"p": p, "domain": ["1", str(p)], "anchor": draw(VALID), "kinks": kinks,
+               "slopes": draw(st.lists(VALID, min_size=len(kinks) + 1, max_size=len(kinks) + 1))}
+    return spoil(draw, doc)
+
+
+@st.composite
+def divisor_docs(draw):
+    """A divisor file of up to three (point, coeff) entries drawn from VALID."""
+    return spoil(draw, {"p": draw(st.sampled_from([2, 3, 5, 1000000007])),
+                        "support": draw(st.lists(st.fixed_dictionaries({"point": VALID,
+                                                                        "coeff": VALID}),
+                                                 max_size=3))})
+
+
+@st.composite
+def principal_docs(draw):
+    """A principal divisor file from verify.gen_divisor_deg0_chi0, whose
+    witness `jacobian` writes."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    d = gen_divisor_deg0_chi0(rng, draw(st.sampled_from([2, 3, 5])))
+    return spoil(draw, divisor_to_json(d))
+
+
 def run_on_stdin(argv, text):
     """(exit code, stderr) of one in-process call reading its file from stdin."""
     out, err = io.StringIO(), io.StringIO()
@@ -681,3 +715,23 @@ class TestGeneratedInput:
     @given(function_docs())
     def test_plot(self, doc):
         self.assert_total(["plot", "-"], doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(circle_docs(), st.sampled_from(["text", "json"]))
+    def test_divisor(self, doc, fmt):
+        self.assert_total(["divisor", "-", "--format", fmt], doc)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(divisor_docs(), principal_docs()), st.sampled_from(["text", "json"]),
+           st.sampled_from([None, "witness.json", "."]))
+    def test_jacobian(self, tmp_path, doc, fmt, witness):
+        # "." is the directory itself, which cannot be opened for writing
+        extra = [] if witness is None else ["--witness-out", str(tmp_path / witness)]
+        self.assert_total(["jacobian", "-", "--format", fmt, *extra], doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["0", "-1", str(2 ** 70), "x"]),
+           st.sampled_from(["-1", "0", "1", "2", "x"]))
+    def test_verify(self, seed, count):
+        self.assert_total(["verify", "--seed", seed, "--count", count], {})

@@ -4,7 +4,9 @@ Each case runs `cli.main` in process, inside a directory that holds the
 input files below, and compares the exit code and the SHA-256 (first 16
 hex digits) of stdout and of stderr with the digests in GOLDEN.  A change
 that alters output on purpose prints the new table with
-`PYTHONPATH=src python tests/test_cli_golden.py` and says so.
+`PYTHONPATH=src python tests/test_cli_golden.py` and says so.  That command
+also writes to stderr one `name: old -> new` line for each row that
+differs from GOLDEN (old is None for a new row), then the count.
 """
 
 import hashlib
@@ -214,23 +216,23 @@ GOLDEN = {
     'jacobian broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'jacobian div-2 json': (0, '20e0f2fe7b27ea4e', 'e3b0c44298fc1c14'),
     'jacobian div-2 json witness': (0, 'ddedbfccc07e5831', 'e3b0c44298fc1c14'),
-    'jacobian div-2 text': (0, 'da7bf5ec6089db48', 'e3b0c44298fc1c14'),
-    'jacobian div-2 text witness': (0, '0c509d8cae3f1863', 'e3b0c44298fc1c14'),
+    'jacobian div-2 text': (0, '36076e0da90bf1f3', 'e3b0c44298fc1c14'),
+    'jacobian div-2 text witness': (0, '03878dcbab1bab08', 'e3b0c44298fc1c14'),
     'jacobian div-3 json': (0, '8b44598cadaf110e', 'e3b0c44298fc1c14'),
     'jacobian div-3 json witness': (0, '32ec4222226fd326', 'e3b0c44298fc1c14'),
-    'jacobian div-3 text': (0, '40018ce33428544a', 'e3b0c44298fc1c14'),
-    'jacobian div-3 text witness': (0, 'e13cd9ebcf8d4ac1', 'e3b0c44298fc1c14'),
+    'jacobian div-3 text': (0, 'a8de6f2b8214fdc9', 'e3b0c44298fc1c14'),
+    'jacobian div-3 text witness': (0, '4aa00ef5c548930d', 'e3b0c44298fc1c14'),
     'jacobian div-5 json': (0, 'cb986be19466b27a', 'e3b0c44298fc1c14'),
     'jacobian div-5 json witness': (0, '04c1f3629a911ded', 'e3b0c44298fc1c14'),
-    'jacobian div-5 text': (0, '580b5e55563d3ce1', 'e3b0c44298fc1c14'),
-    'jacobian div-5 text witness': (0, 'af730a84b776e925', 'e3b0c44298fc1c14'),
+    'jacobian div-5 text': (0, '82f480f6ee0003eb', 'e3b0c44298fc1c14'),
+    'jacobian div-5 text witness': (0, '78fcd738977188e1', 'e3b0c44298fc1c14'),
     'jacobian div-big json': (0, '1048a74d501d83dd', 'e3b0c44298fc1c14'),
     'jacobian div-big json witness': (0, 'b62f901eb1481795', 'e3b0c44298fc1c14'),
-    'jacobian div-big text': (0, 'b212d1e6f9794067', 'e3b0c44298fc1c14'),
-    'jacobian div-big text witness': (0, '4a5a41b1ea4df789', 'e3b0c44298fc1c14'),
+    'jacobian div-big text': (0, '81b14299dda53a5c', 'e3b0c44298fc1c14'),
+    'jacobian div-big text witness': (0, '5e983b8befa18b96', 'e3b0c44298fc1c14'),
     'jacobian integer literal beyond the digit limit': (2, 'e3b0c44298fc1c14', '3e0cd295e2fc0fb3'),
     'jacobian json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
-    'jacobian matching --p': (0, '40018ce33428544a', 'e3b0c44298fc1c14'),
+    'jacobian matching --p': (0, 'a8de6f2b8214fdc9', 'e3b0c44298fc1c14'),
     'jacobian missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'jacobian obs-2 json': (0, '2f445a8fe9c6679c', 'e3b0c44298fc1c14'),
     'jacobian obs-2 text': (0, 'b5c2ef5d61a560ef', 'e3b0c44298fc1c14'),
@@ -245,24 +247,24 @@ GOLDEN = {
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'legendre json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
     'legendre long value quoted short': (2, 'e3b0c44298fc1c14', '933a18739c956f53'),
-    'legendre matching --p': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
+    'legendre matching --p': (0, '07cc24a450426517', 'e3b0c44298fc1c14'),
     'legendre missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'legendre poly-3 json': (0, '98a6811ef3618c9e', 'e3b0c44298fc1c14'),
     'legendre poly-3 svg': (0, '1fe1bcdfafcc232a', 'e3b0c44298fc1c14'),
-    'legendre poly-3 text': (0, '7f357b532e865241', 'e3b0c44298fc1c14'),
+    'legendre poly-3 text': (0, '07cc24a450426517', 'e3b0c44298fc1c14'),
     'legendre poly-3-scaled json': (0, '3e0d09a59ca70b59', 'e3b0c44298fc1c14'),
     'legendre poly-3-scaled svg': (0, 'f4903e6b02223e28', 'e3b0c44298fc1c14'),
-    'legendre poly-3-scaled text': (0, '8ac657d71861645c', 'e3b0c44298fc1c14'),
+    'legendre poly-3-scaled text': (0, 'c08b14b9700261e7', 'e3b0c44298fc1c14'),
     'legendre poly-5 json': (0, 'c6b3a15dc2e99288', 'e3b0c44298fc1c14'),
     'legendre poly-5 svg': (0, '2b8ff12b32ea227e', 'e3b0c44298fc1c14'),
-    'legendre poly-5 text': (0, 'b57eea25c6625d8c', 'e3b0c44298fc1c14'),
+    'legendre poly-5 text': (0, 'e1713e4b1d13b009', 'e3b0c44298fc1c14'),
     'legendre poly-coprime json': (0, '322a89b3458f1f9c', 'e3b0c44298fc1c14'),
     'legendre poly-z json': (0, 'e2a6c155ff98fd08', 'e3b0c44298fc1c14'),
     'legendre poly-z svg': (0, '83c11a0a7baa23b4', 'e3b0c44298fc1c14'),
-    'legendre poly-z text': (0, 'a73ce48f63284465', 'e3b0c44298fc1c14'),
+    'legendre poly-z text': (0, '6e885e5453163e40', 'e3b0c44298fc1c14'),
     'legendre poly-z-scaled json': (0, 'e4ce44a6ac82805c', 'e3b0c44298fc1c14'),
     'legendre poly-z-scaled svg': (0, 'a5d1a51baaa60119', 'e3b0c44298fc1c14'),
-    'legendre poly-z-scaled text': (0, '77ad2126c55d8753', 'e3b0c44298fc1c14'),
+    'legendre poly-z-scaled text': (0, 'c9811ae107bd81f3', 'e3b0c44298fc1c14'),
     'legendre poly-zero json': (0, '136ae5ae31a0c1d4', 'e3b0c44298fc1c14'),
     'legendre poly-zero svg': (0, '62d4d409ef855926', 'e3b0c44298fc1c14'),
     'legendre poly-zero text': (0, '718163a089551561', 'e3b0c44298fc1c14'),
@@ -344,3 +346,7 @@ if __name__ == "__main__":
     for name, row in rows.items():
         sys.stdout.write(f"    {name!r}: {row!r},\n")
     sys.stdout.write("}\n")
+    changed = [name for name, row in rows.items() if GOLDEN.get(name) != row]
+    for name in changed:
+        sys.stderr.write(f"{name}: {GOLDEN.get(name)!r} -> {rows[name]!r}\n")
+    sys.stderr.write(f"{len(changed)} of {len(rows)} rows differ from GOLDEN\n")

@@ -8,10 +8,10 @@ from tropcircle.piecewise import (
     GroupMismatchError, PiecewiseAffine, SlopeGroup, ZZ, piecewise_affine,
 )
 from tropcircle.polygons import (
-    NewtonPolygon, _in_group, _reduce, _require_group, ell, from_function, legendre, newton_polygon,
+    NewtonPolygon, _reduce, _require_group, ell, from_function, legendre, newton_polygon,
     poly_join, poly_times,
 )
-from tropcircle.scalars import rmax_join, rmax_times
+from tropcircle.scalars import in_zp, rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_polygon
 
 
@@ -242,8 +242,8 @@ class TestIntegerTransform:
 class TestUncheckedConstructors:
     """legendre and from_function build their results without the checks of
     piecewise_affine and newton_polygon, which the reduced vertex list and
-    a convex function on [0, inf) already pass; newton_polygon tests the
-    slope group once per list.  Each is compared with the checked path."""
+    a convex function on [0, inf) already pass; newton_polygon tests each
+    x as its (num, den) pair.  Each is compared with the checked path."""
 
     @settings(max_examples=100, deadline=None)
     @given(grouped_vertex_sets())
@@ -263,12 +263,19 @@ class TestUncheckedConstructors:
     @given(st.sampled_from([None, 2, 3, 5]),
            st.sampled_from([F(1), F(1, 2), F(2, 3), F(5, 7), F(6), F(9, 4)]),
            st.lists(st.tuples(st.integers(-30, 30),
-                              st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 25, 27])), max_size=6))
-    def test_group_test_agrees_with_contains(self, p, scale, pairs):
-        # pairs are (num, den), not necessarily in lowest terms
+                              st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 25, 27])), max_size=6),
+           st.sampled_from([1, 2, 3, 5, 6, 9, 12]))
+    def test_group_test_agrees_with_contains(self, p, scale, pairs, k):
+        # pairs are (num, den), not necessarily in lowest terms; (k*num, k*den)
+        # shares the factor k on top of any the pair already has
         group = SlopeGroup(p, scale)
+        for num, den in pairs:
+            ratio = F(num, den) / scale  # membership by definition
+            member = ratio.denominator == 1 if p is None else in_zp(ratio, p)
+            assert group.contains(F(num, den)) == member
+            assert group._contains_ratio(num, den) == member
+            assert group._contains_ratio(k * num, k * den) == member
         outside = [F(num, den) for num, den in pairs if not group.contains(F(num, den))]
-        assert _in_group(group, pairs) == (not outside)
         if outside:
             with pytest.raises(ValueError) as exc:
                 _require_group(group, pairs)

@@ -1,15 +1,21 @@
+import random
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tropcircle import scalars
-from tropcircle.circle import divisor
-from tropcircle.piecewise import SlopeGroup
+from tropcircle.circle import CircleFunction, divisor
+from tropcircle.piecewise import PiecewiseAffine, SlopeGroup
+from tropcircle.polygons import NewtonPolygon
 from tropcircle.scalars import (
-    BOTTOM, chi, in_zp, is_prime, padic_abs, require_prime, rmax_join, rmax_times,
+    BOTTOM, _fits_digits, chi, frac_to_str, in_zp, is_prime, padic_abs, require_prime, rmax_join,
+    rmax_times,
 )
 from tropcircle.serialize import divisor_to_json
+from tropcircle.verify import gen_circle, gen_divisor, gen_group, gen_pa, gen_polygon
 
 
 def factorization_valuation(n, p):
@@ -184,3 +190,77 @@ class TestRequirePrime:
             with pytest.raises(ValueError, match="must be prime"):
                 require_prime(4)
         assert tested == [2 ** 61 - 1, 4, 4]
+
+
+# a rational as a repr prints it: an integer or a fraction
+NUMBER = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def printed_values(obj):
+    """The numbers of obj in the order its repr prints them."""
+    if isinstance(obj, NewtonPolygon):
+        return [q for vertex in obj.vertices for q in vertex]
+    if isinstance(obj, PiecewiseAffine):
+        domain = [obj.lo] if obj.hi is None else [obj.lo, obj.hi]
+        return domain if obj.is_bottom else [*domain, obj.anchor, *obj.kinks, *obj.slopes]
+    if isinstance(obj, CircleFunction):
+        return [obj.p] if obj.is_bottom else [obj.p, obj.anchor, *obj.kinks, *obj.slopes]
+    return [obj.p, *(q for entry in obj.entries for q in entry)] if obj.entries else [obj.p, 0]
+
+
+@st.composite
+def printable_objects(draw):
+    """A polygon, a function, a circle function or a divisor from the
+    verify generators, seeded by hypothesis."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["polygon", "function", "circle", "divisor"]))
+    if kind == "polygon":
+        return gen_polygon(rng, gen_group(rng))
+    if kind == "function":
+        return gen_pa(rng, gen_group(rng))
+    p = draw(st.sampled_from([2, 3, 5]))
+    return gen_circle(rng, p) if kind == "circle" else gen_divisor(rng, p)
+
+
+class TestPrinter:
+    """frac_to_str is the one printer of rationals: the JSON writers and
+    the reprs that the text formats show."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(printable_objects())
+    def test_reprs_print_rationals_as_frac_to_str(self, obj):
+        text = repr(obj)
+        assert "Fraction(" not in text
+        assert NUMBER.findall(text) == [frac_to_str(q) for q in printed_values(obj)]
+
+    def test_function_lists(self):
+        f = PiecewiseAffine(SlopeGroup(None), F(0), None, F(1, 2), (F(1), F(5, 2)),
+                            (F(-1), F(0), F(2)))
+        assert repr(f) == "PA([0, None], anchor=1/2, kinks=[1, 5/2], slopes=[-1, 0, 2])"
+
+
+@pytest.fixture
+def restore_digit_limit():
+    old = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestFitsDigits:
+    """_fits_digits(n) decides len(str(abs(n))) <= limit from the bit
+    length, at the edges of its bands: 10**L - 1 and 10**L on both sides
+    of the limit, and 2**(3L), 2**(4L) - 1 and 2**(4L) + 1, where the
+    bands meet."""
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    def test_agrees_with_str(self, restore_digit_limit, limit):
+        values = [v for size in (640, 4300)
+                  for v in (10 ** size - 1, 10 ** size, 2 ** (3 * size),
+                            2 ** (4 * size) - 1, 2 ** (4 * size) + 1)]
+        sys.set_int_max_str_digits(0)
+        lengths = [len(str(v)) for v in values]
+        sys.set_int_max_str_digits(limit)
+        for v, length in zip(values, lengths):
+            expected = not limit or length <= limit
+            assert _fits_digits(v) == expected
+            assert _fits_digits(-v) == expected
