@@ -2,10 +2,10 @@
 
 Commands: legendre, divisor, jacobian, rr, verify, plot.  File arguments
 accept "-" for stdin.  Exit codes: 0 success, 1 property failure, 2 input
-error.  Output for a fixed (input, seed, flags) triple is byte-identical
-across runs.  `main` can be called repeatedly in one process: the argument
-parser is built on the first call and reused, since parsing reads it
-without changing it.
+error (a ValueError or OSError, printed as one `error:` line).  Output for
+a fixed (input, seed, flags) triple is byte-identical across runs.  `main`
+can be called repeatedly in one process: the argument parser is built on
+the first call and reused, since parsing reads it without changing it.
 """
 
 import argparse
@@ -252,23 +252,8 @@ def cmd_verify(args) -> tuple[str, int]:
     return format_report(lines), 0 if ok else 1
 
 
-def _is_circle_file(data) -> bool:
-    """A function file holds a circle function when it carries a prime p
-    and its domain is exactly [1, p]; anything else is a plain PA file."""
-    p = data.get("p")
-    if "domain" not in data:
-        return False
-    lo, hi = ser._pair(data["domain"], "domain")
-    return (p is not None and hi is not None
-            and ser.parse_frac(lo) == 1 and ser.parse_frac(hi) == p)
-
-
 def cmd_plot(args) -> tuple[str, int]:
-    data = _read_json(args.function)
-    if _is_circle_file(data):
-        f = ser.circle_from_json(data).pa
-    else:
-        f = ser.pa_from_json(data)
+    f = ser.function_from_json(_read_json(args.function))
     return function_svg(f, "piecewise-affine function"), 0
 
 
@@ -338,7 +323,7 @@ def main(argv=None) -> int:
     try:
         text, code = args.func(args)
         _write_out(text, args.out)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

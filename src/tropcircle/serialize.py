@@ -12,8 +12,9 @@ digits, malformed text) takes the general path: the exponent check, then
 Fraction(str), then the digit-limit test `scalars._fits_digits` on the
 parsed value; on the fast path int() already makes that check.
 `polygon_from_json` keeps the fast path's integers as (num, den) pairs and
-builds Fractions only for the vertices the hull keeps.  A vertex or a
-domain is a JSON list of exactly two items.
+builds Fractions only for the vertices the hull keeps.  `_expect` is the
+one rule for the JSON type of a field (lists and objects), `_pair` for a
+two-item vertex or domain; `function_from_json` is plot's reader.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .circle import CircleFunction, Divisor, circle_bottom, circle_function, divisor
+from .circle import CircleFunction, Divisor, circle_function, divisor
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, _polygon_of_ratios
 from .riemann_roch import FiltrationReport, RiemannRochReport
@@ -44,6 +45,7 @@ __all__ = [
     "polygon_to_json", "polygon_from_json",
     "pa_to_json", "pa_from_json",
     "circle_to_json", "circle_from_json",
+    "function_from_json",
     "divisor_to_json", "divisor_from_json",
     "report_to_json", "report_to_csv",
     "rr_to_json",
@@ -197,10 +199,18 @@ def _emit(obj, newline: str, out) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _expect(d: dict, key: str):
+def _expect(d: dict, key: str, kind=None):
+    """d[key], refused when missing or, given kind list or dict, of another JSON type."""
     if key not in d:
         raise ValueError(f"missing key {key!r}")
-    return d[key]
+    return d[key] if kind is None else _typed(d[key], key, kind)
+
+
+def _typed(value, name: str, kind):
+    """value, refused naming it unless a JSON list (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'a list' if kind is list else 'an object'}")
+    return value
 
 
 def _pair(value, name: str) -> list:
@@ -222,14 +232,9 @@ def polygon_to_json(n: NewtonPolygon) -> dict:
 
 
 def polygon_from_json(d: dict) -> NewtonPolygon:
-    p = _expect(d, "p")
-    scale = parse_frac(d.get("scale", "1"))
-    group = SlopeGroup(p, scale)
-    vertices = _expect(d, "vertices")
-    if not isinstance(vertices, list):
-        raise ValueError("vertices must be a list")
+    group = SlopeGroup(_expect(d, "p"), parse_frac(d.get("scale", "1")))
     xs, ys = [], []
-    for i, vertex in enumerate(vertices):
+    for i, vertex in enumerate(_expect(d, "vertices", list)):
         x, y = _pair(vertex, f"vertices[{i}]")
         xs.append(_ratio(x))
         ys.append(_ratio(y))
@@ -250,19 +255,25 @@ def pa_to_json(f: PiecewiseAffine) -> dict:
     }
 
 
-def pa_from_json(d: dict) -> PiecewiseAffine:
-    p = d.get("p")
-    scale = parse_frac(d.get("scale", "1"))
-    group = SlopeGroup(p, scale)
-    lo_s, hi_s = _pair(_expect(d, "domain"), "domain")
-    lo = parse_frac(lo_s)
-    hi = None if hi_s is None else parse_frac(hi_s)
+def _domain(d: dict) -> tuple[Fraction, Fraction | None]:
+    """The parsed domain (lo, hi) of a function file; hi is None for [lo, inf)."""
+    lo, hi = _pair(_expect(d, "domain"), "domain")
+    return parse_frac(lo), None if hi is None else parse_frac(hi)
+
+
+def _body(d: dict) -> tuple:
+    """(anchor, kinks, slopes) of a function file; "-inf" reads no kinks or slopes."""
     anchor = parse_rmax(_expect(d, "anchor"))
     if anchor is None:
-        return piecewise_affine(group, lo, hi, None)
-    return piecewise_affine(group, lo, hi, anchor,
-                     [parse_frac(k) for k in d.get("kinks", [])],
-                     [parse_frac(s) for s in _expect(d, "slopes")])
+        return None, (), None
+    kinks = [parse_frac(k) for k in _expect(d, "kinks", list)] if "kinks" in d else []
+    return anchor, kinks, [parse_frac(s) for s in _expect(d, "slopes", list)]
+
+
+def pa_from_json(d: dict) -> PiecewiseAffine:
+    group = SlopeGroup(d.get("p"), parse_frac(d.get("scale", "1")))
+    lo, hi = _domain(d)
+    return piecewise_affine(group, lo, hi, *_body(d))
 
 
 def circle_to_json(f: CircleFunction) -> dict:
@@ -277,16 +288,19 @@ def circle_from_json(d: dict) -> CircleFunction:
     if p is None:
         raise ValueError("a circle function needs a prime p")
     require_prime(p)  # before the domain message, which echoes p whole
-    lo_s, hi_s = _pair(_expect(d, "domain"), "domain")
-    if parse_frac(lo_s) != 1 or hi_s is None or parse_frac(hi_s) != p:
+    if _domain(d) != (1, p):
         raise ValueError(f"circle functions live on the domain [1, {p}]")
-    anchor = parse_rmax(_expect(d, "anchor"))
-    if anchor is None:
-        return circle_bottom(p)
-    return circle_function(p,
-                           [parse_frac(k) for k in d.get("kinks", [])],
-                           [parse_frac(s) for s in _expect(d, "slopes")],
-                           anchor)
+    anchor, kinks, slopes = _body(d)
+    return circle_function(p, kinks, slopes, anchor)
+
+
+def function_from_json(d: dict) -> PiecewiseAffine:
+    """The function of a plot file: a circle function, closure checked, when
+    the file carries a p and its domain is [1, p]; else a plain function."""
+    p = d.get("p")
+    if p is not None and "domain" in d and _domain(d) == (1, p):
+        return circle_from_json(d).pa
+    return pa_from_json(d)
 
 
 # ---------------------------------------------------------------- divisors
@@ -302,7 +316,8 @@ def divisor_to_json(d: Divisor) -> dict:
 def divisor_from_json(d: dict) -> Divisor:
     p = _expect(d, "p")
     table = {}
-    for item in _expect(d, "support"):
+    for i, item in enumerate(_expect(d, "support", list)):
+        item = _typed(item, f"support[{i}]", dict)
         rep = parse_frac(_expect(item, "point"))
         coeff = parse_frac(_expect(item, "coeff"))
         table[rep] = table.get(rep, Fraction(0)) + coeff

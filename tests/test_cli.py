@@ -462,22 +462,38 @@ class TestBadInput:
         assert main(["legendre", path]) == 2
         assert_one_line_error(capsys, "False")
 
-    @pytest.mark.parametrize("command, payload, name", [
-        ("legendre", {"p": None, "vertices": ["12", "34"]}, "vertices[0]"),
-        ("legendre", {"p": None, "vertices": [["0", "0"], ["1"]]}, "vertices[1]"),
-        ("legendre", {"p": 2, "vertices": [["0", "0"], ["1", "2", "3"]]}, "vertices[1]"),
-        ("legendre", {"p": None, "vertices": "00"}, "vertices"),
-        ("plot", {"p": None, "domain": "01", "anchor": "0", "slopes": ["0"]}, "domain"),
-        ("plot", {"p": 3, "domain": ["1", "3", "5"], "anchor": "0", "slopes": ["0"]}, "domain"),
-        ("plot", {"p": None, "domain": None, "anchor": "0", "slopes": ["0"]}, "domain"),
-        ("divisor", {"p": 3, "domain": "13", "anchor": "0", "slopes": ["0"]}, "domain"),
-    ])
-    def test_wrong_shape_exits_2_naming_it(self, tmp_path, capsys, command, payload, name):
-        # a two-character string once passed as a pair, and other shapes
-        # ended with Python's unpacking message
+    # a two-character string once passed as a pair, other shapes ended with
+    # Python's unpacking message, and a string or an object given for a list
+    # was read one character or one key at a time
+    SHAPES = [
+        ("legendre", {"p": None, "vertices": ["12", "34"]}, "vertices[0]", "a list"),
+        ("legendre", {"p": None, "vertices": [["0", "0"], ["1"]]}, "vertices[1]", "a list"),
+        ("legendre", {"p": 2, "vertices": [["0", "0"], ["1", "2", "3"]]}, "vertices[1]", "a list"),
+        ("legendre", {"p": None, "vertices": "00"}, "vertices", "a list"),
+        ("plot", {"p": None, "domain": "01", "anchor": "0", "slopes": ["0"]}, "domain", "a list"),
+        ("plot", {"p": 3, "domain": ["1", "3", "5"], "anchor": "0", "slopes": ["0"]}, "domain",
+         "a list"),
+        ("plot", {"p": None, "domain": None, "anchor": "0", "slopes": ["0"]}, "domain", "a list"),
+        ("divisor", {"p": 3, "domain": "13", "anchor": "0", "slopes": ["0"]}, "domain", "a list"),
+        *[(command, {"p": p, "domain": domain, "anchor": "0", "kinks": kinks, "slopes": ["0"]},
+           "kinks", "a list")
+          for command, p, domain in [("divisor", 3, ["1", "3"]), ("plot", None, ["0", "1"])]
+          for kinks in ["", "12", None]],
+        ("plot", {"p": None, "domain": ["0", "1"], "anchor": "0", "kinks": ["1/2"], "slopes": "01"},
+         "slopes", "a list"),
+        *[(command, {"p": 3, "support": support}, "support", "a list")
+          for command in ["rr", "jacobian"] for support in [{}, "", None]],
+        ("jacobian", {"p": 3, "support": [True]}, "support[0]", "an object"),
+        ("jacobian", {"p": 3, "support": [["2", "1"]]}, "support[0]", "an object"),
+    ]
+
+    # the ids leave out the suffix, so the first eight keep their names
+    @pytest.mark.parametrize("command, payload, name, suffix", SHAPES,
+                             ids=[f"{row[0]}-payload{i}-{row[2]}" for i, row in enumerate(SHAPES)])
+    def test_wrong_shape_exits_2_naming_it(self, tmp_path, capsys, command, payload, name, suffix):
         path = write_json(tmp_path, payload)
         assert main([command, path]) == 2
-        assert_one_line_error(capsys, f"error: {name} must be a list")
+        assert_one_line_error(capsys, f"error: {name} must be {suffix}")
 
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -599,11 +615,12 @@ class TestBadInput:
 # Generated input for the CLI: a file of valid rationals, some huge
 # or tiny, in which up to two parts are then spoiled with the values that
 # broke earlier releases ("-inf" where it means nothing, JSON floats,
-# booleans, empty strings and lists) or removed; `verify` gets odd flags.
+# booleans, empty and digit strings, lists and objects) or removed;
+# `verify` gets odd flags.
 VALID = st.sampled_from(["0", "1", "-3", "1/2", "-7/4", "5/9", "3/2", "1.5", "١٢", 7,
                          "1e300", "-1e300", "1e400", "-1e400", "1e-400"])
-ODD = st.sampled_from(["-inf", "", "x", None, True, [], 1.5, 0.0, 1e308, float("inf"),
-                       float("nan")])
+ODD = st.sampled_from(["-inf", "", "x", "12", None, True, [], {}, 1.5, 0.0, 1e308,
+                       float("inf"), float("nan")])
 
 
 def slots(node):

@@ -91,6 +91,13 @@ INPUTS = {
     "pa-string-domain.json": {"p": None, "scale": "1", "domain": "01", "anchor": "0",
                               "kinks": [], "slopes": ["0"]},
     "fn-short-domain.json": {**_circle(3, [], ["0"]), "domain": ["1"]},
+    # a list field must be a JSON list and a support entry an object: the
+    # string "2" is not the kink list ["2"], nor {} an empty support
+    "div-object-support.json": {"p": 3, "support": {}},
+    "fn-string-kinks.json": _circle(3, "2", ["1/3", "-1/3"]),
+    "div-list-entry.json": {"p": 3, "support": [["2", "1"]]},
+    "pa-string-slopes.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "0",
+                              "kinks": ["1/2"], "slopes": "01"},
 }
 RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
               "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
@@ -153,6 +160,10 @@ def _cases():
     cases["legendre vertex of three items"] = ["legendre", "poly-triple-vertex.json"]
     cases["plot domain given as a string"] = ["plot", "pa-string-domain.json"]
     cases["divisor domain of one item"] = ["divisor", "fn-short-domain.json"]
+    cases["rr support given as an object"] = ["rr", "div-object-support.json"]
+    cases["divisor kinks given as a string"] = ["divisor", "fn-string-kinks.json"]
+    cases["jacobian support entry not an object"] = ["jacobian", "div-list-entry.json"]
+    cases["plot slopes given as a string"] = ["plot", "pa-string-slopes.json"]
     return cases
 
 
@@ -207,6 +218,7 @@ GOLDEN = {
     'divisor fn-const text': (0, '78cb7a24f89fa6e3', 'e3b0c44298fc1c14'),
     'divisor json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
     'divisor json beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
+    'divisor kinks given as a string': (2, 'e3b0c44298fc1c14', '170b6bffe15caef6'),
     'divisor long p quoted short': (2, 'e3b0c44298fc1c14', '41444955aa93603d'),
     'divisor matching --p': (0, 'f3e48334ed3ae015', 'e3b0c44298fc1c14'),
     'divisor missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
@@ -243,6 +255,7 @@ GOLDEN = {
     'jacobian obs-big json': (0, '7d36c90dfa6dba0b', 'e3b0c44298fc1c14'),
     'jacobian obs-big text': (0, '2d1789a2dac19f47', 'e3b0c44298fc1c14'),
     'jacobian result beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
+    'jacobian support entry not an object': (2, 'e3b0c44298fc1c14', '51d6539e88000006'),
     'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'legendre json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
@@ -289,6 +302,7 @@ GOLDEN = {
     'plot missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'plot pa-1to5': (0, 'f05d5adacff7751a', 'e3b0c44298fc1c14'),
     'plot pa-z': (0, '8d8b3c2de57e5612', 'e3b0c44298fc1c14'),
+    'plot slopes given as a string': (2, 'e3b0c44298fc1c14', '2faefe3beb2b7c0f'),
     'rr broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'rr div-2 csv': (0, 'a5fa215f17fc1f9b', 'e3b0c44298fc1c14'),
     'rr div-2 json': (0, '1bdd2cada793884b', 'e3b0c44298fc1c14'),
@@ -318,6 +332,7 @@ GOLDEN = {
     'rr obs-big json': (0, '4e785fe2ba2afa6d', 'e3b0c44298fc1c14'),
     'rr obs-big svg': (0, '9eaea9c22dd70976', 'e3b0c44298fc1c14'),
     'rr obs-big text': (0, '8b4650d02fd45698', 'e3b0c44298fc1c14'),
+    'rr support given as an object': (2, 'e3b0c44298fc1c14', 'fb2a362089be3ac6'),
     'rr svg beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'verify negative count': (2, 'e3b0c44298fc1c14', 'd5d62f40ed43b5aa'),

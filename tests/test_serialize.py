@@ -2,7 +2,8 @@
 standard library as the reference: `Fraction(str)` for `parse_frac` and
 `json.dumps` for `dumps`.  The polygon reader, which builds no Fraction
 for the vertices its hull drops, against `parse_frac` and
-`newton_polygon`."""
+`newton_polygon`.  The shape rule of every reader: a field that holds a
+list refuses any other JSON type, naming the field."""
 
 import json
 import sys
@@ -14,7 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from tropcircle.piecewise import SlopeGroup
 from tropcircle.polygons import newton_polygon
 from tropcircle.scalars import _quote
-from tropcircle.serialize import dumps, parse_frac, polygon_from_json
+from tropcircle.serialize import (
+    circle_from_json, divisor_from_json, dumps, function_from_json, pa_from_json, parse_frac,
+    polygon_from_json,
+)
 
 
 class TestReader:
@@ -82,6 +86,39 @@ class TestPolygonReader:
     def test_reads_as_parse_frac_and_newton_polygon(self, doc):
         # the same polygon, or the same refusal
         assert outcome(polygon_from_json, doc) == outcome(checked_polygon, doc)
+
+
+POLYGON = {"p": None, "scale": "1", "vertices": [["0", "0"], ["1", "-1"]]}
+PA = {"p": None, "scale": "1", "domain": ["0", None], "anchor": "0",
+      "kinks": ["1"], "slopes": ["0", "1"]}
+CIRCLE = {"p": 3, "domain": ["1", "3"], "anchor": "0", "kinks": ["2"], "slopes": ["1/3", "-1/3"]}
+DIVISOR = {"p": 3, "support": [{"point": "2", "coeff": "1"}]}
+LIST_FIELDS = [(polygon_from_json, POLYGON, "vertices"), (divisor_from_json, DIVISOR, "support"),
+               *[(reader, doc, field)
+                 for reader, doc in [(pa_from_json, PA), (circle_from_json, CIRCLE),
+                                     (function_from_json, PA), (function_from_json, CIRCLE)]
+                 for field in ["kinks", "slopes"]]]
+# every JSON type but a list: strings (a digit string too), an object,
+# numbers, booleans and null
+NOT_LISTS = ["", "x", "12", {}, {"0": "1"}, 0, 7, 1.5, True, False, None]
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("value", NOT_LISTS, ids=repr)
+    @pytest.mark.parametrize("reader, doc, field", LIST_FIELDS,
+                             ids=[f"{r.__name__}-{d['p']}-{f}" for r, d, f in LIST_FIELDS])
+    def test_list_fields_refuse_every_other_type(self, reader, doc, field, value):
+        reader(doc)  # the document is valid before the field is replaced
+        with pytest.raises(ValueError) as exc:
+            reader({**doc, field: value})
+        assert str(exc.value) == f"{field} must be a list"
+
+    @pytest.mark.parametrize("entry", [["2", "1"], *[v for v in NOT_LISTS if type(v) is not dict]],
+                             ids=repr)
+    def test_support_entries_must_be_objects(self, entry):
+        with pytest.raises(ValueError) as exc:
+            divisor_from_json({"p": 3, "support": [DIVISOR["support"][0], entry]})
+        assert str(exc.value) == "support[1] must be an object"
 
 
 class TestWriter:
