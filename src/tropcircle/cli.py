@@ -2,10 +2,11 @@
 
 Commands: legendre, divisor, jacobian, rr, verify, plot.  File arguments
 accept "-" for stdin.  Exit codes: 0 success, 1 property failure, 2 input
-error (a ValueError or OSError, printed as one `error:` line).  Output for
-a fixed (input, seed, flags) triple is byte-identical across runs.  `main`
-can be called repeatedly in one process: the argument parser is built on
-the first call and reused, since parsing reads it without changing it.
+error (a ValueError or OSError, printed as one `error:` line), the same in
+every format of a command.  Output for a fixed (input, seed, flags) triple
+is byte-identical across runs.  `main` can be called repeatedly in one
+process: the argument parser is built on the first call and reused, since
+parsing reads it without changing it.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .circle import divisor_of, is_principal, jacobian_class
 from .piecewise import PiecewiseAffine
 from .polygons import from_function, legendre
 from .riemann_roch import rr_check
-from .scalars import _fits_digits
+from .scalars import _fits_digits, frac_to_str
 from .verify import format_report, run as run_verify
 
 __all__ = ["main"]
@@ -79,11 +80,6 @@ def _svg(title, *body) -> str:
                     *body, "</svg>\n"))
 
 
-def _svg_polyline(points, color="steelblue"):
-    pts = " ".join(f"{_fmt_float(x)},{_fmt_float(y)}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>\n'
-
-
 _OUT_OF_RANGE = "cannot plot: values beyond the float range or precision"
 
 
@@ -107,8 +103,17 @@ def _scale(size, lo, hi) -> float:
     return scale
 
 
+def _polyline(points, x0, x1, y0, y1, color) -> str:
+    """Float points drawn in the frame [x0, x1] x [y0, y1], for both plots."""
+    sx, sy = _scale(_WIDTH, x0, x1), _scale(_HEIGHT, y0, y1)
+    pts = " ".join(f"{_fmt_float(_MARGIN + (x - x0) * sx)},"
+                   f"{_fmt_float(_HEIGHT - _MARGIN - (y - y0) * sy)}" for x, y in points)
+    return f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>\n'
+
+
 def function_svg(f: PiecewiseAffine, title: str) -> str:
-    """Rational data is mapped to floats only here, at render time."""
+    """Rational data is mapped to floats only here, at render time; a domain
+    whose ends round to one float is refused, like any span `_scale` refuses."""
     if f.is_bottom:
         return _svg(title, f'<text x="{_MARGIN}" y="{_HEIGHT // 2}" font-size="14">'
                            'constant -inf (empty plot)</text>\n')
@@ -122,11 +127,7 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
     y0, y1 = min(ys), max(ys)  # float() keeps order, so these are float(min) and float(max)
     if y0 == y1:
         y0, y1 = y0 - 1, y1 + 1
-    if x0 == x1:
-        x1 = x0 + 1
-    sx, sy = _scale(_WIDTH, x0, x1), _scale(_HEIGHT, y0, y1)
-    pts = [(_MARGIN + (x - x0) * sx, _HEIGHT - _MARGIN - (y - y0) * sy) for x, y in zip(xs, ys)]
-    return _svg(title, _svg_polyline(pts),
+    return _svg(title, _polyline(zip(xs, ys), x0, x1, y0, y1, "steelblue"),
                 f'<text x="{_MARGIN}" y="{_HEIGHT - 10}" font-size="11">'
                 f'x in [{_fmt_float(x0)}, {_fmt_float(x1)}]; '
                 f'y in [{_fmt_float(y0)}, {_fmt_float(y1)}]</text>\n')
@@ -135,13 +136,9 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
 def convergence_svg(report, title: str) -> str:
     levels = report.levels
     norms = _floats(norm for _, _, norm in levels)
-    top = max(norms + [1e-9])
-    n_max = levels[-1][0] if levels else 1
-    sx = (_WIDTH - 2 * _MARGIN) / max(n_max, 1)
-    sy = (_HEIGHT - 2 * _MARGIN) / top  # top >= 1e-9
-    pts = [(_MARGIN + n * sx, _HEIGHT - _MARGIN - norm * sy)
-           for (n, _, _), norm in zip(levels, norms)]
-    return _svg(title, _svg_polyline(pts, "darkorange"))
+    top = max(norms + [1e-9])  # an all-zero report still has a frame
+    return _svg(title, _polyline(zip((n for n, _, _ in levels), norms),
+                                 0, levels[-1][0], 0, top, "darkorange"))
 
 
 # Each cmd_* returns (output text, exit code); main writes the text to --out.
@@ -152,7 +149,7 @@ def cmd_legendre(args) -> tuple[str, int]:
     roundtrip = from_function(f) == poly
     code = 0 if roundtrip else 1
     if args.format == "svg":
-        return function_svg(f, "support function"), 0
+        return function_svg(f, "support function"), code
     if args.format == "json":
         return ser.dumps({
             "function": ser.pa_to_json(f),
@@ -172,12 +169,12 @@ def cmd_divisor(args) -> tuple[str, int]:
     if args.format == "json":
         return ser.dumps({
             "divisor": ser.divisor_to_json(d),
-            "degree": ser.frac_to_str(degree),
+            "degree": frac_to_str(degree),
             "chi": d.chi(),
             "ordersSumZero": degree == 0,
         }), code
     lines = [f"divisor: {d!r}",
-             f"degree: {ser.frac_to_str(degree)}",
+             f"degree: {frac_to_str(degree)}",
              f"chi: {d.chi()}",
              f"orders sum zero: {'ok' if degree == 0 else 'VIOLATED'}"]
     return "\n".join(lines) + "\n", code
@@ -188,7 +185,7 @@ def cmd_jacobian(args) -> tuple[str, int]:
     deg, chi = jacobian_class(d)
     rep = is_principal(d)
     payload = {
-        "degree": ser.frac_to_str(deg),
+        "degree": frac_to_str(deg),
         "chi": chi,
         "principal": rep.principal,
         "obstructions": list(rep.obstructions),
@@ -199,7 +196,7 @@ def cmd_jacobian(args) -> tuple[str, int]:
             _write_out(ser.dumps(payload["witness"]), args.witness_out)
     if args.format == "json":
         return ser.dumps(payload), 0
-    lines = [f"class: (degree={ser.frac_to_str(deg)}, chi={chi})"]
+    lines = [f"class: (degree={frac_to_str(deg)}, chi={chi})"]
     if rep.principal:
         lines.append(f"principal: witness {rep.witness!r}")
     else:
@@ -237,12 +234,12 @@ def cmd_rr(args) -> tuple[str, int]:
                 + f"# verdict,{verdict}\n"), code
     if args.format == "svg":
         return convergence_svg(report.report, f"normalized dimensions ({verdict})"), code
-    lines = [f"divisor: {d!r}", f"degree: {ser.frac_to_str(report.degree)}",
+    lines = [f"divisor: {d!r}", f"degree: {frac_to_str(report.degree)}",
              "n dim(D) dim(-D)"]
     for (n, dim, _), (_, dim_n, _) in zip(report.report.levels, report.report_neg.levels):
         lines.append(f"{n} {dim} {dim_n}")
-    lines.append(f"difference: {ser.frac_to_str(report.difference)}")
-    lines.append(f"tolerance: {ser.frac_to_str(report.tolerance)}")
+    lines.append(f"difference: {frac_to_str(report.difference)}")
+    lines.append(f"tolerance: {frac_to_str(report.tolerance)}")
     lines.append(f"verdict: {verdict}")
     return "\n".join(lines) + "\n", code
 

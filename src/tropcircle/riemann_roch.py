@@ -137,10 +137,10 @@ def dim_filtration(d: Divisor, n: int) -> int:
         if not steps:
             return 0  # the forced jump cannot fit inside the order budget
         total *= steps.stop - steps.start  # len() overflows past sys.maxsize
-        if total > 2_000_000:
-            raise ValueError(f"support enumeration too large: level n={n} has more "
-                             "than 2,000,000 forced-jump assignments")
         ranges.append(steps)
+    if total > 2_000_000:  # only once every range is known to be nonempty
+        raise ValueError(f"support enumeration too large: level n={n} has more "
+                         "than 2,000,000 forced-jump assignments")
 
     w = floor(wrap_d * scale)
     return max((_assignment_best(p, w, sum(ks), sum(rep * k for (rep, _), k in zip(interior, ks)))

@@ -38,7 +38,6 @@ from .scalars import _fits_digits, _quote, frac_to_str, require_prime
 
 __all__ = [
     "dumps",
-    "frac_to_str",
     "parse_frac",
     "parse_rmax",
     "rmax_to_str",

@@ -151,6 +151,11 @@ class TestLegendreCommand:
         assert main(["legendre", polygon_file, "--format", "svg"]) == 0
         assert capsys.readouterr().out.startswith("<svg")
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    def test_roundtrip_mismatch_exits_1_in_every_format(self, polygon_file, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "from_function", lambda f: None)
+        assert main(["legendre", polygon_file, "--format", fmt]) == 1
+
 
 class TestDivisorCommand:
     def test_constant(self, tmp_path, capsys):
@@ -399,7 +404,13 @@ class TestBadInput:
         # a domain too short for a finite scale
         ("plot", {"p": None, "scale": "1", "domain": ["0", "1e-307"], "anchor": "0",
                   "kinks": [], "slopes": ["1"]}),
-    ], ids=["plot 1e400", "plot 1e300", "legendre 1e300", "plot short domain"])
+        # exact ends 1/2 < 1/2 + 1e-33 that round to one float
+        ("plot", {"p": None, "scale": "1",
+                  "domain": ["1/2", "500000000000000000000000000000001/"
+                                    "1000000000000000000000000000000000"],
+                  "anchor": "0", "kinks": [], "slopes": ["1"]}),
+    ], ids=["plot 1e400", "plot 1e300", "legendre 1e300", "plot short domain",
+            "plot domain within one float"])
     def test_svg_beyond_the_float_range_exits_2(self, tmp_path, capsys, command, payload):
         flags = ["--format", "svg"] if command == "legendre" else []
         assert main([command, write_json(tmp_path, payload), *flags]) == 2

@@ -84,6 +84,11 @@ INPUTS = {
     "pa-1e300.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "1e300",
                       "kinks": [], "slopes": ["0"]},
     "poly-1e300.json": {"p": None, "scale": "1", "vertices": [["0", "1e300"], ["1", "0"]]},
+    # exact ends 1/2 < 1/2 + 1e-33 that round to one float
+    "pa-one-float-domain.json": {"p": None, "scale": "1",
+                                 "domain": ["1/2", "500000000000000000000000000000001/"
+                                                   "1000000000000000000000000000000000"],
+                                 "anchor": "0", "kinks": [], "slopes": ["1"]},
     "div-1e400.json": {"p": 2, "support": _support([("1", "1e400")])},
     # a vertex or a domain must be a JSON list of exactly two items
     "poly-string-vertices.json": {"p": None, "scale": "1", "vertices": ["12", "34"]},
@@ -153,6 +158,7 @@ def _cases():
     cases["legendre poly-coprime json"] = ["legendre", "poly-coprime.json", "--format", "json"]
     cases["plot beyond the float range"] = ["plot", "pa-1e400.json"]
     cases["plot beyond float precision"] = ["plot", "pa-1e300.json"]
+    cases["plot domain within one float"] = ["plot", "pa-one-float-domain.json"]
     cases["legendre svg beyond float precision"] = ["legendre", "poly-1e300.json", "--format", "svg"]
     cases["rr svg beyond the float range"] = ["rr", "div-1e400.json", "--n-max", "2",
                                               "--format", "svg"]
@@ -291,6 +297,7 @@ GOLDEN = {
     'plot beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'plot broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'plot domain given as a string': (2, 'e3b0c44298fc1c14', '12765fb8ac170169'),
+    'plot domain within one float': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'plot fn-2': (0, '118bcbb8fc9bb16a', 'e3b0c44298fc1c14'),
     'plot fn-3': (0, 'a3e75d0f336d93e4', 'e3b0c44298fc1c14'),
     'plot fn-4-kinks': (0, 'e125f48799b34259', 'e3b0c44298fc1c14'),

@@ -1,14 +1,16 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import floor, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcircle.circle import circle_bottom, circle_function, circle_times, divisor, divisor_of, is_principal
 from tropcircle.riemann_roch import (
-    dim_filtration, dim_r, member_h0, norm_p, rr_check, rr_tolerance,
+    _assignment_best, dim_filtration, dim_r, member_h0, norm_p, rr_check, rr_tolerance,
 )
-from tropcircle.verify import gen_circle, gen_divisor
+from tropcircle.verify import gen_circle, gen_divisor, gen_divisor_chi_nonzero, gen_divisor_deg0_chi0
 
 from dim_oracle import max_dim_compositions, max_dim_minimal, oracle_budget
 from lp_feasibility import feasible
@@ -151,11 +153,75 @@ class TestDimFiltration:
         with pytest.raises(ValueError, match="too large"):
             dim_filtration(d, 0)
 
+    def test_empty_box_is_dimension_0_before_the_cap(self):
+        # principal, but its witness has norm 625/24 > 5**2: at n = 2 the
+        # first range is huge and a later one empty, so the level is 0; at
+        # n = 3 every range is nonempty and the box is over the cap
+        d = divisor(5, {F(1): F(209), F(79, 25): F(6, 25), F(17, 5): F(29, 5),
+                        F(24, 5): F(-5976, 125)})
+        assert [dim_filtration(d, n) for n in range(3)] == [0, 0, 0]
+        assert dim_r(d, 2).dims == (0, 0, 0)
+        with pytest.raises(ValueError, match="level n=3 "):
+            dim_filtration(d, 3)
+
     def test_box_side_beyond_maxsize_raises_value_error(self):
         # at n=40 the forced jump at 2 ranges over about 3**40 > sys.maxsize
         # steps, too many for len(range)
         with pytest.raises(ValueError, match="level n=40"):
             dim_filtration(divisor(3, {F(2): F(1)}), 40)
+
+
+LAW_GENERATORS = {
+    "gen_divisor": gen_divisor,
+    "gen_divisor_deg0_chi0": gen_divisor_deg0_chi0,
+    "gen_divisor_chi_nonzero": gen_divisor_chi_nonzero,
+}
+
+
+def forced_box(d, n):
+    """(rep, least, greatest) forced jump at each interior support point, in
+    lattice steps p**(-n), bounded by the order-sum budget."""
+    scale = d.p ** n
+    interior = [(rep, c) for rep, c in d.entries if rep != 1]
+    wrap_room = max(d.coeff(1), 0)
+    return [(rep, -floor(c * scale),
+             floor((sum(r * max(v, 0) for r, v in interior if r != rep) + wrap_room)
+                   / rep * scale))
+            for rep, c in interior]
+
+
+class TestLevelLaw:
+    """The evidence for a closed-form search: every level whose forced-jump
+    box is empty or small agrees with the least assignment, and with the
+    exact law of its degree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from(sorted(LAW_GENERATORS)),
+           st.booleans(), st.integers(0, 2 ** 32))
+    def test_levels_follow_the_least_assignment_and_the_degree_law(self, p, gen, negate, seed):
+        if gen == "gen_divisor_chi_nonzero" and p == 2:
+            gen = "gen_divisor_deg0_chi0"  # the residue group at p = 2 is trivial
+        d = LAW_GENERATORS[gen](random.Random(seed), p)
+        if negate:
+            d = -d
+        deg = d.degree()
+        principal = is_principal(d)
+        for n in range(7):
+            box = forced_box(d, n)
+            empty = any(lo > hi for _, lo, hi in box)
+            if not empty and prod(hi - lo + 1 for _, lo, hi in box) > 3000:
+                continue
+            dim = dim_filtration(d, n)
+            # (a) the least assignment attains the maximum; an empty range gives 0
+            w = floor(d.coeff(1) * p ** n)
+            assert dim == (0 if empty else _assignment_best(
+                p, w, sum(lo for _, lo, _ in box), sum(rep * lo for rep, lo, _ in box)))
+            if deg == 0:
+                # (b) one constant family once the witness enters the level
+                assert dim == int(principal.principal and norm_p(principal.witness) <= p ** n)
+            elif deg > 0 and n >= 2:
+                # (c) the gap law; it fails at n = 0 and 1 (ROADMAP)
+                assert 0 <= deg * p ** n - dim <= p - 1
 
 
 class TestDimR:
