@@ -183,10 +183,7 @@ def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
     slopes in Z[1/p], and the closure sum(s_i * arc_i) = 0.  An anchor of
     None gives the bottom function; SlopeGroup rejects a p that is not prime."""
     pa = piecewise_affine(SlopeGroup(p), 1, p, anchor, kinks, slopes)
-    if pa.is_bottom:
-        return CircleFunction(p, pa)
-    closure = pa.eval_at(p) - pa.eval_at(1)
-    if closure != 0:
+    if not pa.is_bottom and (closure := pa.eval_at(p) - pa.anchor) != 0:
         raise ClosureError(f"slopes do not close up: value(p) - value(1) = {_quote(closure)}")
     return CircleFunction(p, pa)
 
@@ -200,9 +197,10 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
     domain [start, p*start] with 1 <= start < p.
 
     Arc positions at or beyond p fold back by one p-power, which multiplies
-    their slopes by p (chain rule for f(t) = g(p t)); the result is always
-    anchored at the class of 1.  Feeding start = 1 reproduces
-    circle_function.
+    their slopes by p (chain rule for f(t) = g(p t)); the result is anchored
+    at the class of 1 with the cut's value at p, and start = 1 reproduces
+    circle_function.  Closure is checked once, on the folded function, which
+    keeps the cut's remainder: f(p) - f(1) = cut(p*start) - cut(start).
     """
     start = Fraction(start)
     if not 1 <= start < p:
@@ -210,25 +208,19 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
     if anchor is None:
         raise ValueError("re-cutting the bottom function is pointless; build it directly")
     cut = piecewise_affine(SlopeGroup(p), start, p * start, anchor, kinks, slopes)
-    closure = cut.eval_at(p * start) - cut.anchor
-    if closure != 0:
-        raise ClosureError(f"slopes do not close up around the cut: {_quote(closure)}")
     # right-slope of the folded function at each of its arc starts in [1, p)
     bounds = [start, *cut.kinks, p * start]
     breaks: dict = {}
-    value_at_p = cut.anchor
     for a, b, t in zip(bounds, bounds[1:], cut.slopes):
         if b <= p:
             breaks[a] = t
-            value_at_p += t * (b - a)
         elif a >= p:
             breaks[a / p] = p * t
         else:
             breaks[a] = t
             breaks[Fraction(1)] = p * t
-            value_at_p += t * (p - a)
     reps = sorted(breaks)
-    return circle_function(p, reps[1:], [breaks[r] for r in reps], value_at_p)
+    return circle_function(p, reps[1:], [breaks[r] for r in reps], cut.eval_at(p))
 
 
 def circle_join(f: CircleFunction, g: CircleFunction) -> CircleFunction:

@@ -119,10 +119,7 @@ def function_svg(f: PiecewiseAffine, title: str) -> str:
                            'constant -inf (empty plot)</text>\n')
     hi = f.hi if f.hi is not None else (f.kinks[-1] + 1 if f.kinks else f.lo + 1)
     xs = [f.lo, *f.kinks, hi]
-    ys = [f.anchor]  # one walk over the pieces: each adds its exact rise
-    for a, b, s in zip(xs, xs[1:], f.slopes):
-        ys.append(ys[-1] + s * (b - a))
-    xs, ys = _floats(xs), _floats(ys)
+    xs, ys = _floats(xs), _floats([f.eval_at(x) for x in xs])
     x0, x1 = xs[0], xs[-1]
     y0, y1 = min(ys), max(ys)  # float() keeps order, so these are float(min) and float(max)
     if y0 == y1:

@@ -3,8 +3,10 @@
 A function is stored as its domain, its anchor value at the left endpoint,
 a sorted tuple of interior kinks, and one slope per piece; the value
 anywhere is recovered by integrating the slopes from the anchor, so
-continuity is structural.  Slopes are constrained to a rank-one group:
-either Z, or a fixed rational multiple of Z[1/p].
+continuity is structural.  The values at lo and at the kinks are summed
+once, on the first evaluation, and kept out of equality, hash and repr.
+Slopes are constrained to a rank-one group: either Z, or a fixed rational
+multiple of Z[1/p].
 
 The bottom function (constant -inf) is encoded with anchor None and no
 pieces.  Degenerate pieces with equal adjacent slopes are merged eagerly,
@@ -14,6 +16,7 @@ so structural equality is semantic equality.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .germs import GERM_BOTTOM, Germ
@@ -103,29 +106,24 @@ class PiecewiseAffine:
         """True when the slopes strictly increase across the kinks."""
         return all(a < b for a, b in zip(self.slopes, self.slopes[1:]))
 
+    @cached_property
+    def _values(self) -> tuple:
+        """Values at lo and at each kink, each the one before plus its piece's exact rise."""
+        values = [self.anchor]
+        for a, b, s in zip((self.lo, *self.kinks), self.kinks, self.slopes):
+            values.append(values[-1] + s * (b - a))
+        return tuple(values)
+
     def eval_at(self, lam) -> Fraction | None:
+        """Value at the start of lam's piece plus its slope times the distance."""
         if type(lam) is not Fraction:
             lam = Fraction(lam)
         if lam < self.lo or (self.hi is not None and lam > self.hi):
             raise ValueError(f"{_quote(lam)} outside domain [{_quote(self.lo)}, {_quote(self.hi)}]")
         if self.is_bottom:
             return None
-        val = self.anchor
-        prev = self.lo
-        for k, s in zip(self.kinks, self.slopes):
-            if lam <= k:
-                return val + s * (lam - prev)
-            val += s * (k - prev)
-            prev = k
-        return val + self.slopes[-1] * (lam - prev)
-
-    def slope_right(self, lam) -> Fraction:
-        """Slope on the piece immediately to the right of lam."""
-        return self.slopes[bisect_right(self.kinks, lam)]
-
-    def slope_left(self, lam) -> Fraction:
-        """Slope on the piece immediately to the left of lam."""
-        return self.slopes[bisect_left(self.kinks, lam)]
+        i = bisect_left(self.kinks, lam)
+        return self._values[i] + self.slopes[i] * (lam - (self.kinks[i - 1] if i else self.lo))
 
     def __repr__(self) -> str:
         hi = "None" if self.hi is None else frac_to_str(self.hi)
@@ -168,6 +166,12 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
     if kinks:
         if kinks[0] <= lo or (hi is not None and kinks[-1] >= hi):
             raise ValueError("kinks must be interior to the domain")
+    return _merged(group, lo, hi, anchor, kinks, slopes)
+
+
+def _merged(group, lo, hi, anchor, kinks, slopes) -> PiecewiseAffine:
+    """These pieces with equal neighbouring slopes merged, checking nothing:
+    the caller's data meets every check of `piecewise_affine` by construction."""
     mk, ms = [], [slopes[0]]
     for k, s in zip(kinks, slopes[1:]):
         if s == ms[-1]:
@@ -239,7 +243,7 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
         if j < ng and gk[j] == b:
             j += 1
         a = b
-    return piecewise_affine(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
+    return _merged(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
 
 
 def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
@@ -248,7 +252,7 @@ def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     slopes there."""
     _require_compatible(f, g)
     if f.is_bottom or g.is_bottom:
-        return piecewise_affine(f.group, f.lo, f.hi, None)
+        return f if f.is_bottom else g
     fk, fsl, gk, gsl = f.kinks, f.slopes, g.kinks, g.slopes
     nf, ng = len(fk), len(gk)
     i = j = 0
@@ -261,25 +265,19 @@ def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
             j += 1
         kinks.append(b)
         slopes.append(fsl[i] + gsl[j])
-    return piecewise_affine(f.group, f.lo, f.hi, f.anchor + g.anchor, kinks, slopes)
+    return _merged(f.group, f.lo, f.hi, f.anchor + g.anchor, kinks, slopes)
 
 
 def gamma(n: int, f: PiecewiseAffine) -> PiecewiseAffine:
     """Precomposition with multiplication by n: (gamma_n f)(t) = f(n t).
 
-    The domain shrinks by 1/n, kinks divide by n and slopes multiply by n,
-    which stays inside the slope group.
+    The domain shrinks by 1/n, kinks divide by n and slopes multiply by n, so
+    nothing needs checking: the slopes stay in the group, the kinks in order.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    return piecewise_affine(
-        f.group,
-        f.lo / n,
-        None if f.hi is None else f.hi / n,
-        f.anchor,
-        tuple(k / n for k in f.kinks),
-        tuple(s * n for s in f.slopes),
-    )
+    return PiecewiseAffine(f.group, f.lo / n, None if f.hi is None else f.hi / n, f.anchor,
+                           tuple(k / n for k in f.kinks), tuple(s * n for s in f.slopes))
 
 
 def germ_at(f: PiecewiseAffine, lam) -> Germ:
@@ -294,7 +292,8 @@ def germ_at(f: PiecewiseAffine, lam) -> Germ:
         raise ValueError(f"{_quote(lam)} is not interior to [{_quote(f.lo)}, {_quote(f.hi)}]")
     if f.is_bottom:
         return GERM_BOTTOM
-    return Germ(f.eval_at(lam), lam * f.slope_right(lam), lam * f.slope_left(lam))
+    return Germ(f.eval_at(lam), lam * f.slopes[bisect_right(f.kinks, lam)],
+                lam * f.slopes[bisect_left(f.kinks, lam)])
 
 
 def order_at(f: PiecewiseAffine, lam) -> Fraction:

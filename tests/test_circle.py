@@ -7,6 +7,7 @@ from tropcircle.circle import (
     ClosureError, circle_bottom, circle_function, circle_join, circle_times,
     divisor, divisor_of, from_cut, is_principal, jacobian_class, normalize_point,
 )
+from tropcircle.piecewise import SlopeGroup, piecewise_affine
 from tropcircle.verify import (
     class_representative, gen_circle, gen_divisor, gen_divisor_chi_nonzero,
     gen_divisor_deg0_chi0,
@@ -226,8 +227,28 @@ class TestRecut:
         assert w.pa == f.pa
 
     def test_bad_cut_closure(self):
-        with pytest.raises(ClosureError):
+        with pytest.raises(ClosureError, match=r"value\(p\) - value\(1\) = 1$"):
             from_cut(3, F(3, 2), [F(2)], [F(1, 3), F(1, 3)], 0)
+
+    def test_open_cut_names_its_own_remainder(self):
+        # the folded function keeps the cut's remainder cut(p*start) - cut(start)
+        rng = random.Random(47)
+        seen = 0
+        for _ in range(300):
+            p = rng.choice((2, 3, 5))
+            start = F(rng.randint(p * p, p ** 3 - 1), p * p)
+            kinks = sorted({start * F(rng.randint(p * p + 1, p ** 3 - 1), p * p)
+                            for _ in range(rng.randint(0, 3))})
+            slopes = [F(rng.randint(-4, 4), p ** rng.randint(0, 2)) for _ in range(len(kinks) + 1)]
+            cut = piecewise_affine(SlopeGroup(p), start, p * start, 0, kinks, slopes)
+            remainder = cut.eval_at(p * start) - cut.anchor
+            if remainder == 0:
+                continue
+            seen += 1
+            with pytest.raises(ClosureError) as err:
+                from_cut(p, start, kinks, slopes, 0)
+            assert str(err.value) == f"slopes do not close up: value(p) - value(1) = {remainder}"
+        assert seen > 200
 
     def test_cut_slope_count_rejected(self):
         with pytest.raises(ValueError, match="one slope per"):

@@ -254,6 +254,26 @@ def _probes(h, f, g):
     return cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
 
 
+def _checked(h):
+    """h rebuilt through the validating constructor, which raises on data
+    that the closed operations must produce valid by construction."""
+    return piecewise_affine(h.group, h.lo, h.hi, h.anchor, h.kinks, h.slopes)
+
+
+def _walk(f, lam):
+    """Value of f at lam by an independent walk: start at the anchor and add
+    the rise of each piece, one piece after another, up to lam."""
+    if f.is_bottom:
+        return None
+    val, prev = f.anchor, f.lo
+    for k, s in zip(f.kinks, f.slopes):
+        if lam <= k:
+            return val + s * (lam - prev)
+        val += s * (k - prev)
+        prev = k
+    return val + f.slopes[-1] * (lam - prev)
+
+
 _V = piecewise_affine(ZZ, 0, 4, 2, [F(2)], [F(-1), F(1)])            # |t - 2|
 _ZERO = piecewise_affine(ZZ, 0, 4, 0)
 _UP = piecewise_affine(ZZ, 0, 4, 0, [], [F(1)])                       # t
@@ -274,5 +294,32 @@ class TestSweepLaw:
                 h = op(f, g)
                 assert all(s != t for s, t in zip(h.slopes, h.slopes[1:]))
                 assert list(h.kinks) == sorted(set(h.kinks))
+                assert h == _checked(h)
                 for lam in _probes(h, f, g):
                     assert h.eval_at(lam) == law(f.eval_at(lam), g.eval_at(lam))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=operand_pairs())
+    def test_gamma_is_valid_by_construction(self, pair):
+        for f in pair:
+            for n in range(1, 5):
+                h = gamma(n, f)
+                assert h == _checked(h)
+
+
+class TestEvalLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=operand_pairs())
+    @example(pair=(_V, _BOTTOM))
+    def test_values_match_a_walk_over_the_pieces(self, pair):
+        f, g = pair
+        h = pointwise_join(f, g)
+        fns = (f, g, h, pointwise_times(f, g))
+        for lam in _probes(h, f, g):
+            for fn in fns:
+                assert fn.eval_at(lam) == _walk(fn, lam)
+        for fn in fns:
+            for i, k in enumerate(fn.kinks):
+                assert germ_at(fn, k) == Germ(_walk(fn, k), k * fn.slopes[i + 1], k * fn.slopes[i])
+            fresh = _checked(fn)  # equal, but never evaluated
+            assert fn == fresh and hash(fn) == hash(fresh) and repr(fn) == repr(fresh)
