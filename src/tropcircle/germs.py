@@ -10,6 +10,8 @@ distinguished bottom element playing -inf.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalars import frac_to_str
+
 __all__ = [
     "GERM_BOTTOM",
     "GERM_ONE",
@@ -42,7 +44,7 @@ class Germ:
     def __repr__(self) -> str:
         if self.is_bottom:
             return "Germ(bottom)"
-        return f"Germ({self.x}, {self.hplus}, {self.hminus})"
+        return f"Germ({frac_to_str(self.x)}, {frac_to_str(self.hplus)}, {frac_to_str(self.hminus)})"
 
 
 GERM_BOTTOM = Germ(None, None, None)
@@ -99,7 +101,7 @@ class LexElement:
     def __repr__(self) -> str:
         if self.is_bottom:
             return "Lex(bottom)"
-        return f"Lex({self.x}, {self.h})"
+        return f"Lex({frac_to_str(self.x)}, {frac_to_str(self.h)})"
 
 
 LEX_BOTTOM = LexElement(None, None)

@@ -82,7 +82,7 @@ class SlopeGroup:
 
     def __str__(self) -> str:
         base = "Z" if self.p is None else f"Z[1/{self.p}]"
-        return base if self.scale == 1 else f"{self.scale}*{base}"
+        return base if self.scale == 1 else f"{frac_to_str(self.scale)}*{base}"
 
 
 ZZ = SlopeGroup(None)
@@ -181,9 +181,14 @@ def _merged(group, lo, hi, anchor, kinks, slopes) -> PiecewiseAffine:
     return PiecewiseAffine(group, lo, hi, anchor, tuple(mk), tuple(ms))
 
 
+def _require_same_group(a, b) -> None:
+    """Refuse two operands, functions or polygons, of different slope groups."""
+    if a.group != b.group:
+        raise GroupMismatchError(f"slope groups differ: {_quote(a.group)} vs {_quote(b.group)}")
+
+
 def _require_compatible(f: PiecewiseAffine, g: PiecewiseAffine) -> None:
-    if f.group != g.group:
-        raise GroupMismatchError(f"slope groups differ: {_quote(f.group)} vs {_quote(g.group)}")
+    _require_same_group(f, g)
     if f.lo != g.lo or f.hi != g.hi:
         raise ValueError(f"domain mismatch: [{_quote(f.lo)}, {_quote(f.hi)}] "
                          f"vs [{_quote(g.lo)}, {_quote(g.hi)}]")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .piecewise import GroupMismatchError, PiecewiseAffine, SlopeGroup
-from .scalars import _quote, frac_to_str
+from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
+from .scalars import frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -146,16 +146,14 @@ def ell(n: NewtonPolygon, lam) -> Fraction | None:
 
 def poly_join(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     """Semiring addition: pointwise max of support functions."""
-    if n.group != m.group:
-        raise GroupMismatchError(f"slope groups differ: {_quote(n.group)} vs {_quote(m.group)}")
+    _require_same_group(n, m)
     return NewtonPolygon(n.group, _reduce([*n.vertices, *m.vertices]))
 
 
 def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     """Semiring multiplication: pointwise sum of support functions, i.e. the
     Minkowski sum of the vertex sets followed by reduction."""
-    if n.group != m.group:
-        raise GroupMismatchError(f"slope groups differ: {_quote(n.group)} vs {_quote(m.group)}")
+    _require_same_group(n, m)
     if n.is_zero or m.is_zero:
         return NewtonPolygon(n.group, ())
     sums = [(x1 + x2, y1 + y2) for x1, y1 in n.vertices for x2, y2 in m.vertices]

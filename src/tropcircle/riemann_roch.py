@@ -41,7 +41,7 @@ of assignments enumerated.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor
+from math import ceil, floor
 
 from .circle import CircleFunction, Divisor, divisor_of
 from .scalars import padic_abs
@@ -81,12 +81,6 @@ def member_h0(f: CircleFunction, d: Divisor) -> bool:
     return all(c > 0 for _, c in total.entries)
 
 
-def _int_below(x: Fraction) -> int:
-    """Largest integer strictly below x."""
-    n = floor(x)
-    return n - 1 if n == x else n
-
-
 def _assignment_best(p, w, k, r):
     """Maximal stratum dimension for one assignment of forced interior jumps.
 
@@ -97,9 +91,9 @@ def _assignment_best(p, w, k, r):
     (wrap), and m < w - r (movable real order).  For m >= 2 the window holds
     an integer and the wrap bound on a, plus m, does not grow with m, so the
     largest feasible m is
-        min(int_below(w - r), w - p k - (p-1) (floor(alpha) + 1)).
+        min(ceil(w - r) - 1, w - p k - (p-1) (floor(alpha) + 1)).
     Otherwise one inequality gives 1 or 0: for non-integer alpha the single
-    kink's base slope int_below(alpha) meets the wrap bound, and for integer
+    kink's base slope ceil(alpha) - 1 meets the wrap bound, and for integer
     alpha, where no single kink fits, the constants need
     (p-1) alpha + p k <= w, the same test with w + 1 on the right.  A single
     kink at a support point rep_j (it sits at p - (p-1) frac(alpha)) is not
@@ -108,10 +102,10 @@ def _assignment_best(p, w, k, r):
     enumerated box, as its bounds are necessary for membership.
     """
     alpha = Fraction(r - p * k, p - 1)
-    best = min(_int_below(w - r), w - p * k - (p - 1) * (floor(alpha) + 1))
+    best = min(ceil(w - r) - 1, w - p * k - (p - 1) * (floor(alpha) + 1))
     if best >= 2:
         return best
-    return int((p - 1) * _int_below(alpha) + p * k + p <= w + (alpha.denominator == 1))
+    return int((p - 1) * (ceil(alpha) - 1) + p * k + p <= w + (alpha.denominator == 1))
 
 
 def dim_filtration(d: Divisor, n: int) -> int:

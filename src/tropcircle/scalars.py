@@ -8,7 +8,8 @@ Fractions: membership, the p-adic absolute value and the residue in
 Z/(p-1)Z all read off the reduced numerator and denominator.
 
 Every rational the package prints goes through `frac_to_str`, as "a" or
-"a/b": the JSON and CSV writers and the reprs that the text formats show.
+"a/b": the JSON and CSV writers, the reprs that the text formats and the
+`verify` report show, and the values error messages quote (`_quote`).
 Python refuses to convert an int of more than sys.get_int_max_str_digits()
 decimal digits to str (0 sets no bound); `frac_to_str` words that refusal
 as one line, and `_fits_digits` is the one test of an int against the
@@ -41,9 +42,14 @@ _QUOTE_LEN = 40
 
 
 def _quote(value) -> str:
-    """value as an error message shows it, cut to at most 40 characters: a
-    string in quotes (its repr), anything else as str() prints it."""
-    text = repr(value) if isinstance(value, str) else str(value)
+    """value as an error message shows it, cut to at most 40 characters:
+    repr of a string, frac_to_str of a rational, str() of anything else,
+    and <more than N digits> for a value past the digit limit."""
+    show = repr if isinstance(value, str) else frac_to_str if isinstance(value, Fraction) else str
+    try:
+        text = show(value)
+    except ValueError:
+        text = f"<more than {sys.get_int_max_str_digits()} digits>"
     return text if len(text) <= _QUOTE_LEN else text[:_QUOTE_LEN - 3] + "..."
 
 
@@ -189,10 +195,8 @@ def chi(q, p: int) -> int:
 
     Because p = 1 mod (p-1), the denominator p**k acts trivially, so the
     reduced numerator alone represents the class.  For p = 2 the group is
-    trivial and the result is 0.
+    trivial: every numerator is 0 mod 1.
     """
-    if p <= 2:
-        return 0
     if type(q) is not Fraction:
         q = Fraction(q)
     return q.numerator % (p - 1)

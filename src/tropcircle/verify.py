@@ -6,21 +6,21 @@ byte for byte.  On a failure the offending case is greedily shrunk before
 being printed, and the runner exits nonzero.
 
 The suites here are also what the acceptance tests call with their own
-counts.  Most checks look their operations up through the module at call
-time (`polygons.poly_times`, `circle.divisor_of`, ...), so monkeypatching
-one of those is caught.  `rmax_join`, `rmax_times`, `padic_abs` and `chi`
-are bound when this module is imported: patching them in `scalars`
-afterwards does not reach the suites.
+counts.  Every check looks its operations up through their module at call
+time (`scalars.rmax_join`, `polygons.poly_times`, `circle.divisor_of`, ...),
+so monkeypatching any one of them is caught; only constants and types are
+imported by value.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from . import circle, germs, piecewise, polygons, riemann_roch
+from . import circle, germs, piecewise, polygons, riemann_roch, scalars
 from .germs import GERM_BOTTOM, GERM_ONE, Germ, LEX_BOTTOM, LEX_ONE, LexElement
 from .piecewise import ZZ, SlopeGroup
-from .scalars import BOTTOM, chi, padic_abs, rmax_join, rmax_times
+from .scalars import BOTTOM
 
 __all__ = ["SUITES", "format_report", "run", "run_suite"]
 
@@ -49,7 +49,7 @@ def gen_group(rng):
 def gen_group_element(rng, group):
     if group.p is None:
         return group.scale * rng.randint(-6, 6)
-    return group.scale * Fraction(rng.randint(-6, 6), group.p ** rng.randint(0, 2))
+    return group.scale * gen_hp(rng, group.p, 6)
 
 def gen_polygon(rng, group):
     pts = [(gen_group_element(rng, group), gen_fraction(rng))
@@ -88,7 +88,7 @@ def gen_circle(rng, p):
     anchor = gen_fraction(rng)
     if m == 0:
         return circle.circle_function(p, [], [0], anchor)
-    a = rng.randint(1 if p == 2 else 0, 2)  # keep p - p**-a strictly above 1
+    a = rng.randint(2 // p, 2)  # the least a with p - p**-a > 1: 1 at p = 2, else 0
     last = p - Fraction(1, p ** a)
     grid = p ** 2
     lo_i, hi_i = grid + 1, int(last * grid) - 1
@@ -112,7 +112,7 @@ def gen_divisor(rng, p, max_pts=3):
 
 def class_representative(p, c):
     """Degree-zero divisor with chi class c: c jumps at 2 balanced at the wrap."""
-    if p == 2 or c % (p - 1) == 0:
+    if c % (p - 1) == 0:
         return circle.divisor(p, {})
     return circle.divisor(p, {Fraction(2): Fraction(-c), Fraction(1): Fraction(2 * c)})
 
@@ -165,11 +165,7 @@ def shrink_case(case, failing):
             for cand in _shrink_value(v):
                 budget -= 1
                 trial = case[:i] + (cand,) + case[i + 1:]
-                try:
-                    bad = failing(trial)
-                except Exception:
-                    bad = False
-                if bad:
+                if failing(trial):
                     case = trial
                     improved = True
                     break
@@ -188,84 +184,74 @@ class Suite:
     scale: Fraction = Fraction(1)   # fraction of the requested count to run
 
 
-def _idempotent_semiring_laws(join, times, one, bottom):
-    def check(case):
-        a, b, c = case
-        return (
-            join(a, a) == a
-            and join(a, b) == join(b, a)
-            and join(join(a, b), c) == join(a, join(b, c))
-            and times(a, b) == times(b, a)
-            and times(times(a, b), c) == times(a, times(b, c))
-            and times(a, join(b, c)) == join(times(a, b), times(a, c))
-            and join(a, bottom) == a
-            and times(a, bottom) == bottom
-            and times(a, one) == a
-        )
-    return check
+def _semiring_laws(join, times, one, bottom, case):
+    a, b, c = case
+    return (
+        join(a, a) == a
+        and join(a, b) == join(b, a)
+        and join(join(a, b), c) == join(a, join(b, c))
+        and times(a, b) == times(b, a)
+        and times(times(a, b), c) == times(a, times(b, c))
+        and times(a, join(b, c)) == join(times(a, b), times(a, c))
+        and join(a, bottom) == a
+        and times(a, bottom) == bottom
+        and times(a, one) == a
+    )
 
+def _carries(ev, a, b, j, t, join, times):
+    """ev carries the join j of a and b to the join of their images, and
+    their times t to the times of the images."""
+    ea, eb = ev(a), ev(b)
+    return ev(j) == join(ea, eb) and ev(t) == times(ea, eb)
 
-def _rmax_case(rng):
-    return (gen_rmax(rng), gen_rmax(rng), gen_rmax(rng))
+def _triple(gen):
+    """Case generator: three independent draws of gen."""
+    return lambda rng: (gen(rng), gen(rng), gen(rng))
+
+def _check_rmax(case):
+    return _semiring_laws(scalars.rmax_join, scalars.rmax_times, Fraction(0), BOTTOM, case)
 
 def _hp_case(rng):
     p = rng.choice(PRIMES + (7,))
     return (p, gen_hp(rng, p), gen_hp(rng, p))
 
 def _check_hp(case):
+    """|.|_p is multiplicative and ultrametric; chi is additive mod p - 1 (x % 1 == 0 at p = 2)."""
     p, a, b = case
-    ok = padic_abs(a * b, p) == padic_abs(a, p) * padic_abs(b, p)
-    ok = ok and padic_abs(a + b, p) <= max(padic_abs(a, p), padic_abs(b, p))
-    ok = ok and chi(a + b, p) == (chi(a, p) + chi(b, p)) % (p - 1 if p > 2 else 1)
-    ok = ok and chi(a * p, p) == chi(a, p)
-    return ok
-
-def _germ_case(rng):
-    return (gen_germ(rng), gen_germ(rng), gen_germ(rng))
+    v, chi = (lambda q: scalars.padic_abs(q, p)), (lambda q: scalars.chi(q, p))
+    return (v(a * b) == v(a) * v(b)
+            and v(a + b) <= max(v(a), v(b))
+            and chi(a + b) == (chi(a) + chi(b)) % (p - 1)
+            and chi(a * p) == chi(a))
 
 def _check_germ(case):
-    laws = _idempotent_semiring_laws(germs.germ_join, germs.germ_mul, GERM_ONE, GERM_BOTTOM)
-    if not laws(case):
-        return False
     a, b, _ = case
     j, m = germs.germ_join(a, b), germs.germ_mul(a, b)
-    if germs.germ_is_convex(a) and germs.germ_is_convex(b):
-        if not (germs.germ_is_convex(j) and germs.germ_is_convex(m)):
-            return False
-    ev = germs.eval_char
-    return (ev(j) == rmax_join(ev(a), ev(b))
-            and ev(m) == rmax_times(ev(a), ev(b)))
-
-def _lex_case(rng):
-    return (gen_lex(rng), gen_lex(rng), gen_lex(rng))
+    convex = germs.germ_is_convex
+    return (_semiring_laws(germs.germ_join, germs.germ_mul, GERM_ONE, GERM_BOTTOM, case)
+            and (not (convex(a) and convex(b)) or (convex(j) and convex(m)))
+            and _carries(germs.eval_char, a, b, j, m, scalars.rmax_join, scalars.rmax_times))
 
 def _check_lex(case):
-    laws = _idempotent_semiring_laws(germs.lex_join, germs.lex_mul, LEX_ONE, LEX_BOTTOM)
-    if not laws(case):
-        return False
     a, b, _ = case
-    ev = germs.eval_char_lex
-    return (ev(germs.lex_join(a, b)) == rmax_join(ev(a), ev(b))
-            and ev(germs.lex_mul(a, b)) == rmax_times(ev(a), ev(b)))
+    return (_semiring_laws(germs.lex_join, germs.lex_mul, LEX_ONE, LEX_BOTTOM, case)
+            and _carries(germs.eval_char_lex, a, b, germs.lex_join(a, b), germs.lex_mul(a, b),
+                         scalars.rmax_join, scalars.rmax_times))
 
 def _polygon_case(rng):
     group = gen_group(rng)
     return (gen_polygon(rng, group), gen_polygon(rng, group), gen_polygon(rng, group))
 
 def _check_polygon_semiring(case):
-    a, b, c = case
-    one = polygons.newton_polygon(a.group, [(0, 0)])
-    laws = _idempotent_semiring_laws(polygons.poly_join, polygons.poly_times,
-                                     one, polygons.NewtonPolygon(a.group, ()))
-    return laws(case)
+    group = case[0].group
+    return _semiring_laws(polygons.poly_join, polygons.poly_times,
+                          polygons.newton_polygon(group, [(0, 0)]),
+                          polygons.NewtonPolygon(group, ()), case)
 
 def _check_polygon_cancel(case):
+    """A nonzero n cancels: n m = n m2 exactly when m = m2."""
     n, m, m2 = case
-    if n.is_zero:
-        return True
-    if polygons.poly_times(n, m) == polygons.poly_times(n, m2):
-        return m == m2
-    return m != m2
+    return n.is_zero or (polygons.poly_times(n, m) == polygons.poly_times(n, m2)) == (m == m2)
 
 def _check_legendre_roundtrip(case):
     n, _, _ = case
@@ -282,11 +268,9 @@ def _check_legendre_duality(case):
     j, t = polygons.poly_join(n, m), polygons.poly_times(n, m)
     fj, ft = polygons.legendre(j), polygons.legendre(t)
     for lam in lams:
-        if polygons.ell(j, lam) != rmax_join(polygons.ell(n, lam), polygons.ell(m, lam)):
-            return False
-        if polygons.ell(t, lam) != rmax_times(polygons.ell(n, lam), polygons.ell(m, lam)):
-            return False
-        if fj.eval_at(lam) != polygons.ell(j, lam) or ft.eval_at(lam) != polygons.ell(t, lam):
+        ev = lambda x: polygons.ell(x, lam)
+        if not (_carries(ev, n, m, j, t, scalars.rmax_join, scalars.rmax_times)
+                and fj.eval_at(lam) == ev(j) and ft.eval_at(lam) == ev(t)):
             return False
     return True
 
@@ -299,25 +283,18 @@ def _pa_case(rng):
 
 def _check_pa_pointwise(case):
     f, g, lam = case
-    j = piecewise.pointwise_join(f, g)
     t = piecewise.pointwise_times(f, g)
-    if j.eval_at(lam) != rmax_join(f.eval_at(lam), g.eval_at(lam)):
-        return False
-    if t.eval_at(lam) != rmax_times(f.eval_at(lam), g.eval_at(lam)):
-        return False
-    if not f.is_bottom and not g.is_bottom and Fraction(0) < lam < Fraction(4):
-        if piecewise.order_at(t, lam) != piecewise.order_at(f, lam) + piecewise.order_at(g, lam):
-            return False
-    return True
+    order = piecewise.order_at
+    return (_carries(lambda h: h.eval_at(lam), f, g, piecewise.pointwise_join(f, g), t,
+                     scalars.rmax_join, scalars.rmax_times)
+            and (f.is_bottom or g.is_bottom or not 0 < lam < 4
+                 or order(t, lam) == order(f, lam) + order(g, lam)))
 
 def _check_germ_compat(case):
     f, g, lam = case
-    if not Fraction(0) < lam < Fraction(4):
-        return True
-    gj = piecewise.germ_at(piecewise.pointwise_join(f, g), lam)
-    gt = piecewise.germ_at(piecewise.pointwise_times(f, g), lam)
-    a, b = piecewise.germ_at(f, lam), piecewise.germ_at(g, lam)
-    return gj == germs.germ_join(a, b) and gt == germs.germ_mul(a, b)
+    return not 0 < lam < 4 or _carries(
+        lambda h: piecewise.germ_at(h, lam), f, g, piecewise.pointwise_join(f, g),
+        piecewise.pointwise_times(f, g), germs.germ_join, germs.germ_mul)
 
 def _gamma_case(rng):
     group = gen_group(rng)
@@ -402,9 +379,7 @@ def _check_jacobian(case):
         return False
     cls_sum = circle.jacobian_class(d + e)
     cd, ce = circle.jacobian_class(d), circle.jacobian_class(e)
-    p = d.p
-    mod = p - 1 if p > 2 else 1
-    if cls_sum != (cd[0] + ce[0], (cd[1] + ce[1]) % mod):
+    if cls_sum != (cd[0] + ce[0], (cd[1] + ce[1]) % (d.p - 1)):
         return False
     rep_e = circle.is_principal(e)
     want_obstructions = (("degree",) if e.degree() != 0 else ()) + (("chi",) if e.chi() != 0 else ())
@@ -431,11 +406,10 @@ def _check_h0(case):
     return lhs == rhs
 
 SUITES = (
-    Suite("rmax-axioms", _rmax_case,
-          _idempotent_semiring_laws(rmax_join, rmax_times, Fraction(0), BOTTOM)),
+    Suite("rmax-axioms", _triple(gen_rmax), _check_rmax),
     Suite("hp-scalars", _hp_case, _check_hp),
-    Suite("germ-axioms", _germ_case, _check_germ),
-    Suite("lex-axioms", _lex_case, _check_lex),
+    Suite("germ-axioms", _triple(gen_germ), _check_germ),
+    Suite("lex-axioms", _triple(gen_lex), _check_lex),
     Suite("polygon-axioms", _polygon_case, _check_polygon_semiring),
     Suite("polygon-cancellation", _polygon_case, _check_polygon_cancel),
     Suite("legendre-roundtrip", _polygon_case, _check_legendre_roundtrip),
@@ -453,25 +427,24 @@ SUITES = (
 
 # ------------------------------------------------------------------ runner
 
+def _fails(check, case) -> bool:
+    """True when the law is false on case, or raises."""
+    try:
+        return not check(case)
+    except Exception:
+        return True
+
+
 def run_suite(suite: Suite, seed: int, count: int):
     """Run one suite; returns (cases_run, failure) with failure None or a
     (case_index, shrunk_case) pair."""
     rng = random.Random(f"{suite.name}:{seed}")
     n = max(0, int(count * suite.scale))
+    fails = partial(_fails, suite.check)
     for i in range(n):
         case = suite.gen(rng)
-        ok = True
-        try:
-            ok = suite.check(case)
-        except Exception:
-            ok = False
-        if not ok:
-            def failing(c):
-                try:
-                    return not suite.check(c)
-                except Exception:
-                    return True
-            return n, (i, shrink_case(case, failing))
+        if fails(case):
+            return n, (i, shrink_case(case, fails))
     return n, None
 
 
@@ -494,10 +467,20 @@ def run(seed: int, count: int):
             idx, case = failure
             lines.append(f"FAIL {suite.name} case={idx}")
             lines.append(f"  reproduce: seed={seed} suite={suite.name} case-index={idx}")
-            lines.append(f"  shrunk: {case!r}")
+            lines.append(f"  shrunk: {_show(case)}")
     verdict = "PASS" if failures == 0 else "FAIL"
     lines.append(f"{verdict} suites={len(SUITES) - failures}/{len(SUITES)}")
     return lines, failures == 0
+
+
+def _show(value) -> str:
+    """A case as the report prints it: rationals through frac_to_str,
+    tuples item by item, anything else by its repr."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_show, value))})"
+    if isinstance(value, Fraction):
+        return scalars.frac_to_str(value)
+    return repr(value)
 
 
 def format_report(lines) -> str:

@@ -10,8 +10,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from test_cli_golden import GOLDEN, run_case, write_inputs
-from tropcircle import cli
+from test_cli_golden import GOLDEN, INPUTS, run_case, write_inputs
+from tropcircle import cli, scalars
 from tropcircle.circle import circle_function, divisor, divisor_of
 from tropcircle.cli import main
 from tropcircle.serialize import (
@@ -361,6 +361,22 @@ class TestVerifyCommand:
         assert "FAIL germ-axioms" in out
         assert "reproduce:" in out and "shrunk:" in out
 
+    # each breaks a law that a suite checks: commutativity, the unit 0,
+    # the ultrametric inequality and additivity mod p - 1
+    BROKEN_SCALARS = {
+        "rmax_join": lambda a, b: b if a is None else a,
+        "rmax_times": lambda a, b: None if a is None or b is None else a + b + 1,
+        "padic_abs": lambda q, p: abs(F(q)),
+        "chi": lambda q, p: 1,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_SCALARS))
+    def test_patched_scalar_operation_is_caught(self, capsys, monkeypatch, name):
+        monkeypatch.setattr(scalars, name, self.BROKEN_SCALARS[name])
+        assert main(["verify", "--seed", "0", "--count", "300"]) == 1
+        out = capsys.readouterr().out
+        assert "\nFAIL " in out and "Fraction(" not in out
+
 
 class TestPlotCommand:
     def test_circle_function_plot(self, function_file, capsys):
@@ -592,11 +608,22 @@ class TestBadInput:
         assert main(["jacobian", path, "--format", fmt]) == 2
         assert capsys.readouterr() == ("", "error: result has more than 4300 digits\n")
 
-    def test_long_value_in_a_message_is_quoted_short(self, tmp_path, capsys):
-        path = write_json(tmp_path, {"p": None, "scale": "1",
-                                     "vertices": [["1" * 4000 + "/7", "0"], ["0", "0"]]})
-        assert main(["legendre", path]) == 2
-        assert capsys.readouterr() == ("", "error: slope " + "1" * 37 + "... is not in Z\n")
+    # a value past the digit limit is named by the limit, not printed
+    NOT_IN_Z3 = "coefficient <more than 4300 digits> is not in Z[1/3]"
+    OPEN = "slopes do not close up: value(p) - value(1) = <more than 4300 digits>"
+
+    @pytest.mark.parametrize("command, name, message", [
+        ("legendre", "poly-long-x", "slope " + "1" * 37 + "... is not in Z"),
+        ("jacobian", "div-sum-past-the-limit", NOT_IN_Z3),
+        ("rr", "div-sum-past-the-limit", NOT_IN_Z3),
+        ("divisor", "fn-remainder-past-the-limit", OPEN),
+        ("plot", "fn-remainder-past-the-limit", OPEN),
+    ], ids=["legendre", "jacobian", "rr", "divisor", "plot"])
+    def test_long_value_in_a_message_is_quoted_short(self, tmp_path, capsys, digit_limit_4300,
+                                                     command, name, message):
+        path = write_json(tmp_path, INPUTS[f"{name}.json"])
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_json_integer_literal_beyond_the_digit_limit_exits_2(self, tmp_path, capsys,
                                                                  digit_limit_4300):

@@ -22,6 +22,8 @@ import pytest
 from tropcircle import cli
 
 BIG = 1000000007
+# 4,300 digits each: they print, but 1/Q1 + 1/Q2 has about 8,600
+Q1, Q2 = 10 ** 4299 + 1, 10 ** 4299 + 3
 
 
 def _support(table):
@@ -103,6 +105,12 @@ INPUTS = {
     "div-list-entry.json": {"p": 3, "support": [["2", "1"]]},
     "pa-string-slopes.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "0",
                               "kinks": ["1/2"], "slopes": "01"},
+    # the summed coefficient 1/Q1 + 1/Q2 at point 2 is not in Z[1/3]
+    "div-sum-past-the-limit.json": {"p": 3, "support": _support([("2", f"1/{Q1}"),
+                                                                 ("2", f"1/{Q2}")])},
+    # kinks 1 + 1/Q1 and 2 + 1/Q2: value(3) - value(1) = 1 + 1/Q1 - 1/Q2
+    "fn-remainder-past-the-limit.json": _circle(3, [f"{Q1 + 1}/{Q1}", f"{2 * Q2 + 1}/{Q2}"],
+                                                ["1", "0", "1"]),
 }
 RAW_INPUTS = {"broken.json": '{"p": 3,\n "support": [\n',
               "div-long-literal.json": '{"p": 3, "support": [{"point": "2", "coeff": '
@@ -170,6 +178,11 @@ def _cases():
     cases["divisor kinks given as a string"] = ["divisor", "fn-string-kinks.json"]
     cases["jacobian support entry not an object"] = ["jacobian", "div-list-entry.json"]
     cases["plot slopes given as a string"] = ["plot", "pa-string-slopes.json"]
+    for command in ("jacobian", "rr"):
+        cases[f"{command} sum past the digit limit"] = [command, "div-sum-past-the-limit.json"]
+    for command in ("divisor", "plot"):
+        cases[f"{command} remainder past the digit limit"] = [command,
+                                                              "fn-remainder-past-the-limit.json"]
     return cases
 
 
@@ -229,6 +242,7 @@ GOLDEN = {
     'divisor matching --p': (0, 'f3e48334ed3ae015', 'e3b0c44298fc1c14'),
     'divisor missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'divisor polygon file': (2, 'e3b0c44298fc1c14', '7b314ade2640655c'),
+    'divisor remainder past the digit limit': (2, 'e3b0c44298fc1c14', '9966fc42c5484059'),
     'divisor text beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
     'divisor wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'jacobian broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
@@ -261,6 +275,7 @@ GOLDEN = {
     'jacobian obs-big json': (0, '7d36c90dfa6dba0b', 'e3b0c44298fc1c14'),
     'jacobian obs-big text': (0, '2d1789a2dac19f47', 'e3b0c44298fc1c14'),
     'jacobian result beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
+    'jacobian sum past the digit limit': (2, 'e3b0c44298fc1c14', '2ea53e4395fc657a'),
     'jacobian support entry not an object': (2, 'e3b0c44298fc1c14', '51d6539e88000006'),
     'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
@@ -309,6 +324,7 @@ GOLDEN = {
     'plot missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
     'plot pa-1to5': (0, 'f05d5adacff7751a', 'e3b0c44298fc1c14'),
     'plot pa-z': (0, '8d8b3c2de57e5612', 'e3b0c44298fc1c14'),
+    'plot remainder past the digit limit': (2, 'e3b0c44298fc1c14', '9966fc42c5484059'),
     'plot slopes given as a string': (2, 'e3b0c44298fc1c14', '2faefe3beb2b7c0f'),
     'rr broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
     'rr div-2 csv': (0, 'a5fa215f17fc1f9b', 'e3b0c44298fc1c14'),
@@ -339,6 +355,7 @@ GOLDEN = {
     'rr obs-big json': (0, '4e785fe2ba2afa6d', 'e3b0c44298fc1c14'),
     'rr obs-big svg': (0, '9eaea9c22dd70976', 'e3b0c44298fc1c14'),
     'rr obs-big text': (0, '8b4650d02fd45698', 'e3b0c44298fc1c14'),
+    'rr sum past the digit limit': (2, 'e3b0c44298fc1c14', '2ea53e4395fc657a'),
     'rr support given as an object': (2, 'e3b0c44298fc1c14', 'fb2a362089be3ac6'),
     'rr svg beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tropcircle.circle import circle_function, circle_join
 from tropcircle.germs import GERM_BOTTOM, Germ
 from tropcircle.piecewise import (
     GroupMismatchError, SlopeGroup, ZZ, gamma, germ_at, order_at,
     piecewise_affine, pointwise_join, pointwise_times,
 )
-from tropcircle.polygons import legendre, newton_polygon
+from tropcircle.polygons import legendre, newton_polygon, poly_join, poly_times
 from tropcircle.scalars import in_zp, rmax_join, rmax_times
 from tropcircle.verify import gen_group, gen_pa
 
@@ -64,6 +65,22 @@ class TestPointwise:
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             pointwise_join(hinge(), hinge(group=SlopeGroup(2)))
+
+    # each operation on operands at p = 2 and p = 3, built by make(p)
+    OPERANDS = {
+        pointwise_join: lambda p: hinge(group=SlopeGroup(p)),
+        pointwise_times: lambda p: hinge(group=SlopeGroup(p)),
+        poly_join: lambda p: newton_polygon(SlopeGroup(p), [(0, 0)]),
+        poly_times: lambda p: newton_polygon(SlopeGroup(p), [(0, 0)]),
+        circle_join: lambda p: circle_function(p, [], [0], 0),
+    }
+
+    @pytest.mark.parametrize("op", list(OPERANDS), ids=lambda op: op.__name__)
+    def test_group_mismatch_names_both_groups(self, op):
+        make = self.OPERANDS[op]
+        with pytest.raises(GroupMismatchError) as exc:
+            op(make(2), make(3))
+        assert str(exc.value) == "slope groups differ: Z[1/2] vs Z[1/3]"
 
     def test_random_pointwise_agreement(self):
         rng = random.Random(3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropcircle import scalars
 from tropcircle.circle import CircleFunction, divisor
+from tropcircle.germs import Germ, LexElement
 from tropcircle.piecewise import PiecewiseAffine, SlopeGroup
 from tropcircle.polygons import NewtonPolygon
 from tropcircle.scalars import (
@@ -15,7 +16,9 @@ from tropcircle.scalars import (
     rmax_times,
 )
 from tropcircle.serialize import divisor_to_json
-from tropcircle.verify import gen_circle, gen_divisor, gen_group, gen_pa, gen_polygon
+from tropcircle.verify import (
+    gen_circle, gen_divisor, gen_germ, gen_group, gen_lex, gen_pa, gen_polygon,
+)
 
 
 def factorization_valuation(n, p):
@@ -205,19 +208,27 @@ def printed_values(obj):
         return domain if obj.is_bottom else [*domain, obj.anchor, *obj.kinks, *obj.slopes]
     if isinstance(obj, CircleFunction):
         return [obj.p] if obj.is_bottom else [obj.p, obj.anchor, *obj.kinks, *obj.slopes]
+    if isinstance(obj, Germ):
+        return [] if obj.is_bottom else [obj.x, obj.hplus, obj.hminus]
+    if isinstance(obj, LexElement):
+        return [] if obj.is_bottom else [obj.x, obj.h]
     return [obj.p, *(q for entry in obj.entries for q in entry)] if obj.entries else [obj.p, 0]
 
 
 @st.composite
 def printable_objects(draw):
-    """A polygon, a function, a circle function or a divisor from the
-    verify generators, seeded by hypothesis."""
+    """A polygon, a function, a germ, a lex element, a circle function or a
+    divisor from the verify generators, seeded by hypothesis."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    kind = draw(st.sampled_from(["polygon", "function", "circle", "divisor"]))
+    kind = draw(st.sampled_from(["polygon", "function", "germ", "lex", "circle", "divisor"]))
     if kind == "polygon":
         return gen_polygon(rng, gen_group(rng))
     if kind == "function":
         return gen_pa(rng, gen_group(rng))
+    if kind == "germ":
+        return gen_germ(rng)
+    if kind == "lex":
+        return gen_lex(rng)
     p = draw(st.sampled_from([2, 3, 5]))
     return gen_circle(rng, p) if kind == "circle" else gen_divisor(rng, p)
 

@@ -156,3 +156,14 @@ class TestQuote:
     def test_long_values_cut_to_40_characters(self):
         text = _quote(F(int("1" * 4000), 7))
         assert len(text) == 40 and text.endswith("...")
+
+    def test_values_past_the_digit_limit_name_the_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            # 1/q1 + 1/q2 has a denominator of about 8,600 digits
+            q1, q2 = 10 ** 4299 + 1, 10 ** 4299 + 3
+            assert _quote(F(1, q1) + F(1, q2)) == "<more than 4300 digits>"
+            assert _quote(SlopeGroup(3, F(10 ** 4300))) == "<more than 4300 digits>"
+        finally:
+            sys.set_int_max_str_digits(old)
