@@ -15,8 +15,10 @@ classify divisors up to divisors of functions: the degree-zero classes form
 a cyclic group of order p - 1.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
 from .scalars import _fracs, _quote, chi, frac_to_str, in_zp, require_prime
@@ -77,13 +79,22 @@ class Divisor:
                 return c
         return Fraction(0)
 
-    def degree(self) -> Fraction:
-        """Sum over the support of rep * coefficient (the real value)."""
+    @cached_property
+    def _degree(self) -> Fraction:
         return sum((rep * c for rep, c in self.entries), Fraction(0))
 
-    def chi(self) -> int:
-        """Sum of the coefficient residues in Z/(p-1)Z."""
+    @cached_property
+    def _chi(self) -> int:
         return sum(chi(c, self.p) for _, c in self.entries) % (self.p - 1)
+
+    def degree(self) -> Fraction:
+        """Sum over the support of rep * coefficient (the real value),
+        computed once per divisor."""
+        return self._degree
+
+    def chi(self) -> int:
+        """Sum of the coefficient residues in Z/(p-1)Z, computed once per divisor."""
+        return self._chi
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if self.p != other.p:
@@ -107,11 +118,13 @@ class Divisor:
 
 
 def divisor(p: int, table) -> Divisor:
-    """Build a divisor from a mapping {representative: coefficient}; points
-    are normalized, coefficients coerced into Z[1/p], zeros dropped."""
+    """Build a divisor from a mapping {representative: coefficient} or from
+    (point, coefficient) pairs, where a point may repeat; points are
+    normalized, each coefficient is checked to lie in Z[1/p] as given, then
+    the coefficients at one point are summed and zeros dropped."""
     require_prime(p)
     merged: dict = {}
-    for lam, c in dict(table).items():
+    for lam, c in table.items() if isinstance(table, Mapping) else table:
         rep = normalize_point(p, lam)
         c = Fraction(c)
         if not in_zp(c, p):

@@ -6,7 +6,10 @@ error (a ValueError or OSError, printed as one `error:` line), the same in
 every format of a command.  Output for a fixed (input, seed, flags) triple
 is byte-identical across runs.  `main` can be called repeatedly in one
 process: the argument parser is built on the first call and reused, since
-parsing reads it without changing it.
+parsing reads it without changing it.  Each call parses its arguments once,
+with the parser of the command its first argument names; the top-level
+parser runs only when that argument is not a command (no arguments, `-h`,
+an unknown command), to print the top-level help or usage error.
 """
 
 import argparse
@@ -260,8 +263,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The one parser of the process and its {command name: command parser}
+    map, built on the first call."""
     top = _Parser(prog="tropcircle",
                   description="Exact tropical algebra on Newton polygons "
                               "and the circle R*+/p^Z")
@@ -309,11 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, prime_flag=False)
     p.set_defaults(func=cmd_plot)
 
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = build_parser()
+    if argv and argv[0] in commands:
+        # the namespace the top-level parser would pass down: command set first
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = top.parse_args(argv)
     try:
         text, code = args.func(args)
         _write_out(text, args.out)

@@ -314,13 +314,11 @@ def divisor_to_json(d: Divisor) -> dict:
 
 def divisor_from_json(d: dict) -> Divisor:
     p = _expect(d, "p")
-    table = {}
+    pairs = []
     for i, item in enumerate(_expect(d, "support", list)):
         item = _typed(item, f"support[{i}]", dict)
-        rep = parse_frac(_expect(item, "point"))
-        coeff = parse_frac(_expect(item, "coeff"))
-        table[rep] = table.get(rep, Fraction(0)) + coeff
-    return divisor(p, table)
+        pairs.append((parse_frac(_expect(item, "point")), parse_frac(_expect(item, "coeff"))))
+    return divisor(p, pairs)
 
 
 # ----------------------------------------------------------------- reports

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropcircle import circle
 from tropcircle.circle import (
     ClosureError, circle_bottom, circle_function, circle_join, circle_times,
     divisor, divisor_of, from_cut, is_principal, jacobian_class, normalize_point,
@@ -114,6 +115,20 @@ class TestDivisorBasics:
         d = divisor(3, {F(6): F(1), F(2): F(1, 3)})  # 6 -> 6/3 = 2
         assert d.support == (F(2),)
         assert d.coeff(2) == F(4, 3)
+
+    def test_pairs_checked_one_by_one(self):
+        with pytest.raises(ValueError, match=r"^coefficient 1/2 is not in Z\[1/3\]$"):
+            divisor(3, [(F(2), F(1, 2)), (F(2), F(1, 2))])
+        assert divisor(3, [(F(2), F(1, 3)), (F(6), F(2, 3))]) == divisor(3, {F(2): F(1)})
+
+    def test_invariants_computed_once_and_kept_out_of_eq(self, monkeypatch):
+        d = divisor(5, {F(1): F(7, 5), F(2): F(-1)})
+        fresh = divisor(5, {F(1): F(7, 5), F(2): F(-1)})
+        residues = []
+        monkeypatch.setattr(circle, "chi", lambda c, p: residues.append(c) or 0)
+        assert (d.degree(), d.chi(), d.degree(), d.chi()) == (F(-3, 5), 0, F(-3, 5), 0)
+        assert len(residues) == 2  # one residue per entry, on the first chi() only
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
 
     def test_group_ops(self):
         d = divisor(3, {F(2): F(1)})

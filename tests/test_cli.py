@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from test_cli_golden import GOLDEN, INPUTS, run_case, write_inputs
+from test_cli_golden import GOLDEN, INPUTS, _sha, run_case, write_inputs
 from tropcircle import cli, scalars
 from tropcircle.circle import circle_function, divisor, divisor_of
 from tropcircle.cli import main
@@ -297,6 +299,20 @@ class TestRRCommand:
 class TestSharedParser:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["legendre", "--help"],
+                                      ["legendre", "poly-3.json", "--format", "json"]])
+    def test_argv_from_the_command_line(self, argv, tmp_path, monkeypatch):
+        """`python -m tropcircle.cli ...` reads sys.argv through main(None)
+        and prints what main(argv) prints in process."""
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "tropcircle.cli", *argv], env=env,
+                              capture_output=True, encoding="utf-8", check=False)
+        assert (done.returncode, _sha(done.stdout), _sha(done.stderr)) == run_case(argv)
 
     def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch):
         write_inputs(tmp_path)
@@ -608,8 +624,9 @@ class TestBadInput:
         assert main(["jacobian", path, "--format", fmt]) == 2
         assert capsys.readouterr() == ("", "error: result has more than 4300 digits\n")
 
-    # a value past the digit limit is named by the limit, not printed
-    NOT_IN_Z3 = "coefficient <more than 4300 digits> is not in Z[1/3]"
+    # a value past the digit limit is named by the limit, not printed; a long
+    # one is cut to 40 characters
+    NOT_IN_Z3 = "coefficient 1/1" + "0" * 34 + "... is not in Z[1/3]"
     OPEN = "slopes do not close up: value(p) - value(1) = <more than 4300 digits>"
 
     @pytest.mark.parametrize("command, name, message", [
@@ -624,6 +641,14 @@ class TestBadInput:
         path = write_json(tmp_path, INPUTS[f"{name}.json"])
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["jacobian", "rr"])
+    def test_repeated_point_is_checked_entry_by_entry(self, tmp_path, capsys, command):
+        """Each support entry is checked as the file writes it, before the
+        coefficients at one point are summed: 1/2 + 1/2 = 1 is in Z[1/3]."""
+        path = write_json(tmp_path, INPUTS["div-repeated-outside.json"])
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", "error: coefficient 1/2 is not in Z[1/3]\n")
 
     def test_json_integer_literal_beyond_the_digit_limit_exits_2(self, tmp_path, capsys,
                                                                  digit_limit_4300):

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 
@@ -105,9 +106,13 @@ INPUTS = {
     "div-list-entry.json": {"p": 3, "support": [["2", "1"]]},
     "pa-string-slopes.json": {"p": None, "scale": "1", "domain": ["0", "1"], "anchor": "0",
                               "kinks": ["1/2"], "slopes": "01"},
-    # the summed coefficient 1/Q1 + 1/Q2 at point 2 is not in Z[1/3]
+    # two entries at point 2, each outside Z[1/3]: the message quotes the
+    # first as written (cut to 40 characters), not their sum
     "div-sum-past-the-limit.json": {"p": 3, "support": _support([("2", f"1/{Q1}"),
                                                                  ("2", f"1/{Q2}")])},
+    # each entry is checked as written: 1/2 + 1/2 = 1 is in Z[1/3], 1/2 is not
+    "div-repeated-outside.json": {"p": 3, "support": _support([("2", "1/2"), ("2", "1/2")])},
+    "div-repeated-inside.json": {"p": 3, "support": _support([("2", "1/3"), ("2", "2/3")])},
     # kinks 1 + 1/Q1 and 2 + 1/Q2: value(3) - value(1) = 1 + 1/Q1 - 1/Q2
     "fn-remainder-past-the-limit.json": _circle(3, [f"{Q1 + 1}/{Q1}", f"{2 * Q2 + 1}/{Q2}"],
                                                 ["1", "0", "1"]),
@@ -180,6 +185,20 @@ def _cases():
     cases["plot slopes given as a string"] = ["plot", "pa-string-slopes.json"]
     for command in ("jacobian", "rr"):
         cases[f"{command} sum past the digit limit"] = [command, "div-sum-past-the-limit.json"]
+    for command in ("jacobian", "rr"):
+        for side in ("outside", "inside"):
+            cases[f"{command} repeated point {side} Z[1/p]"] = [command, f"div-repeated-{side}.json"]
+    # the usage paths: top-level parser, command parsers, and their errors
+    cases["usage no arguments"] = []
+    cases["usage -h"] = ["-h"]
+    cases["usage --help"] = ["--help"]
+    for command in ("legendre", "divisor", "jacobian", "rr", "verify", "plot"):
+        cases[f"usage {command} --help"] = [command, "--help"]
+    cases["usage unknown command"] = ["nosuch"]
+    cases["usage unrecognized argument"] = ["legendre", "poly-3.json", "--bogus"]
+    cases["usage missing positional"] = ["rr"]
+    cases["usage invalid int"] = ["rr", "div-3.json", "--n-max", "x"]
+    cases["usage double dash"] = ["--", "legendre", "poly-3.json"]
     for command in ("divisor", "plot"):
         cases[f"{command} remainder past the digit limit"] = [command,
                                                               "fn-remainder-past-the-limit.json"]
@@ -195,9 +214,11 @@ def _sha(text):
 
 def run_case(argv):
     """(exit code, stdout digest, stderr digest) of one in-process call;
-    an argument error exits through SystemExit, which counts as its code."""
+    an argument error or a help request exits through SystemExit, which
+    counts as its code.  Help text wraps at the terminal width, pinned here
+    to 80 columns."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -274,8 +295,10 @@ GOLDEN = {
     'jacobian obs-5 text': (0, 'ff8bd53d1123b671', 'e3b0c44298fc1c14'),
     'jacobian obs-big json': (0, '7d36c90dfa6dba0b', 'e3b0c44298fc1c14'),
     'jacobian obs-big text': (0, '2d1789a2dac19f47', 'e3b0c44298fc1c14'),
+    'jacobian repeated point inside Z[1/p]': (0, '2ebb60cc922c6b81', 'e3b0c44298fc1c14'),
+    'jacobian repeated point outside Z[1/p]': (2, 'e3b0c44298fc1c14', 'd956b0642fb13539'),
     'jacobian result beyond the digit limit': (2, 'e3b0c44298fc1c14', '4897184c7dced828'),
-    'jacobian sum past the digit limit': (2, 'e3b0c44298fc1c14', '2ea53e4395fc657a'),
+    'jacobian sum past the digit limit': (2, 'e3b0c44298fc1c14', '4fb312de0b9e8791'),
     'jacobian support entry not an object': (2, 'e3b0c44298fc1c14', '51d6539e88000006'),
     'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
@@ -355,10 +378,26 @@ GOLDEN = {
     'rr obs-big json': (0, '4e785fe2ba2afa6d', 'e3b0c44298fc1c14'),
     'rr obs-big svg': (0, '9eaea9c22dd70976', 'e3b0c44298fc1c14'),
     'rr obs-big text': (0, '8b4650d02fd45698', 'e3b0c44298fc1c14'),
-    'rr sum past the digit limit': (2, 'e3b0c44298fc1c14', '2ea53e4395fc657a'),
+    'rr repeated point inside Z[1/p]': (0, 'e10436859d3f7929', 'e3b0c44298fc1c14'),
+    'rr repeated point outside Z[1/p]': (2, 'e3b0c44298fc1c14', 'd956b0642fb13539'),
+    'rr sum past the digit limit': (2, 'e3b0c44298fc1c14', '4fb312de0b9e8791'),
     'rr support given as an object': (2, 'e3b0c44298fc1c14', 'fb2a362089be3ac6'),
     'rr svg beyond the float range': (2, 'e3b0c44298fc1c14', '1c06add7fd6c9b54'),
     'rr wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
+    'usage --help': (0, 'fccada82fe5c3692', 'e3b0c44298fc1c14'),
+    'usage -h': (0, 'fccada82fe5c3692', 'e3b0c44298fc1c14'),
+    'usage divisor --help': (0, '7b7f5364b8fccade', 'e3b0c44298fc1c14'),
+    'usage double dash': (2, 'e3b0c44298fc1c14', '4044e52f7d481206'),
+    'usage invalid int': (2, 'e3b0c44298fc1c14', '14635078e781e97a'),
+    'usage jacobian --help': (0, '3d88d0d2021c56a7', 'e3b0c44298fc1c14'),
+    'usage legendre --help': (0, '1bc0a3e41fcf3a9d', 'e3b0c44298fc1c14'),
+    'usage missing positional': (2, 'e3b0c44298fc1c14', '0151f776c5419dd7'),
+    'usage no arguments': (2, 'e3b0c44298fc1c14', '398a71844e12cf11'),
+    'usage plot --help': (0, '98fb30bc1452ea3b', 'e3b0c44298fc1c14'),
+    'usage rr --help': (0, 'c8b2b67945e12468', 'e3b0c44298fc1c14'),
+    'usage unknown command': (2, 'e3b0c44298fc1c14', '6aa8cb38f4599e35'),
+    'usage unrecognized argument': (2, 'e3b0c44298fc1c14', '300aaba1799c8a73'),
+    'usage verify --help': (0, '468471eb1371ca9a', 'e3b0c44298fc1c14'),
     'verify negative count': (2, 'e3b0c44298fc1c14', 'd5d62f40ed43b5aa'),
     'verify seed 0': (0, '60ef2809f0351947', 'e3b0c44298fc1c14'),
     'verify seed 0 count 1000': (0, '9eb5ab5c2ad50f05', 'e3b0c44298fc1c14'),
