@@ -170,20 +170,6 @@ class CircleFunction:
         """Value at any positive rational, via the canonical representative."""
         return self.pa.eval_at(normalize_point(self.p, lam))
 
-    def wrap_jump(self) -> Fraction:
-        """Slope jump at the wrap class: s_0 - p * s_m."""
-        return self.slopes[0] - self.p * self.slopes[-1]
-
-    def jumps(self):
-        """All slope jumps as ((representative, jump)) pairs, zero jumps kept out."""
-        out = []
-        w = self.wrap_jump()
-        if w != 0:
-            out.append((Fraction(1), w))
-        for k, s_left, s_right in zip(self.kinks, self.slopes, self.slopes[1:]):
-            out.append((k, s_right - s_left))
-        return out
-
     def __repr__(self) -> str:
         if self.is_bottom:
             return f"CircleFunction(p={self.p}, bottom)"
@@ -245,10 +231,15 @@ def circle_times(f: CircleFunction, g: CircleFunction) -> CircleFunction:
 
 
 def divisor_of(f: CircleFunction) -> Divisor:
-    """Divisor of slope jumps; its degree and chi invariant always vanish."""
+    """Divisor of slope jumps: s_i+1 - s_i at kink k_i and, at the wrap
+    class 1, s_0 - p*s_m (the slope just left of it is p times the last
+    stored slope), zeros dropped.  Its degree and chi always vanish."""
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
-    return _collect(f.p, dict(f.jumps()))
+    s = f.slopes
+    table = {k: right - left for k, left, right in zip(f.kinks, s, s[1:])}
+    table[Fraction(1)] = s[0] - f.p * s[-1]
+    return _collect(f.p, table)
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     top, commands = build_parser()
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in commands:
+        argv = argv[1:]  # "--" only ends the top-level options
     if argv and argv[0] in commands:
         # the namespace the top-level parser would pass down: command set first
         args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))

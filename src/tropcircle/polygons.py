@@ -129,8 +129,10 @@ def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
     the dropped ones too."""
     cooked = [(x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
               for x, y in pts]
-    _require_group(group, [x.as_integer_ratio() for x, _ in cooked])
-    return NewtonPolygon(group, _reduce(cooked))
+    xs = [x.as_integer_ratio() for x, _ in cooked]
+    _require_group(group, xs)
+    keep = _hull(xs, [y.as_integer_ratio() for _, y in cooked])
+    return NewtonPolygon(group, tuple(cooked[i] for i in keep))
 
 
 def ell(n: NewtonPolygon, lam) -> Fraction | None:

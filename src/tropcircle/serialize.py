@@ -4,17 +4,17 @@ Rationals travel as the strings "a" or "a/b" of `scalars.frac_to_str` (a
 JSON integer is read too, a boolean never); the bottom value is the string
 "-inf".
 
-Reading: `parse_frac` takes a fast path for an ASCII string of the form
--?digits or -?digits/digits, the only forms the emitters write, and builds
-the value from int() of its parts.  Every other string (a decimal, an
-exponent, a sign "+", surrounding whitespace, "_" separators, non-ASCII
-digits, malformed text) takes the general path: the exponent check, then
-Fraction(str), then the digit-limit test `scalars._fits_digits` on the
-parsed value; on the fast path int() already makes that check.
-`polygon_from_json` keeps the fast path's integers as (num, den) pairs and
-builds Fractions only for the vertices the hull keeps.  `_expect` is the
-one rule for the JSON type of a field (lists and objects), `_pair` for a
-two-item vertex or domain; `function_from_json` is plot's reader.
+Reading: `_ratio` is the one reader of rationals, and `parse_frac` makes
+its (num, den) pair a Fraction.  An ASCII string of the form -?digits or
+-?digits/digits, the only forms the emitters write, takes the plain path:
+int() of its parts.  Every other string (a decimal, an exponent, a sign
+"+", surrounding whitespace, "_" separators, non-ASCII digits, malformed
+text) takes the general path: the exponent check, then Fraction(str), then
+the digit-limit test `scalars._fits_digits`; on the plain path int()
+already makes that check.  `polygon_from_json` keeps the pairs and builds
+Fractions only for the vertices the hull keeps.  `_expect` is the one rule
+for the JSON type of a field (lists and objects), `_pair` for a two-item
+vertex or domain; `function_from_json` is plot's reader.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -56,7 +56,13 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_frac(s) -> Fraction:
-    """Read a rational from an int or a string.
+    """Read a rational from an int or a string, as `_ratio` reads it."""
+    return Fraction(*_ratio(s))
+
+
+def _ratio(s) -> tuple[int, int]:
+    """(num, den) with den > 0, not necessarily in lowest terms, of the
+    rational an int or a string names.
 
     A rational whose numerator or denominator has more decimal digits than
     sys.get_int_max_str_digits() (0 sets no bound) is refused here, since
@@ -65,64 +71,41 @@ def parse_frac(s) -> Fraction:
     would take unbounded time and memory.  An error quotes at most 40
     characters of the input.
 
-    The fast path (`_plain_ratio`) needs no digit-limit test after parsing:
-    int(str) itself refuses a digit string longer than
-    sys.get_int_max_str_digits(), which sends the string down the general
-    path, where _refusal words it as the test would; and reducing num/den
-    only shrinks both parts.  An int argument and the general path, whose
-    decimals and exponents can build parts longer than the string, keep
-    the test.
+    The plain path builds no Fraction and needs no digit-limit test: int()
+    itself refuses a digit string longer than the limit, which sends the
+    string down the general path, where _refusal words it as the test
+    would.  An int argument and the general path, whose decimals and
+    exponents can build parts longer than the string, keep the test.
     """
-    if isinstance(s, int) and not isinstance(s, bool):
-        q = Fraction(s)
-    elif isinstance(s, str):
-        plain = _plain_ratio(s)
-        if plain:
-            return Fraction(*plain)
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:
+                num, den = int(num), int(den) if slash else 1
+            except ValueError:
+                pass  # digits past the limit: the general path words the refusal
+            else:
+                if den:
+                    return num, den
         try:
             exponent = _EXPONENT.search(s)
             if exponent:
                 limit = sys.get_int_max_str_digits()
                 if limit and abs(int(exponent[1])) > limit:
                     raise ValueError
-            q = Fraction(s.strip())
+            num, den = Fraction(s.strip()).as_integer_ratio()
         except ZeroDivisionError:
             raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
         except ValueError:
             raise ValueError(_refusal(s)) from None
+    elif isinstance(s, int) and not isinstance(s, bool):
+        num, den = s, 1
     else:
         raise ValueError(f"expected a rational string, got {_quote(s)}")
-    if not (_fits_digits(q.numerator) and _fits_digits(q.denominator)):
+    if not (_fits_digits(num) and _fits_digits(den)):
         name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
         raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
-    return q
-
-
-def _plain_ratio(s: str) -> tuple[int, int] | None:
-    """(num, den) for an ASCII string of the form -?digits or
-    -?digits/digits with den > 0, not reduced; None for any other string,
-    for a zero denominator and for digits past the limit that int() takes,
-    all of which the general path of parse_frac words."""
-    num, slash, den = s.partition("/")
-    if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-        try:
-            pair = int(num), int(den) if slash else 1
-        except ValueError:
-            return None
-        if pair[1]:
-            return pair
-    return None
-
-
-def _ratio(s) -> tuple[int, int]:
-    """parse_frac(s) as a (num, den) pair with den > 0, not necessarily in
-    lowest terms: a plain string builds no Fraction, anything else goes
-    through parse_frac and its messages."""
-    if isinstance(s, str):
-        plain = _plain_ratio(s)
-        if plain:
-            return plain
-    return parse_frac(s).as_integer_ratio()
+    return num, den
 
 
 def _refusal(s: str) -> str:

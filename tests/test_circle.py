@@ -79,6 +79,23 @@ class TestDivisorOf:
         with pytest.raises(ValueError):
             divisor_of(circle_bottom(3))
 
+    def test_zero_wrap_jump_has_no_entry_at_1(self):
+        # s_0 - p*s_m = 3 - 3*1 = 0 at the wrap class
+        f = circle_function(3, [F(3, 2), F(2)], [F(3), F(-5), F(1)], 0)
+        assert dict(divisor_of(f).entries) == {F(3, 2): F(-8), F(2): F(6)}
+
+    def test_matches_slope_jump_table(self):
+        """The jump at each arc start t in {1, kinks} is the slope right of t
+        minus the slope left of it; left of 1 the slope is p*s_m."""
+        rng = random.Random(23)
+        for p in (2, 3, 5):
+            for _ in range(100):
+                f = gen_circle(rng, p)
+                starts = [F(1), *f.kinks]
+                left = [p * f.slopes[-1], *f.slopes[:-1]]
+                table = {t: r - l for t, l, r in zip(starts, left, f.slopes) if r != l}
+                assert dict(divisor_of(f).entries) == table
+
     def test_conservation_random(self):
         rng = random.Random(17)
         for p in (2, 3, 5):

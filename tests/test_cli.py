@@ -68,6 +68,10 @@ def assert_one_line_error(capsys, needle):
     assert needle in err
 
 
+# how an error message quotes a string of 4301 ones: cut to 40 characters
+LONG_ONES = "rational '" + "1" * 36 + "..."
+
+
 class TestRoundTrips:
     def test_polygon(self):
         n = newton_polygon(SlopeGroup(3, F(1, 2)), [(F(1, 6), 0), (F(1, 2), -1)])
@@ -107,10 +111,28 @@ class TestRoundTrips:
         ("3/4/5", "malformed rational '3/4/5'"),
         ("--3", "malformed rational '--3'"),
         ("", "malformed rational ''"),
+        # the digit test comes before the exponent test, whatever the string ends in
+        pytest.param("1" * 4301, LONG_ONES + " has more than 4300 digits", id="4301 digits"),
+        ("9e4301", "malformed rational '9e4301': exponent beyond the 4300-digit limit"),
+        pytest.param("1" * 4301 + "e4301", LONG_ONES + " has more than 4300 digits",
+                     id="4301 digits and exponent"),
+        ("1e4300", "rational '1e4300' has more than 4300 digits"),
+        ("1e-4300", "rational '1e-4300' has more than 4300 digits"),
     ])
-    def test_malformed_rational_message(self, text, message):
+    def test_malformed_rational_message(self, text, message, digit_limit_4300):
         with pytest.raises(ValueError) as exc:
             parse_frac(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(10 ** 4300, "integer has more than 4300 digits", id="4301-digit int"),
+        (True, "expected a rational string, got True"),
+        (1.5, "expected a rational string, got 1.5"),
+        (None, "expected a rational string, got None"),
+    ])
+    def test_non_string_message(self, value, message, digit_limit_4300):
+        with pytest.raises(ValueError) as exc:
+            parse_frac(value)
         assert str(exc.value) == message
 
     def test_circle_needs_a_prime(self):
@@ -313,6 +335,16 @@ class TestSharedParser:
         done = subprocess.run([sys.executable, "-m", "tropcircle.cli", *argv], env=env,
                               capture_output=True, encoding="utf-8", check=False)
         assert (done.returncode, _sha(done.stdout), _sha(done.stderr)) == run_case(argv)
+
+    def test_double_dash_before_a_command(self, tmp_path, monkeypatch):
+        """"--" before a command name is dropped; before anything else the
+        top-level parser still refuses it."""
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_case(["--", "legendre", "poly-3.json"]) == GOLDEN["legendre poly-3 text"]
+        assert run_case(["--"]) == (2, "e3b0c44298fc1c14", "398a71844e12cf11")
+        for argv in (["--", "bogus"], ["--", "-h"]):
+            assert run_case(argv) == (2, "e3b0c44298fc1c14", "4044e52f7d481206")
 
     def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch):
         write_inputs(tmp_path)

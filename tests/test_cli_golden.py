@@ -6,7 +6,8 @@ hex digits) of stdout and of stderr with the digests in GOLDEN.  A change
 that alters output on purpose prints the new table with
 `PYTHONPATH=src python tests/test_cli_golden.py` and says so.  That command
 also writes to stderr one `name: old -> new` line for each row that
-differs from GOLDEN (old is None for a new row), then the count.
+differs from GOLDEN (old is None for a new row), then the count, and exits
+1 when any row differs, 0 otherwise.
 """
 
 import hashlib
@@ -387,7 +388,7 @@ GOLDEN = {
     'usage --help': (0, 'fccada82fe5c3692', 'e3b0c44298fc1c14'),
     'usage -h': (0, 'fccada82fe5c3692', 'e3b0c44298fc1c14'),
     'usage divisor --help': (0, '7b7f5364b8fccade', 'e3b0c44298fc1c14'),
-    'usage double dash': (2, 'e3b0c44298fc1c14', '4044e52f7d481206'),
+    'usage double dash': (0, '07cc24a450426517', 'e3b0c44298fc1c14'),
     'usage invalid int': (2, 'e3b0c44298fc1c14', '14635078e781e97a'),
     'usage jacobian --help': (0, '3d88d0d2021c56a7', 'e3b0c44298fc1c14'),
     'usage legendre --help': (0, '1bc0a3e41fcf3a9d', 'e3b0c44298fc1c14'),
@@ -428,3 +429,4 @@ if __name__ == "__main__":
     for name in changed:
         sys.stderr.write(f"{name}: {GOLDEN.get(name)!r} -> {rows[name]!r}\n")
     sys.stderr.write(f"{len(changed)} of {len(rows)} rows differ from GOLDEN\n")
+    sys.exit(1 if changed else 0)
