@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _fracs, _quote, chi, frac_to_str, in_zp, require_prime
+from .scalars import _fracs, _quote, _rational, chi, frac_to_str, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -47,7 +47,7 @@ class ClosureError(ValueError):
 
 def normalize_point(p: int, lam) -> Fraction:
     """Canonical representative lam * p**k in [1, p) of a positive rational."""
-    lam = Fraction(lam)
+    lam = _rational(lam)
     if lam <= 0:
         raise ValueError("points of the circle have positive representatives")
     while lam < 1:
@@ -126,7 +126,7 @@ def divisor(p: int, table) -> Divisor:
     merged: dict = {}
     for lam, c in table.items() if isinstance(table, Mapping) else table:
         rep = normalize_point(p, lam)
-        c = Fraction(c)
+        c = _rational(c)
         if not in_zp(c, p):
             raise ValueError(f"coefficient {_quote(c)} is not in Z[1/{p}]")
         merged[rep] = merged.get(rep, 0) + c
@@ -201,7 +201,7 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
     circle_function.  Closure is checked once, on the folded function, which
     keeps the cut's remainder: f(p) - f(1) = cut(p*start) - cut(start).
     """
-    start = Fraction(start)
+    start = _rational(start)
     if not 1 <= start < p:
         raise ValueError("the cut point must lie in [1, p)")
     if anchor is None:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _fracs, _is_power_of, _quote, frac_to_str, require_prime
+from .scalars import _fracs, _is_power_of, _quote, _rational, frac_to_str, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -50,14 +51,13 @@ class SlopeGroup:
     def __post_init__(self):
         if self.p is not None:
             require_prime(self.p)
+        object.__setattr__(self, "scale", _rational(self.scale))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
     def contains(self, q) -> bool:
         """True when q / scale lies in Z (p None) or in Z[1/p]."""
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        return self._contains_ratio(q.numerator, q.denominator)
+        return self._contains_ratio(*_rational(q).as_integer_ratio())
 
     def _contains_ratio(self, a: int, b: int) -> bool:
         """contains(a/b) for integers a and b > 0, not necessarily coprime.
@@ -74,9 +74,8 @@ class SlopeGroup:
         return den == 1 or (self.p is not None and _is_power_of(den, self.p))
 
     def require(self, q) -> Fraction:
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        if not self.contains(q):
+        q = _rational(q)
+        if not self._contains_ratio(q.numerator, q.denominator):
             raise ValueError(f"slope {_quote(q)} is not in {_quote(self)}")
         return q
 
@@ -108,7 +107,8 @@ class PiecewiseAffine:
 
     @cached_property
     def _values(self) -> tuple:
-        """Values at lo and at each kink, each the one before plus its piece's exact rise."""
+        """Values at lo and at each kink, each the one before plus its piece's exact rise.
+        Kept because cli.function_svg reads every kink's value through eval_at."""
         values = [self.anchor]
         for a, b, s in zip((self.lo, *self.kinks), self.kinks, self.slopes):
             values.append(values[-1] + s * (b - a))
@@ -116,8 +116,7 @@ class PiecewiseAffine:
 
     def eval_at(self, lam) -> Fraction | None:
         """Value at the start of lam's piece plus its slope times the distance."""
-        if type(lam) is not Fraction:
-            lam = Fraction(lam)
+        lam = _rational(lam)
         if lam < self.lo or (self.hi is not None and lam > self.hi):
             raise ValueError(f"{_quote(lam)} outside domain [{_quote(self.lo)}, {_quote(self.hi)}]")
         if self.is_bottom:
@@ -140,10 +139,7 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
     Merges pieces with equal adjacent slopes so that every stored kink is a
     genuine kink; a bottom function may not carry kinks.
     """
-    if type(lo) is not Fraction:
-        lo = Fraction(lo)
-    if hi is not None and type(hi) is not Fraction:
-        hi = Fraction(hi)
+    lo, hi = _rational(lo), None if hi is None else _rational(hi)
     if lo < 0:
         raise ValueError("domain must sit inside [0, inf)")
     if hi is not None and hi <= lo:
@@ -152,20 +148,16 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
         if kinks:
             raise ValueError("the bottom function has no kinks")
         return PiecewiseAffine(group, lo, hi, None, (), ())
-    if type(anchor) is not Fraction:
-        anchor = Fraction(anchor)
-    kinks = tuple(k if type(k) is Fraction else Fraction(k) for k in kinks)
+    anchor, kinks = _rational(anchor), tuple(map(_rational, kinks))
     if slopes is None:
         slopes = (Fraction(0),)
     slopes = tuple(group.require(s) for s in slopes)
     if len(slopes) != len(kinks) + 1:
         raise ValueError("need exactly one slope per piece")
-    for a, b in zip(kinks, kinks[1:]):
-        if a >= b:
-            raise ValueError("kinks must be strictly increasing")
-    if kinks:
-        if kinks[0] <= lo or (hi is not None and kinks[-1] >= hi):
-            raise ValueError("kinks must be interior to the domain")
+    if any(a >= b for a, b in zip(kinks, kinks[1:])):
+        raise ValueError("kinks must be strictly increasing")
+    if kinks and (kinks[0] <= lo or (hi is not None and kinks[-1] >= hi)):
+        raise ValueError("kinks must be interior to the domain")
     return _merged(group, lo, hi, anchor, kinks, slopes)
 
 
@@ -194,83 +186,76 @@ def _require_compatible(f: PiecewiseAffine, g: PiecewiseAffine) -> None:
                          f"vs [{_quote(g.lo)}, {_quote(g.hi)}]")
 
 
-def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
-    """Exact pointwise max.  Kinks of the result are kinks of the operands
-    plus the crossing points of their graphs.
-
-    One left-to-right sweep over both sorted kink tuples, one index per
-    operand.  A piece [a, b] runs from one cut to the next kink of either
-    operand (or to the domain's end), so both operands are affine on it.
-    The sweep carries the two values at a: fa and ga, stepped by fs*(b-a)
-    and gs*(b-a) to the next cut.  On the piece the larger value at a wins;
-    on a tie the larger slope does.  When the loser has the larger slope
-    the graphs cross at t = a + (ga-fa)/(fs-gs), which is a kink when it
-    lies strictly inside the piece; after it the larger slope wins.
-
-    The carried values are exact: they are Fractions, and each step adds
-    the exact rise of an affine piece, so fa is f's value at a, the same
-    number eval_at would return.
-    """
-    _require_compatible(f, g)
-    if f.is_bottom:
-        return g
-    if g.is_bottom:
-        return f
+def _pieces(f: PiecewiseAffine, g: PiecewiseAffine) -> tuple:
+    """(cuts, fs, gs): the sorted union of f's and g's kinks, one cut per
+    point, and f's and g's slopes on the len(cuts) + 1 pieces it makes of
+    the common domain: one sweep over both kink tuples, one index each."""
     fk, fsl, gk, gsl = f.kinks, f.slopes, g.kinks, g.slopes
     nf, ng = len(fk), len(gk)
     i = j = 0
-    a, fa, ga = f.lo, f.anchor, g.anchor
-    kinks, slopes = [], []
-    while True:
-        fs, gs = fsl[i], gsl[j]
-        if i < nf:
-            b = fk[i] if j == ng or fk[i] <= gk[j] else gk[j]
-        else:
-            b = gk[j] if j < ng else f.hi
-        if fa == ga:
-            slopes.append(fs if fs >= gs else gs)
-        else:
-            win, lose = (fs, gs) if fa > ga else (gs, fs)
-            slopes.append(win)
-            if lose > win:
-                t = a + (ga - fa) / (fs - gs)
-                if b is None or t < b:
-                    kinks.append(t)
-                    slopes.append(lose)
-        if i == nf and j == ng:
-            break
-        d = b - a
-        fa += fs * d
-        ga += gs * d
-        kinks.append(b)
-        if i < nf and fk[i] == b:
-            i += 1
-        if j < ng and gk[j] == b:
-            j += 1
-        a = b
-    return _merged(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
-
-
-def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
-    """Exact pointwise sum; bottom is absorbing.  One sweep over both kink
-    tuples: each piece between consecutive cuts gets the sum of the two
-    slopes there."""
-    _require_compatible(f, g)
-    if f.is_bottom or g.is_bottom:
-        return f if f.is_bottom else g
-    fk, fsl, gk, gsl = f.kinks, f.slopes, g.kinks, g.slopes
-    nf, ng = len(fk), len(gk)
-    i = j = 0
-    kinks, slopes = [], [fsl[0] + gsl[0]]
+    cuts, fs, gs = [], [fsl[0]], [gsl[0]]
     while i < nf or j < ng:
         b = fk[i] if i < nf and (j == ng or fk[i] <= gk[j]) else gk[j]
         if i < nf and fk[i] == b:
             i += 1
         if j < ng and gk[j] == b:
             j += 1
+        cuts.append(b)
+        fs.append(fsl[i])
+        gs.append(gsl[j])
+    return cuts, fs, gs
+
+
+def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
+    """Exact pointwise max.  Kinks of the result are kinks of the operands
+    plus the crossing points of their graphs.
+
+    One walk over the pieces of `_pieces`: a piece [a, b] runs from one cut
+    to the next (or to the domain's end), so both operands are affine on
+    it.  The walk carries the two values at a: fa and ga, stepped by
+    fs*(b-a) and gs*(b-a) to the next cut.  On the piece the larger value
+    at a wins; on a tie the larger slope does.  When the loser has the
+    larger slope the graphs cross at t = a + (ga-fa)/(fs-gs), a kink when
+    it lies strictly inside the piece; after it the larger slope wins.
+
+    The carried values are exact: they are Fractions, and each step adds
+    the exact rise of an affine piece, so fa is f's value at a, the same
+    number eval_at would return.
+    """
+    _require_compatible(f, g)
+    if f.is_bottom or g.is_bottom:
+        return g if f.is_bottom else f
+    cuts, fss, gss = _pieces(f, g)
+    n = len(cuts)
+    a, fa, ga = f.lo, f.anchor, g.anchor
+    kinks, slopes = [], []
+    for k, (fs, gs) in enumerate(zip(fss, gss)):
+        b = cuts[k] if k < n else f.hi
+        win, lose = (fs, gs) if (fa, fs) > (ga, gs) else (gs, fs)
+        slopes.append(win)
+        if lose > win:
+            t = a + (ga - fa) / (fs - gs)
+            if b is None or t < b:
+                kinks.append(t)
+                slopes.append(lose)
+        if k == n:
+            break
+        d = b - a
+        fa += fs * d
+        ga += gs * d
         kinks.append(b)
-        slopes.append(fsl[i] + gsl[j])
-    return _merged(f.group, f.lo, f.hi, f.anchor + g.anchor, kinks, slopes)
+        a = b
+    return _merged(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
+
+
+def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
+    """Exact pointwise sum; bottom is absorbing.  Each piece of `_pieces`
+    gets the sum of the two slopes there."""
+    _require_compatible(f, g)
+    if f.is_bottom or g.is_bottom:
+        return f if f.is_bottom else g
+    cuts, fs, gs = _pieces(f, g)
+    return _merged(f.group, f.lo, f.hi, f.anchor + g.anchor, cuts, list(map(add, fs, gs)))
 
 
 def gamma(n: int, f: PiecewiseAffine) -> PiecewiseAffine:
@@ -291,8 +276,7 @@ def germ_at(f: PiecewiseAffine, lam) -> Germ:
     The one-sided slopes are scaled by the point itself, so they land in the
     group attached to the point rather than the ambient slope group.
     """
-    if type(lam) is not Fraction:
-        lam = Fraction(lam)
+    lam = _rational(lam)
     if lam <= f.lo or (f.hi is not None and lam >= f.hi):
         raise ValueError(f"{_quote(lam)} is not interior to [{_quote(f.lo)}, {_quote(f.hi)}]")
     if f.is_bottom:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
-from .scalars import frac_to_str
+from .scalars import _rational, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -126,19 +126,15 @@ def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
     """Reduce an arbitrary finite vertex set; the support function over
     lam >= 0 is unchanged by the reduction.  Every x must lie in the group,
-    the dropped ones too."""
-    cooked = [(x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
-              for x, y in pts]
-    xs = [x.as_integer_ratio() for x, _ in cooked]
-    _require_group(group, xs)
-    keep = _hull(xs, [y.as_integer_ratio() for _, y in cooked])
-    return NewtonPolygon(group, tuple(cooked[i] for i in keep))
+    the dropped ones too.  pts, any iterable of (x, y) pairs, is read once,
+    into the (num, den) pairs of `_polygon_of_ratios`, the one validating path."""
+    ratios = [(_rational(x).as_integer_ratio(), _rational(y).as_integer_ratio()) for x, y in pts]
+    return _polygon_of_ratios(group, [x for x, _ in ratios], [y for _, y in ratios])
 
 
 def ell(n: NewtonPolygon, lam) -> Fraction | None:
     """Support function max_j(lam x_j + y_j); -inf for the zero polygon."""
-    if type(lam) is not Fraction:
-        lam = Fraction(lam)
+    lam = _rational(lam)
     if lam < 0:
         raise ValueError("the support function lives on [0, inf)")
     if n.is_zero:

@@ -14,6 +14,8 @@ Python refuses to convert an int of more than sys.get_int_max_str_digits()
 decimal digits to str (0 sets no bound); `frac_to_str` words that refusal
 as one line, and `_fits_digits` is the one test of an int against the
 limit, for the readers that refuse such a value before it is printed.
+`_rational` is the one coercion of a rational argument, a slope group's
+scale included: every value layer reads one as Fraction(x) reads it.
 """
 
 import sys
@@ -41,6 +43,11 @@ BOTTOM = None
 _QUOTE_LEN = 40
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x), or x itself when it is a Fraction."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _quote(value) -> str:
     """value as an error message shows it, cut to at most 40 characters:
     repr of a string, frac_to_str of a rational, str() of anything else,
@@ -56,8 +63,7 @@ def _quote(value) -> str:
 def frac_to_str(q: Fraction) -> str:
     """"a" or "a/b"; a numerator or denominator with more decimal digits
     than sys.get_int_max_str_digits() is refused in one line."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    q = _rational(q)
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -175,15 +181,12 @@ def _is_power_of(den: int, p: int) -> bool:
 
 def in_zp(q, p: int) -> bool:
     """True when the reduced denominator of q is a power of p."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    return _is_power_of(q.denominator, p)
+    return _is_power_of(_rational(q).denominator, p)
 
 
 def padic_abs(q, p: int) -> Fraction:
     """p-adic absolute value p**(v_p(den) - v_p(num)); 0 maps to 0."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    q = _rational(q)
     if q == 0:
         return Fraction(0)
     e = padic_valuation(q.denominator, p) - padic_valuation(q.numerator, p)
@@ -197,6 +200,4 @@ def chi(q, p: int) -> int:
     reduced numerator alone represents the class.  For p = 2 the group is
     trivial: every numerator is 0 mod 1.
     """
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    return q.numerator % (p - 1)
+    return _rational(q).numerator % (p - 1)

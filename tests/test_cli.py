@@ -175,6 +175,18 @@ class TestLegendreCommand:
         assert main(["legendre", polygon_file, "--format", "svg"]) == 0
         assert capsys.readouterr().out.startswith("<svg")
 
+    def test_svg_of_many_vertices_reads_each_value_once(self, tmp_path, capsys):
+        # function_svg evaluates at every kink; with the kink values kept by
+        # PiecewiseAffine._values this is linear, summing the rises anew on
+        # each evaluation would make 3,000 vertices take seconds
+        path = tmp_path / "parabola.json"
+        poly = newton_polygon(ZZ, [(i, F(-i * i, 2)) for i in range(3000)])
+        path.write_text(dumps(polygon_to_json(poly)))
+        start = time.perf_counter()
+        assert main(["legendre", str(path), "--format", "svg"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().out.startswith("<svg")
+
     @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
     def test_roundtrip_mismatch_exits_1_in_every_format(self, polygon_file, monkeypatch, fmt):
         monkeypatch.setattr(cli, "from_function", lambda f: None)

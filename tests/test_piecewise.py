@@ -222,6 +222,14 @@ class TestSlopeGroupMembership:
         q = SlopeGroup(3, F(3, 2)).require(value)
         assert type(q) is F and q == F(value)
 
+    @pytest.mark.parametrize("scale", [0.5, "1/2", F(1, 2)])
+    def test_scale_is_read_as_a_fraction(self, scale):
+        group, half = SlopeGroup(None, scale), SlopeGroup(None, F(1, 2))
+        assert type(group.scale) is F
+        assert group == half and hash(group) == hash(half)
+        assert group.contains(1) and not group.contains(F(1, 4))
+        assert str(group) == "1/2*Z"
+
 
 # ---------------------------------------------------- the merge sweep as a law
 

@@ -182,6 +182,13 @@ class TestReduce:
     def test_empty_input(self):
         assert newton_polygon(ZZ, []).is_zero
 
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_vertex_sets())
+    def test_points_are_read_once(self, drawn):
+        # a generator yields its points to the first pass only
+        group, pts = drawn
+        assert newton_polygon(group, (pt for pt in pts)) == newton_polygon(group, pts)
+
 
 class TestLegendre:
     def test_single_vertex(self):

@@ -1,16 +1,19 @@
+import ast
+import dataclasses
 import random
 import re
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropcircle import scalars
-from tropcircle.circle import CircleFunction, divisor
+from tropcircle.circle import CircleFunction, divisor, from_cut, normalize_point
 from tropcircle.germs import Germ, LexElement
-from tropcircle.piecewise import PiecewiseAffine, SlopeGroup
-from tropcircle.polygons import NewtonPolygon
+from tropcircle.piecewise import ZZ, PiecewiseAffine, SlopeGroup, germ_at, piecewise_affine
+from tropcircle.polygons import NewtonPolygon, ell, newton_polygon
 from tropcircle.scalars import (
     BOTTOM, _fits_digits, chi, frac_to_str, in_zp, is_prime, padic_abs, require_prime, rmax_join,
     rmax_times,
@@ -275,3 +278,92 @@ class TestFitsDigits:
             expected = not limit or length <= limit
             assert _fits_digits(v) == expected
             assert _fits_digits(-v) == expected
+
+
+# ------------------------------------------- the one coercion of an argument
+
+def typed(value):
+    """value with every dataclass and sequence opened up and each leaf
+    paired with its type name, so that 3/2 and 1.5 compare unequal."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(typed(getattr(value, field.name))
+                                           for field in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    return type(value).__name__, value
+
+
+def outcome(entry, x):
+    """entry(x) as `typed` shows it, or the message of the ValueError it raises."""
+    try:
+        return typed(entry(x))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_HINGE = piecewise_affine(ZZ, 0, 4, 1, [F(1)], [F(0), F(1)])
+
+# each public entry of the value layers that takes a rational argument x
+COERCING_ENTRIES = {
+    "frac_to_str": frac_to_str,
+    "in_zp": lambda x: in_zp(x, 2),
+    "padic_abs": lambda x: padic_abs(x, 3),
+    "chi": lambda x: chi(x, 5),
+    "contains": lambda x: (SlopeGroup(2).contains(x), ZZ.contains(x)),
+    "require": lambda x: SlopeGroup(2).require(x),
+    "require outside": lambda x: ZZ.require(x),
+    "scale": lambda x: SlopeGroup(3, x),
+    "eval_at": _HINGE.eval_at,
+    "germ_at": lambda x: germ_at(_HINGE, x),
+    "domain lo": lambda x: piecewise_affine(ZZ, x, 4, 0),
+    "domain hi": lambda x: piecewise_affine(ZZ, 0, x, 0),
+    "anchor": lambda x: piecewise_affine(ZZ, 0, 4, x),
+    "kinks": lambda x: piecewise_affine(ZZ, 0, 4, 0, [x], [0, 1]),
+    "newton_polygon": lambda x: newton_polygon(SlopeGroup(2), [(x, x), (0, 2), (3, -5)]),
+    "ell": lambda x: ell(newton_polygon(ZZ, [(0, 0), (1, -1)]), x),
+    "normalize_point": lambda x: normalize_point(3, x),
+    "divisor coefficient": lambda x: divisor(2, {1: x}),
+    "from_cut start": lambda x: from_cut(3, x, [], [0], 0),
+}
+
+
+class FractionTypeTests(ast.NodeVisitor):
+    """The place, as module.Class.function, of every `type(...) is Fraction`
+    and `type(...) is not Fraction` in one module."""
+
+    def __init__(self, module):
+        self.stack, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Compare(self, node):
+        left = node.left
+        if (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                and left.func.id == "type"
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(c, ast.Name) and c.id == "Fraction" for c in node.comparators)):
+            self.found.append(".".join(self.stack))
+        self.generic_visit(node)
+
+
+class TestOneCoercion:
+    @pytest.mark.parametrize("x", [2, 1.5, "3/2"])
+    @pytest.mark.parametrize("name", sorted(COERCING_ENTRIES))
+    def test_argument_reads_as_its_fraction(self, name, x):
+        entry = COERCING_ENTRIES[name]
+        assert outcome(entry, x) == outcome(entry, F(x))
+
+    def test_type_tests_only_in_rational(self):
+        """`type(...) is Fraction` and `type(...) is not Fraction` appear in
+        the package only inside scalars._rational, the one coercion."""
+        found = []
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+            finder = FractionTypeTests(path.stem)
+            finder.visit(ast.parse(path.read_text()))
+            found += finder.found
+        assert found == ["scalars._rational"]
