@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _fracs, _quote, _rational, chi, frac_to_str, in_zp, require_prime
+from .scalars import _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -46,15 +46,23 @@ class ClosureError(ValueError):
 
 
 def normalize_point(p: int, lam) -> Fraction:
-    """Canonical representative lam * p**k in [1, p) of a positive rational."""
+    """Canonical representative lam * p**k in [1, p) of a positive rational.
+
+    Runs on lam = num/den: num*p**k and den*p**k stand for the same
+    rational scaled by p**k, and 1 <= num/den < p is den <= num < p*den, as
+    den > 0.  lam itself is returned when it already lies in [1, p), and
+    otherwise one Fraction is built."""
     lam = _rational(lam)
-    if lam <= 0:
+    num, den = lam.as_integer_ratio()
+    if num <= 0:
         raise ValueError("points of the circle have positive representatives")
-    while lam < 1:
-        lam *= p
-    while lam >= p:
-        lam /= p
-    return lam
+    if den <= num < p * den:
+        return lam
+    while num < den:
+        num *= p
+    while num >= p * den:
+        den *= p
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,13 @@ class Divisor:
 
     @cached_property
     def _degree(self) -> Fraction:
-        return sum((rep * c for rep, c in self.entries), Fraction(0))
+        """Sum of rep*c as one integer sum: each term is rn*cn/(rd*cd), and
+        scaled by d > 0, the least common multiple of the rd*cd (`_scaled`),
+        the terms are integers whose sum is d times the degree, so one
+        Fraction is built."""
+        d, terms = _scaled([(rep.numerator * c.numerator, rep.denominator * c.denominator)
+                            for rep, c in self.entries])
+        return Fraction(sum(terms), d)
 
     @cached_property
     def _chi(self) -> int:
@@ -101,7 +115,7 @@ class Divisor:
             raise ValueError("mixed primes")
         table = dict(self.entries)
         for rep, c in other.entries:
-            table[rep] = table.get(rep, 0) + c
+            table[rep] = table[rep] + c if rep in table else c
         return _collect(self.p, table)
 
     def __neg__(self) -> "Divisor":
@@ -129,7 +143,7 @@ def divisor(p: int, table) -> Divisor:
         c = _rational(c)
         if not in_zp(c, p):
             raise ValueError(f"coefficient {_quote(c)} is not in Z[1/{p}]")
-        merged[rep] = merged.get(rep, 0) + c
+        merged[rep] = merged[rep] + c if rep in merged else c
     return _collect(p, merged)
 
 
@@ -180,10 +194,21 @@ class CircleFunction:
 def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
     """Validating constructor: kinks sorted in the open interval (1, p),
     slopes in Z[1/p], and the closure sum(s_i * arc_i) = 0.  An anchor of
-    None gives the bottom function; SlopeGroup rejects a p that is not prime."""
+    None gives the bottom function; SlopeGroup rejects a p that is not prime.
+
+    The closure sum value(p) - value(1) is taken on integers: with the
+    slopes scaled to S = s*ds and the bounds [1, *kinks, p] to B = b*db
+    (`_scaled`), it is sum(S_i*(B_i+1 - B_i))/(ds*db), exact because
+    ds, db > 0.  A Fraction is built only to quote a nonzero sum, and the
+    values `eval_at` reads are summed only when it is first called."""
     pa = piecewise_affine(SlopeGroup(p), 1, p, anchor, kinks, slopes)
-    if not pa.is_bottom and (closure := pa.eval_at(p) - pa.anchor) != 0:
-        raise ClosureError(f"slopes do not close up: value(p) - value(1) = {_quote(closure)}")
+    if not pa.is_bottom:
+        ds, big_s = _scaled([s.as_integer_ratio() for s in pa.slopes])
+        db, big_b = _scaled([(1, 1), *[k.as_integer_ratio() for k in pa.kinks], (p, 1)])
+        rise = sum(s * (b1 - b0) for s, b0, b1 in zip(big_s, big_b, big_b[1:]))
+        if rise:
+            raise ClosureError("slopes do not close up: value(p) - value(1) = "
+                               f"{_quote(Fraction(rise, ds * db))}")
     return CircleFunction(p, pa)
 
 
@@ -233,12 +258,16 @@ def circle_times(f: CircleFunction, g: CircleFunction) -> CircleFunction:
 def divisor_of(f: CircleFunction) -> Divisor:
     """Divisor of slope jumps: s_i+1 - s_i at kink k_i and, at the wrap
     class 1, s_0 - p*s_m (the slope just left of it is p times the last
-    stored slope), zeros dropped.  Its degree and chi always vanish."""
+    stored slope), zeros dropped.  Its degree and chi always vanish.
+
+    With the slopes scaled to the integers S = s*ds (`_scaled`), each jump
+    is the one Fraction(S_i+1 - S_i, ds) and the wrap jump
+    Fraction(S_0 - p*S_m, ds): exact, as ds > 0."""
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
-    s = f.slopes
-    table = {k: right - left for k, left, right in zip(f.kinks, s, s[1:])}
-    table[Fraction(1)] = s[0] - f.p * s[-1]
+    ds, s = _scaled([q.as_integer_ratio() for q in f.slopes])
+    table = {k: Fraction(right - left, ds) for k, left, right in zip(f.kinks, s, s[1:])}
+    table[Fraction(1)] = Fraction(s[0] - f.p * s[-1], ds)
     return _collect(f.p, table)
 
 
@@ -261,6 +290,12 @@ def is_principal(d: Divisor) -> PrincipalityReport:
     solved from the wrap equation s_0 * (1 - p) = d_wrap + p * sum(interior);
     the division by (p - 1) is exact precisely when chi(d) vanishes, and the
     closure condition then follows from degree zero.
+
+    The sums run on integers: with the coefficients scaled to C = c*d
+    (`_scaled`), every slope times d*(p - 1) is an integer, the base one
+    -(C_wrap + p*sum(C_interior)) and each next one the last plus
+    C_i*(p - 1); each slope is the one Fraction of its integer over
+    d*(p - 1), exact as d*(p - 1) > 0.
     """
     obstructions = []
     if d.degree() != 0:
@@ -270,12 +305,18 @@ def is_principal(d: Divisor) -> PrincipalityReport:
     if obstructions:
         return PrincipalityReport(d, None, tuple(obstructions))
     p = d.p
-    wrap = d.coeff(1)
-    interior = [(rep, c) for rep, c in d.entries if rep != 1]
-    slopes = [-(wrap + p * sum(c for _, c in interior)) / (p - 1)]
-    for _, c in interior:
-        slopes.append(slopes[-1] + c)
-    witness = circle_function(p, [rep for rep, _ in interior], slopes, 0)
+    reps = [rep for rep, _ in d.entries]
+    den, big_c = _scaled([c.as_integer_ratio() for _, c in d.entries])
+    wrap = 0
+    if reps and reps[0] == 1:
+        wrap, reps, big_c = big_c[0], reps[1:], big_c[1:]
+    den *= p - 1
+    s = -(wrap + p * sum(big_c))
+    slopes = [Fraction(s, den)]
+    for c in big_c:
+        s += c * (p - 1)
+        slopes.append(Fraction(s, den))
+    witness = circle_function(p, reps, slopes, 0)
     return PrincipalityReport(d, witness, ())
 
 

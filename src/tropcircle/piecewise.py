@@ -103,7 +103,7 @@ class PiecewiseAffine:
     @property
     def convex(self) -> bool:
         """True when the slopes strictly increase across the kinks."""
-        return all(a < b for a, b in zip(self.slopes, self.slopes[1:]))
+        return _increasing(self.slopes)
 
     @cached_property
     def _values(self) -> tuple:
@@ -154,11 +154,18 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
     slopes = tuple(group.require(s) for s in slopes)
     if len(slopes) != len(kinks) + 1:
         raise ValueError("need exactly one slope per piece")
-    if any(a >= b for a, b in zip(kinks, kinks[1:])):
+    if not _increasing(kinks):
         raise ValueError("kinks must be strictly increasing")
     if kinks and (kinks[0] <= lo or (hi is not None and kinks[-1] >= hi)):
         raise ValueError("kinks must be interior to the domain")
     return _merged(group, lo, hi, anchor, kinks, slopes)
+
+
+def _increasing(qs) -> bool:
+    """True when the Fractions qs strictly increase, tested on integers:
+    with a/b and c/d in lowest terms, b, d > 0, a/b < c/d is a*d < c*b."""
+    ratios = [q.as_integer_ratio() for q in qs]
+    return all(a * d < c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
 
 
 def _merged(group, lo, hi, anchor, kinks, slopes) -> PiecewiseAffine:

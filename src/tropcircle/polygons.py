@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
-from .scalars import _rational, frac_to_str
+from .scalars import _rational, _scaled, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -44,15 +44,6 @@ class NewtonPolygon:
             return "NewtonPolygon(zero)"
         return "NewtonPolygon(%s)" % ", ".join(f"({frac_to_str(x)}, {frac_to_str(y)})"
                                                for x, y in self.vertices)
-
-
-def _scaled(pairs):
-    """(d, [num*(d // den) for num, den in pairs]): the rationals given as
-    (num, den) pairs with den > 0, not necessarily in lowest terms, scaled
-    to integers by d, the least common multiple of the dens (1 when pairs
-    is empty)."""
-    d = lcm(*[den for _, den in pairs])
-    return d, [num * (d // den) for num, den in pairs]
 
 
 def _hull(xs, ys) -> list:

@@ -15,12 +15,17 @@ decimal digits to str (0 sets no bound); `frac_to_str` words that refusal
 as one line, and `_fits_digits` is the one test of an int against the
 limit, for the readers that refuse such a value before it is printed.
 `_rational` is the one coercion of a rational argument, a slope group's
-scale included: every value layer reads one as Fraction(x) reads it.
+scale included: every value layer reads one as Fraction(x) reads it, and a
+value Fraction(x) cannot read, an infinite float included, is refused with
+ValueError.  `_scaled` is the one common-denominator rule: the exact sums
+and order tests of `polygons` and `circle` run on integers over one least
+common denominator and build one Fraction per result.
 """
 
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 __all__ = [
     "BOTTOM",
@@ -44,8 +49,28 @@ _QUOTE_LEN = 40
 
 
 def _rational(x) -> Fraction:
-    """Fraction(x), or x itself when it is a Fraction."""
-    return x if type(x) is Fraction else Fraction(x)
+    """Fraction(x), or x itself when it is a Fraction.  Fraction(x) refuses
+    an infinite float (or Decimal) with OverflowError and NaN with
+    ValueError; both are refused here with ValueError, Python's message kept."""
+    if type(x) is Fraction:
+        return x
+    try:
+        return Fraction(x)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _scaled(pairs):
+    """(d, [num*(d // den) for num, den in pairs]): the rationals given as
+    (num, den) pairs with den > 0, not necessarily in lowest terms, scaled
+    to integers by d, the least common multiple of the dens (1 when pairs
+    is empty).
+
+    Sums and order tests on the scaled integers are exact: num/den is
+    num*(d // den)/d, and scaling by the one d > 0 keeps every value's
+    ratio to the others and their order."""
+    d = lcm(*[den for _, den in pairs])
+    return d, [num * (d // den) for num, den in pairs]
 
 
 def _quote(value) -> str:

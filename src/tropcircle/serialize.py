@@ -188,19 +188,26 @@ def _expect(d: dict, key: str, kind=None):
     return d[key] if kind is None else _typed(d[key], key, kind)
 
 
-def _typed(value, name: str, kind):
-    """value, refused naming it unless a JSON list (kind list) or object (kind dict)."""
+def _typed(value, name: str, kind, index=None):
+    """value, refused naming it unless a JSON list (kind list) or object
+    (kind dict).  An entry of a list is named name[index], a string built
+    only for the refusal."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {'a list' if kind is list else 'an object'}")
+        raise ValueError(f"{_name(name, index)} must be {'a list' if kind is list else 'an object'}")
     return value
 
 
-def _pair(value, name: str) -> list:
+def _pair(value, name: str, index=None) -> list:
     """value when it is a JSON list of exactly two items; a vertex or a
-    domain of any other shape is refused, naming it."""
+    domain of any other shape is refused, naming it as `_typed` does."""
     if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{name} must be a list of two items")
+        raise ValueError(f"{_name(name, index)} must be a list of two items")
     return value
+
+
+def _name(name: str, index) -> str:
+    """name, or name[index] for an entry of a list."""
+    return name if index is None else f"{name}[{index}]"
 
 
 # ---------------------------------------------------------------- polygons
@@ -217,7 +224,7 @@ def polygon_from_json(d: dict) -> NewtonPolygon:
     group = SlopeGroup(_expect(d, "p"), parse_frac(d.get("scale", "1")))
     xs, ys = [], []
     for i, vertex in enumerate(_expect(d, "vertices", list)):
-        x, y = _pair(vertex, f"vertices[{i}]")
+        x, y = _pair(vertex, "vertices", i)
         xs.append(_ratio(x))
         ys.append(_ratio(y))
     return _polygon_of_ratios(group, xs, ys)
@@ -299,7 +306,7 @@ def divisor_from_json(d: dict) -> Divisor:
     p = _expect(d, "p")
     pairs = []
     for i, item in enumerate(_expect(d, "support", list)):
-        item = _typed(item, f"support[{i}]", dict)
+        item = _typed(item, "support", dict, i)
         pairs.append((parse_frac(_expect(item, "point")), parse_frac(_expect(item, "coeff"))))
     return divisor(p, pairs)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcircle import circle
 from tropcircle.circle import (
@@ -9,6 +10,7 @@ from tropcircle.circle import (
     divisor, divisor_of, from_cut, is_principal, jacobian_class, normalize_point,
 )
 from tropcircle.piecewise import SlopeGroup, piecewise_affine
+from tropcircle.scalars import _quote
 from tropcircle.verify import (
     class_representative, gen_circle, gen_divisor, gen_divisor_chi_nonzero,
     gen_divisor_deg0_chi0,
@@ -322,3 +324,124 @@ def test_join_and_times_stay_closed():
         j, t = circle_join(f, g), circle_times(f, g)
         for h in (j, t):
             assert h.pa.eval_at(1) == h.pa.eval_at(p)
+
+
+# ----------------------------------------------------- the Fraction formulas
+# The circle layer sums on integers over one common denominator.  These are
+# the same computations as chains of Fraction + - *, kept as oracles.
+
+def fraction_closure(p, kinks, slopes):
+    """value(p) - value(1): the rise of every arc summed as Fractions."""
+    bounds = [F(1), *map(F, kinks), F(p)]
+    return sum((F(s) * (b - a) for s, a, b in zip(slopes, bounds, bounds[1:])), F(0))
+
+
+def fraction_degree(d):
+    return sum((rep * c for rep, c in d.entries), F(0))
+
+
+def fraction_divisor_table(f):
+    s = f.slopes
+    table = {k: right - left for k, left, right in zip(f.kinks, s, s[1:])}
+    table[F(1)] = s[0] - f.p * s[-1]
+    return tuple(sorted((rep, c) for rep, c in table.items() if c))
+
+
+def fraction_witness_slopes(d):
+    p = d.p
+    wrap = d.coeff(1)
+    interior = [(rep, c) for rep, c in d.entries if rep != 1]
+    slopes = [-(wrap + p * sum(c for _, c in interior)) / (p - 1)]
+    for _, c in interior:
+        slopes.append(slopes[-1] + c)
+    return [rep for rep, _ in interior], slopes
+
+
+def fraction_normalize(p, lam):
+    lam = F(lam)
+    while lam < 1:
+        lam *= p
+    while lam >= p:
+        lam /= p
+    return lam
+
+
+BIG_PRIME = 2 ** 61 - 1
+
+
+def drawn_kinks(rng, p, m):
+    """m distinct sorted kinks j/p**2 in (1, p), drawn with randint."""
+    return sorted({F(rng.randint(p ** 2 + 1, p ** 3 - 1), p ** 2) for _ in range(m)})
+
+
+def closing_circle(rng, p):
+    """gen_circle, or at the big prime its construction with the interior
+    kinks drawn by randint: gen_circle's random.sample takes len() of a
+    range of about p**3 integers, which overflows there."""
+    if p != BIG_PRIME:
+        return gen_circle(rng, p)
+    last = p - F(1, p ** rng.randint(0, 2))
+    kinks = [k for k in drawn_kinks(rng, p, rng.randint(0, 2)) if k < last] + [last]
+    slopes = [F(rng.randint(-6, 6), p ** rng.randint(0, 2)) for _ in kinks]
+    bounds = [F(1), *kinks, F(p)]
+    partial = sum(s * (b - a) for s, a, b in zip(slopes, bounds, bounds[1:]))
+    return circle_function(p, kinks, slopes + [-partial / (bounds[-1] - bounds[-2])], F(0))
+
+
+def off_domain_points(rng, p):
+    """Positive rationals at many p-power scalings, most of them outside [1, p)."""
+    return [F(rng.randint(1, 50), rng.randint(1, 12)) * F(p) ** rng.randint(-3, 3)
+            for _ in range(4)]
+
+
+class TestIntegerSums:
+    """The integer sums of circle_function, Divisor.degree, divisor_of,
+    is_principal, normalize_point and divisor equal the Fraction formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5, 7, BIG_PRIME]))
+    def test_integer_sums_match_fraction_formulas(self, seed, p):
+        rng = random.Random(seed)
+
+        # closure: a drawn slope list closes, or is refused quoting its sum
+        kinks = drawn_kinks(rng, p, rng.randint(0, 3))
+        slopes = [F(rng.randint(-9, 9), p ** rng.randint(0, 2)) for _ in range(len(kinks) + 1)]
+        closure = fraction_closure(p, kinks, slopes)
+        if closure:
+            with pytest.raises(ClosureError) as refused:
+                circle_function(p, kinks, slopes, 0)
+            assert str(refused.value) == ("slopes do not close up: value(p) - value(1) = "
+                                          f"{_quote(closure)}")
+        else:
+            assert circle_function(p, kinks, slopes, 0).eval_at(p) == 0
+
+        f = closing_circle(rng, p)
+        assert fraction_closure(p, f.kinks, f.slopes) == 0
+        d0 = divisor_of(f)
+        assert d0.entries == fraction_divisor_table(f)
+
+        # points outside [1, p), repeated points, and the drawn divisors
+        points = off_domain_points(rng, p)
+        for lam in points:
+            rep = normalize_point(p, lam)
+            assert rep == fraction_normalize(p, lam)
+            assert normalize_point(p, rep) is rep
+        pairs = [(lam, F(rng.randint(-9, 9), p ** rng.randint(0, 2))) for lam in points * 2]
+        merged = {}
+        for lam, c in pairs:
+            rep = fraction_normalize(p, lam)
+            merged[rep] = merged.get(rep, F(0)) + c
+        d1 = divisor(p, pairs)
+        assert d1.entries == tuple(sorted((rep, c) for rep, c in merged.items() if c))
+        d2 = gen_divisor(rng, p)
+        if p != BIG_PRIME:
+            d0 += gen_divisor_deg0_chi0(rng, p)
+
+        for d in (d0, d1, d2, d0 - d1):
+            assert d.degree() == fraction_degree(d)
+            report = is_principal(d)
+            if report.principal:
+                reps, slopes = fraction_witness_slopes(d)
+                assert report.witness == circle_function(p, reps, slopes, 0)
+                assert divisor_of(report.witness) == d
+        assert is_principal(d0).principal

@@ -367,3 +367,22 @@ class TestOneCoercion:
             finder.visit(ast.parse(path.read_text()))
             found += finder.found
         assert found == ["scalars._rational"]
+
+    @pytest.mark.parametrize("x, message", [
+        (float("inf"), "cannot convert Infinity to integer ratio"),
+        (float("-inf"), "cannot convert Infinity to integer ratio"),
+        (float("nan"), "cannot convert NaN to integer ratio"),
+    ])
+    @pytest.mark.parametrize("name", sorted(COERCING_ENTRIES))
+    def test_non_finite_float_refused_with_value_error(self, name, x, message):
+        """Fraction(inf) raises OverflowError; the one coercion refuses every
+        non-finite float with ValueError, the error cli.main catches."""
+        assert outcome(COERCING_ENTRIES[name], x) == ("ValueError", message)
+
+    def test_scaled_defined_only_in_scalars(self):
+        """`_scaled`, the one common-denominator rule, is defined in scalars
+        alone; polygons and circle import it."""
+        found = [path.stem for path in sorted(Path(scalars.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_scaled"]
+        assert found == ["scalars"]
