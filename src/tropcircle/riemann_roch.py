@@ -33,18 +33,20 @@ feasible m is a closed form; below that, one inequality in
 alpha = (r - p k) / (p-1) is the single-kink test for non-integer alpha and
 the kink-free test for integer alpha.  A single kink that lands on a
 support point rep_j is not movable, but one more step at rep_j then passes
-the kink-free test, so counting it as dimension 1 changes no level.  Each
-assignment costs O(1) exact operations, and the search cost is the number
-of assignments enumerated.
+the kink-free test, so counting it as dimension 1 changes no level.
+
+A level costs an O(k) integer set-up over the k support points (the
+forced-jump box of `_level_box`), plus O(1) exact operations per
+assignment in that box.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from .circle import CircleFunction, Divisor, divisor_of
-from .scalars import padic_abs
+from .scalars import _scaled, padic_abs
 
 __all__ = [
     "FiltrationReport",
@@ -108,35 +110,66 @@ def _assignment_best(p, w, k, r):
     return int((p - 1) * (ceil(alpha) - 1) + p * k + p <= w + (alpha.denominator == 1))
 
 
+def _level_box(d: Divisor, n: int):
+    """(w, interior, ranges) of level n: the wrap bound
+    w = floor(d_wrap * p**n), the support entries (rep_i, d_i) off the wrap
+    point, and the range of each one's forced jump in lattice steps
+    p**(-n), from -floor(d_i * p**n) to floor(cap_i / rep_i * p**n).  The
+    cap is the order budget B = max(d_wrap, 0) + sum(rep_j * max(d_j, 0))
+    less the point's own share rep_i * max(d_i, 0).  A range may be empty.
+
+    Runs on integers, in one pass over the k support points: B is summed
+    once, so the set-up is O(k).  With rep_i = a/b, d_i = cn/cd and
+    d_wrap = wn/wd, every den > 0 (the wrap point is the rep whose num
+    equals its den), the shares are scaled by L > 0, the least common
+    multiple of their dens (`_scaled`), to integers s_i whose sum is L*B.
+    floor(x/y) = x // y for integers x and y > 0, so
+        -floor(d_i * p**n)          = -(cn * p**n // cd),
+        floor(cap_i / rep_i * p**n) = (L*B - s_i) * b * p**n // (L * a),
+        floor(d_wrap * p**n)        = wn * p**n // wd
+    exactly, for numerators of either sign.
+    """
+    scale = d.p ** n
+    wn, wd = 0, 1
+    interior, lows, ratios, shares = [], [], [], []
+    for entry in d.entries:
+        a, b = entry[0].as_integer_ratio()
+        cn, cd = entry[1].as_integer_ratio()
+        if a == b:
+            wn, wd = cn, cd
+            continue
+        interior.append(entry)
+        lows.append(-(cn * scale // cd))
+        ratios.append((a, b))
+        shares.append((a * cn, b * cd) if cn > 0 else (0, 1))
+    den, scaled = _scaled([(wn, wd) if wn > 0 else (0, 1), *shares])
+    budget = sum(scaled)
+    ranges = [range(lo, (budget - s) * b * scale // (den * a) + 1)
+              for lo, s, (a, b) in zip(lows, scaled[1:], ratios)]
+    return wn * scale // wd, interior, ranges
+
+
 def dim_filtration(d: Divisor, n: int) -> int:
     """Maximal stratum dimension of the level {f in H0(D) : ||f|| <= p**n}.
 
     Returns 0 when the level holds only the bottom function.  The search
     enumerates the forced jumps at the support of D in lattice steps p**(-n)
-    (ranges bounded by the order-sum budget) and maximizes over assignments.
+    (ranges bounded by the order-sum budget, `_level_box`) and maximizes
+    over assignments.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = d.p
     if d.degree() < 0:
         return 0
-    scale = p ** n
-    wrap_d = d.coeff(1)
-    interior = [(rep, c) for rep, c in d.entries if rep != 1]
-    ranges = []
-    total = 1
-    for rep, dv in interior:
-        cap = sum(r * max(v, 0) for r, v in interior if r != rep) + max(wrap_d, 0)
-        steps = range(-floor(dv * scale), floor(cap / rep * scale) + 1)
-        if not steps:
-            return 0  # the forced jump cannot fit inside the order budget
-        total *= steps.stop - steps.start  # len() overflows past sys.maxsize
-        ranges.append(steps)
-    if total > 2_000_000:  # only once every range is known to be nonempty
+    w, interior, ranges = _level_box(d, n)
+    if not all(ranges):
+        return 0  # some forced jump cannot fit inside the order budget
+    # len() overflows past sys.maxsize; the cap counts only nonempty boxes
+    if prod(steps.stop - steps.start for steps in ranges) > 2_000_000:
         raise ValueError(f"support enumeration too large: level n={n} has more "
                          "than 2,000,000 forced-jump assignments")
 
-    w = floor(wrap_d * scale)
     return max((_assignment_best(p, w, sum(ks), sum(rep * k for (rep, _), k in zip(interior, ks)))
                 for ks in product(*ranges)), default=0)
 

@@ -18,8 +18,10 @@ limit, for the readers that refuse such a value before it is printed.
 scale included: every value layer reads one as Fraction(x) reads it, and a
 value Fraction(x) cannot read, an infinite float included, is refused with
 ValueError.  `_scaled` is the one common-denominator rule: the exact sums
-and order tests of `polygons` and `circle` run on integers over one least
-common denominator and build one Fraction per result.
+and order tests of `polygons` and `circle`, and the level set-up of the
+filtration search (`riemann_roch._level_box`), run on integers over one
+least common denominator; `polygons` and `circle` build one Fraction per
+result, and the level set-up none.
 """
 
 import sys

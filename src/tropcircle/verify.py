@@ -13,6 +13,7 @@ imported by value.
 """
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -77,6 +78,21 @@ def gen_lex(rng):
         return LEX_BOTTOM
     return LexElement(gen_fraction(rng), gen_fraction(rng))
 
+def _sample_range(rng, lo, hi, k):
+    """k distinct ints of [lo, hi], as rng.sample(range(lo, hi + 1), k)
+    draws them.  sample takes len() of its population, which overflows past
+    sys.maxsize.  Drawing k <= 5 from more than 21 ints, sample draws
+    uniform indices and draws a repeat again, so a range past sys.maxsize is
+    drawn that way here, with randrange."""
+    if hi - lo < sys.maxsize:
+        return rng.sample(range(lo, hi + 1), k)
+    picks = []
+    while len(picks) < k:
+        j = rng.randrange(lo, hi + 1)
+        if j not in picks:
+            picks.append(j)
+    return picks
+
 def gen_circle(rng, p):
     """Random global circle function with at most 3 kinks, never bottom.
 
@@ -95,7 +111,7 @@ def gen_circle(rng, p):
     if hi_i - lo_i + 1 < m - 1:
         others = []
     else:
-        others = sorted(rng.sample(range(lo_i, hi_i + 1), m - 1))
+        others = sorted(_sample_range(rng, lo_i, hi_i, m - 1))
     kinks = [Fraction(i, grid) for i in others] + [last]
     slopes = [gen_hp(rng, p, span=6) for _ in range(len(kinks))]
     bounds = [Fraction(1), *kinks, Fraction(p)]

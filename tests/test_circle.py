@@ -107,6 +107,20 @@ class TestDivisorOf:
                 assert d.degree() == 0
                 assert d.chi() == 0
 
+    @pytest.mark.parametrize("p", [2 ** 61 - 1, 4194301])
+    def test_gen_circle_at_large_primes(self, p):
+        # the interior kinks come from about p**3 grid points, more than
+        # sys.maxsize, so len() of their range overflows
+        drawn = 0
+        for seed in range(20):
+            f = gen_circle(random.Random(seed), p)
+            bounds = (F(1), *f.kinks, F(p))
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))
+            drawn += max(len(f.kinks) - 1, 0)
+            d = divisor_of(f)
+            assert d.degree() == 0 and d.chi() == 0
+        assert drawn
+
     def test_additive_under_times(self):
         rng = random.Random(19)
         for _ in range(200):

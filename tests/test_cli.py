@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_cli_golden import GOLDEN, INPUTS, _sha, run_case, write_inputs
+from test_riemann_roch import thousand_point_divisor
 from tropcircle import cli, scalars
 from tropcircle.circle import circle_function, divisor, divisor_of
 from tropcircle.cli import main
@@ -604,6 +605,14 @@ class TestBadInput:
         import time
         path = divisor_file(tmp_path, divisor(2, {F(5, 4): F(4096), F(3, 2): F(4096),
                                                   F(7, 4): F(-4096)}))
+        start = time.perf_counter()
+        assert main(["rr", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(capsys, "support enumeration too large")
+
+    def test_thousand_point_cap_exits_2_fast(self, tmp_path, capsys):
+        # the level set-up is linear in the support, so the cap is met at once
+        path = divisor_file(tmp_path, thousand_point_divisor())
         start = time.perf_counter()
         assert main(["rr", path]) == 2
         assert time.perf_counter() - start < 1.0

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from math import floor, prod
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropcircle.circle import circle_bottom, circle_function, circle_times, divisor, divisor_of, is_principal
 from tropcircle.riemann_roch import (
-    _assignment_best, dim_filtration, dim_r, member_h0, norm_p, rr_check, rr_tolerance,
+    _assignment_best, _level_box, dim_filtration, dim_r, member_h0, norm_p, rr_check, rr_tolerance,
 )
 from tropcircle.verify import gen_circle, gen_divisor, gen_divisor_chi_nonzero, gen_divisor_deg0_chi0
 
@@ -222,6 +223,54 @@ class TestLevelLaw:
             elif deg > 0 and n >= 2:
                 # (c) the gap law; it fails at n = 0 and 1 (ROADMAP)
                 assert 0 <= deg * p ** n - dim <= p - 1
+
+
+BIG_PRIME = 2 ** 61 - 1
+
+
+@st.composite
+def level_cases(draw):
+    """(d, n): a divisor of up to four entries, with or without the wrap
+    point, coefficients of either sign with dens up to p**10 (past p**n, so
+    most d_i * p**n are not integers), and a level n in 0..8.  Large
+    negative coefficients leave a forced jump no room: an empty box."""
+    p = draw(st.sampled_from([2, 3, 5, 7, BIG_PRIME]))
+    point = st.one_of(st.just(F(1)), st.integers(p ** 2, p ** 3 - 1).map(lambda i: F(i, p ** 2)))
+    coeff = st.builds(lambda num, k: F(num, p ** k),
+                      st.integers(-60, 60).filter(bool), st.integers(0, 10))
+    return divisor(p, draw(st.lists(st.tuples(point, coeff), max_size=4))), draw(st.integers(0, 8))
+
+
+def thousand_point_divisor():
+    """p = 2: 2 at the wrap point and -1/1024 at 1 + i/1024 for i = 1..1000.
+    Level 0 is one assignment; level 1 has 2 or 3 steps at every point."""
+    return divisor(2, {F(1): F(2), **{1 + F(i, 1024): F(-1, 1024) for i in range(1, 1001)}})
+
+
+class TestLevelBox:
+    @settings(max_examples=300, deadline=None)
+    @given(level_cases())
+    def test_integer_box_matches_fraction_formulas(self, case):
+        # forced_box and the wrap floor are the Fraction formulas the search
+        # used before its set-up ran on integers
+        d, n = case
+        w, interior, ranges = _level_box(d, n)
+        assert w == floor(d.coeff(1) * d.p ** n)
+        assert interior == [(rep, c) for rep, c in d.entries if rep != 1]
+        assert ([(steps.start, steps.stop - 1) for steps in ranges]
+                == [(lo, hi) for _, lo, hi in forced_box(d, n)])
+
+    def test_set_up_is_linear_in_the_support(self):
+        # with a per-point budget sum, level 0 took seconds
+        d = thousand_point_divisor()
+        start = time.perf_counter()
+        assert dim_filtration(d, 0) == 0
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^support enumeration too large: level n=1 has "
+                                             "more than 2,000,000 forced-jump assignments$"):
+            dim_filtration(d, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDimR:
