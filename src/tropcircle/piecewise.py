@@ -4,7 +4,9 @@ A function is stored as its domain, its anchor value at the left endpoint,
 a sorted tuple of interior kinks, and one slope per piece; the value
 anywhere is recovered by integrating the slopes from the anchor, so
 continuity is structural.  The values at lo and at the kinks are summed
-once, on the first evaluation, and kept out of equality, hash and repr.
+once, on the first evaluation, as integers over one common denominator
+(`scalars._scaled`), and kept out of equality, hash and repr; evaluation and
+the pointwise join run on such integers and build one Fraction per result.
 Slopes are constrained to a rank-one group: either Z, or a fixed rational
 multiple of Z[1/p].
 
@@ -17,11 +19,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _fracs, _is_power_of, _quote, _rational, frac_to_str, require_prime
+from .scalars import _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -107,22 +109,50 @@ class PiecewiseAffine:
 
     @cached_property
     def _values(self) -> tuple:
-        """Values at lo and at each kink, each the one before plus its piece's exact rise.
-        Kept because cli.function_svg reads every kink's value through eval_at."""
-        values = [self.anchor]
-        for a, b, s in zip((self.lo, *self.kinks), self.kinks, self.slopes):
-            values.append(values[-1] + s * (b - a))
-        return tuple(values)
+        """(dx, xs, ss, step, den, values): the function on integers, as
+        eval_at reads it.  xs are lo and the kinks times dx and ss the slopes
+        times ds, with dx and ds the least common multiples of their
+        denominators (`_scaled`); values[i]/den is the value at xs[i]/dx,
+        with den = lcm(anchor denominator, ds*dx) and step = den // (ds*dx).
+        Kept because cli.function_svg reads every kink's value through eval_at.
+
+        The values are exact integer sums: the value at xs[0] is the anchor,
+        and piece i rises by (ss[i]/ds)*(xs[i+1] - xs[i])/dx, that is by
+        ss[i]*(xs[i+1] - xs[i])*step/den, an integer over den.
+        """
+        dx, xs = _scaled([q.as_integer_ratio() for q in (self.lo, *self.kinks)])
+        ds, ss = _scaled([s.as_integer_ratio() for s in self.slopes])
+        num, ad = self.anchor.as_integer_ratio()
+        den = lcm(ad, ds * dx)
+        step, value = den // (ds * dx), num * (den // ad)
+        values = [value]
+        for s, a, b in zip(ss, xs, xs[1:]):
+            value += s * (b - a) * step
+            values.append(value)
+        return dx, xs, ss, step, den, values
 
     def eval_at(self, lam) -> Fraction | None:
-        """Value at the start of lam's piece plus its slope times the distance."""
+        """Value at the start of lam's piece plus its slope times the distance.
+
+        With lam = a/b and the integer form of `_values`, lam lies on piece
+        i, where i + 1 is the first kink index j >= 1 with xs[j]*b >= a*dx
+        (so a kink belongs to the piece on its left), or on the last piece.
+        The value is values[i]/den + (ss[i]/ds)*(a/b - xs[i]/dx), the one
+        Fraction(values[i]*b + ss[i]*step*(a*dx - xs[i]*b), b*den).  The
+        domain test compares lam with lo and hi by cross-multiplying.
+        """
         lam = _rational(lam)
-        if lam < self.lo or (self.hi is not None and lam > self.hi):
-            raise ValueError(f"{_quote(lam)} outside domain [{_quote(self.lo)}, {_quote(self.hi)}]")
+        a, b = lam.as_integer_ratio()
+        lo, hi = self.lo, self.hi
+        if a * lo.denominator < lo.numerator * b or (
+                hi is not None and a * hi.denominator > hi.numerator * b):
+            raise ValueError(f"{_quote(lam)} outside domain [{_quote(lo)}, {_quote(hi)}]")
         if self.is_bottom:
             return None
-        i = bisect_left(self.kinks, lam)
-        return self._values[i] + self.slopes[i] * (lam - (self.kinks[i - 1] if i else self.lo))
+        dx, xs, ss, step, den, values = self._values
+        ax = a * dx
+        i = bisect_left(xs, ax, 1, key=b.__mul__) - 1
+        return Fraction(values[i] * b + ss[i] * step * (ax - xs[i] * b), b * den)
 
     def __repr__(self) -> str:
         hi = "None" if self.hi is None else frac_to_str(self.hi)
@@ -222,37 +252,53 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     it.  The walk carries the two values at a: fa and ga, stepped by
     fs*(b-a) and gs*(b-a) to the next cut.  On the piece the larger value
     at a wins; on a tie the larger slope does.  When the loser has the
-    larger slope the graphs cross at t = a + (ga-fa)/(fs-gs), a kink when
+    larger slope the graphs cross at t = a + (wa-la)/(ls-ws), a kink when
     it lies strictly inside the piece; after it the larger slope wins.
+    `_merged` drops the cuts where the winning slope does not change.
 
-    The carried values are exact: they are Fractions, and each step adds
-    the exact rise of an affine piece, so fa is f's value at a, the same
-    number eval_at would return.
+    The walk runs on integers over common denominators (`_scaled`): the
+    positions lo, the cuts and hi as A = a*dx, the slopes as S = s*ds, and
+    the values over dv*ds*dx, with dv the least common multiple of the two
+    anchors' denominators, so a piece's rise s*(b-a) is S*(B-A)*dv over the
+    same denominator.  The winner test and the slope comparisons are exact
+    on these integers, as the scaling is by positive numbers, and so is the
+    crossing test: with the values and slopes scaled, t - a is
+    (WA-LA)/(dv*dx*(LS-WS)), so t < b is WA-LA < (B-A)*dv*(LS-WS).  A
+    Fraction is built only for a crossing, (A*dv*(LS-WS) + WA-LA) over
+    dv*dx*(LS-WS); the cuts and slopes of the result are the operands'.
     """
     _require_compatible(f, g)
     if f.is_bottom or g.is_bottom:
         return g if f.is_bottom else f
     cuts, fss, gss = _pieces(f, g)
     n = len(cuts)
-    a, fa, ga = f.lo, f.anchor, g.anchor
+    ends = (f.lo, *cuts) if f.hi is None else (f.lo, *cuts, f.hi)
+    dx, xs = _scaled([q.as_integer_ratio() for q in ends])
+    ds, ss = _scaled([q.as_integer_ratio() for q in (*fss, *gss)])
+    (fn, fd), (gn, gd) = f.anchor.as_integer_ratio(), g.anchor.as_integer_ratio()
+    dv = lcm(fd, gd)
+    fa, ga = fn * (dv // fd) * ds * dx, gn * (dv // gd) * ds * dx
+    anchor = f.anchor if fa >= ga else g.anchor
     kinks, slopes = [], []
-    for k, (fs, gs) in enumerate(zip(fss, gss)):
-        b = cuts[k] if k < n else f.hi
-        win, lose = (fs, gs) if (fa, fs) > (ga, gs) else (gs, fs)
+    for k in range(n + 1):
+        fs, gs = ss[k], ss[n + 1 + k]
+        if (fa, fs) > (ga, gs):
+            wa, ws, la, ls, win, lose = fa, fs, ga, gs, fss[k], gss[k]
+        else:
+            wa, ws, la, ls, win, lose = ga, gs, fa, fs, gss[k], fss[k]
         slopes.append(win)
-        if lose > win:
-            t = a + (ga - fa) / (fs - gs)
-            if b is None or t < b:
-                kinks.append(t)
+        if ls > ws:
+            gap = (ls - ws) * dv
+            if k + 1 == len(xs) or wa - la < (xs[k + 1] - xs[k]) * gap:
+                kinks.append(Fraction(xs[k] * gap + wa - la, dx * gap))
                 slopes.append(lose)
         if k == n:
             break
-        d = b - a
-        fa += fs * d
-        ga += gs * d
-        kinks.append(b)
-        a = b
-    return _merged(f.group, f.lo, f.hi, max(f.anchor, g.anchor), kinks, slopes)
+        rise = (xs[k + 1] - xs[k]) * dv
+        fa += fs * rise
+        ga += gs * rise
+        kinks.append(cuts[k])
+    return _merged(f.group, f.lo, f.hi, anchor, kinks, slopes)
 
 
 def pointwise_times(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:

@@ -9,11 +9,15 @@ is determined by, and determines, its support function
 a convex piecewise-affine function with slopes in H.  The two semiring
 operations are pointwise max and pointwise sum of support functions; on
 vertices the sum is a Minkowski sum.  The empty polygon is the zero element
-(support function constant -inf).
+(support function constant -inf).  Each polygon computes, on first use, and
+keeps its vertices as integers over common denominators
+(`NewtonPolygon._form`), on which the hull, the two operations, the
+support function and the transform run.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
@@ -39,6 +43,15 @@ class NewtonPolygon:
     def is_zero(self) -> bool:
         return not self.vertices
 
+    @cached_property
+    def _form(self) -> tuple:
+        """(dx, X, dy, Y): the vertices on integers, X = x*dx and Y = y*dy,
+        for common denominators dx, dy > 0 of the x and of the y.  Kept out
+        of equality, hash and repr.  Computed on first use with the least
+        such denominators (`_scaled`): 1 and empty lists for the zero
+        polygon."""
+        return _integer_form(self.vertices)
+
     def __repr__(self) -> str:
         if self.is_zero:
             return "NewtonPolygon(zero)"
@@ -46,28 +59,33 @@ class NewtonPolygon:
                                                for x, y in self.vertices)
 
 
-def _hull(xs, ys) -> list:
-    """Indices of exactly the vertices (xs[i], ys[i]) that win
+def _integer_form(pts) -> tuple:
+    """(dx, X, dy, Y) of the (x, y) Fraction pairs pts, as `NewtonPolygon._form`."""
+    dx, big_x = _scaled([x.as_integer_ratio() for x, _ in pts])
+    dy, big_y = _scaled([y.as_integer_ratio() for _, y in pts])
+    return dx, big_x, dy, big_y
+
+
+def _hull(big_x, big_y) -> list:
+    """Indices of exactly the vertices (x_i, y_i) that win
     max_j(lam x_j + y_j) on a nonempty open sub-interval of [0, inf), in
-    increasing x.  Coordinates are (num, den) pairs as `_scaled` takes them.
+    increasing x.  They are given on integers, X = x*dx and Y = y*dy, for
+    any common denominators dx, dy > 0 of the x and of the y (`_scaled`).
 
     Steps: keep the best y per x, build the strictly concave upper hull
     (ties between chords drop the middle point), then drop leading vertices
     whose winning interval lies in lam <= 0.
 
-    The tests run on the integers X = x*dx and Y = y*dy, where dx and dy are
-    the least common multiples of the x and y denominators (`_scaled`).
-    That is exact: scaling x by dx > 0 and y by dy > 0 keeps the order of
-    the x values and of the y values, and multiplies both sides of the
-    chord test (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.
+    The tests run on the integers X and Y.  That is exact: scaling x by
+    dx > 0 and y by dy > 0 keeps the order of the x values and of the y
+    values, and multiplies both sides of the chord test
+    (y_b - y_a)(x_v - x_b) <= (y_v - y_b)(x_b - x_a) by dx*dy.
 
     So the kept vertices have strictly increasing x, and the crossings
     (y_i - y_i+1)/(x_i+1 - x_i) of neighbours, the kinks of the support
     function, are strictly increasing (strict concavity) and > 0 (the
     leading drop); `legendre` relies on both.
     """
-    _, big_x = _scaled(xs)
-    _, big_y = _scaled(ys)
     best = {}
     for i, (key_x, key_y) in enumerate(zip(big_x, big_y)):
         if key_x not in best or key_y > best[key_x][0]:
@@ -93,8 +111,8 @@ def _hull(xs, ys) -> list:
 def _reduce(pts):
     """The vertices of the list pts that `_hull` keeps, as the original
     (x, y) pairs of Fractions."""
-    keep = _hull([x.as_integer_ratio() for x, _ in pts], [y.as_integer_ratio() for _, y in pts])
-    return tuple(pts[i] for i in keep)
+    _, big_x, _, big_y = _integer_form(pts)
+    return tuple(pts[i] for i in _hull(big_x, big_y))
 
 
 def _require_group(group: SlopeGroup, xs) -> None:
@@ -111,7 +129,8 @@ def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
     den > 0, not necessarily in lowest terms; a Fraction is built only for
     the kept vertices."""
     _require_group(group, xs)
-    return NewtonPolygon(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in _hull(xs, ys)))
+    (_, big_x), (_, big_y) = _scaled(xs), _scaled(ys)
+    return NewtonPolygon(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in _hull(big_x, big_y)))
 
 
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
@@ -124,29 +143,65 @@ def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
 
 
 def ell(n: NewtonPolygon, lam) -> Fraction | None:
-    """Support function max_j(lam x_j + y_j); -inf for the zero polygon."""
-    lam = _rational(lam)
-    if lam < 0:
+    """Support function max_j(lam x_j + y_j); -inf for the zero polygon.
+
+    With lam = a/b and the integer form (dx, X, dy, Y) of `NewtonPolygon._form`,
+    lam*x_j + y_j is (a*dy*X_j + b*dx*Y_j)/(b*dx*dy): one integer max over
+    one positive denominator, and one Fraction."""
+    a, b = _rational(lam).as_integer_ratio()
+    if a < 0:
         raise ValueError("the support function lives on [0, inf)")
     if n.is_zero:
         return None
-    return max(lam * x + y for x, y in n.vertices)
+    dx, big_x, dy, big_y = n._form
+    ca, cb = a * dy, b * dx
+    return Fraction(max(ca * x + cb * y for x, y in zip(big_x, big_y)), b * dx * dy)
+
+
+def _common_forms(n: NewtonPolygon, m: NewtonPolygon) -> tuple:
+    """(dx, Xn, Xm, dy, Yn, Ym): the integer forms of n and m rescaled to
+    dx and dy, the least common multiples of their own dx and dy.  Each
+    value keeps its meaning, X/dx and Y/dy, so sums and order tests across
+    the two are exact."""
+    (dxn, xn, dyn, yn), (dxm, xm, dym, ym) = n._form, m._form
+    dx, dy = lcm(dxn, dxm), lcm(dyn, dym)
+    return (dx, _multiplied(xn, dx // dxn), _multiplied(xm, dx // dxm),
+            dy, _multiplied(yn, dy // dyn), _multiplied(ym, dy // dym))
+
+
+def _multiplied(qs, k):
+    """The integers qs times k; qs itself when k is 1."""
+    return qs if k == 1 else [q * k for q in qs]
 
 
 def poly_join(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
-    """Semiring addition: pointwise max of support functions."""
+    """Semiring addition: pointwise max of support functions.
+
+    The vertices of both, reduced by `_hull` on the two integer forms over
+    their common denominators (`_common_forms`), so the kept vertices are
+    the operands' own pairs."""
     _require_same_group(n, m)
-    return NewtonPolygon(n.group, _reduce([*n.vertices, *m.vertices]))
+    _, xn, xm, _, yn, ym = _common_forms(n, m)
+    pts = n.vertices + m.vertices
+    return NewtonPolygon(n.group, tuple(pts[i] for i in _hull(xn + xm, yn + ym)))
 
 
 def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     """Semiring multiplication: pointwise sum of support functions, i.e. the
-    Minkowski sum of the vertex sets followed by reduction."""
+    Minkowski sum of the vertex sets followed by reduction.
+
+    The sums run on the integer forms over their common denominators dx
+    and dy (`_common_forms`): x_i + x_j is (X_i + X_j)/dx, and y likewise,
+    so `_hull` reads the scaled sums, and a Fraction is built only for the
+    coordinates of a kept vertex."""
     _require_same_group(n, m)
     if n.is_zero or m.is_zero:
         return NewtonPolygon(n.group, ())
-    sums = [(x1 + x2, y1 + y2) for x1, y1 in n.vertices for x2, y2 in m.vertices]
-    return NewtonPolygon(n.group, _reduce(sums))
+    dx, xn, xm, dy, yn, ym = _common_forms(n, m)
+    big_x = [a + b for a in xn for b in xm]
+    big_y = [a + b for a in yn for b in ym]
+    return NewtonPolygon(n.group, tuple((Fraction(big_x[i], dx), Fraction(big_y[i], dy))
+                                        for i in _hull(big_x, big_y)))
 
 
 def legendre(n: NewtonPolygon) -> PiecewiseAffine:
@@ -156,9 +211,9 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     consecutive affine pieces.  The zero polygon maps to constant -inf.
 
     The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  It
-    is computed on the integers X = x*dx and Y = y*dy of `_scaled` (dx, dy
-    the least common multiples of the x and y denominators), as the one
-    Fraction((Y_i - Y_i+1)*dx, (X_i+1 - X_i)*dy).  That is exact for the
+    is computed on the integers X = x*dx and Y = y*dy of the cached
+    `NewtonPolygon._form`, as the one Fraction((Y_i - Y_i+1)*dx,
+    (X_i+1 - X_i)*dy).  That is exact for the
     reason `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
     x_i+1 - x_i = (X_i+1 - X_i)/dx, with dx, dy > 0.
 
@@ -173,8 +228,7 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     if n.is_zero:
         return PiecewiseAffine(n.group, Fraction(0), None, None, (), ())
     xs, ys = zip(*n.vertices)
-    dx, big_x = _scaled([x.as_integer_ratio() for x in xs])
-    dy, big_y = _scaled([y.as_integer_ratio() for y in ys])
+    dx, big_x, dy, big_y = n._form
     kinks = tuple(Fraction((y0 - y1) * dx, (x1 - x0) * dy)
                   for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:]))
     return PiecewiseAffine(n.group, Fraction(0), None, ys[0], kinks, xs)

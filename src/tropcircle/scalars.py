@@ -18,10 +18,12 @@ limit, for the readers that refuse such a value before it is printed.
 scale included: every value layer reads one as Fraction(x) reads it, and a
 value Fraction(x) cannot read, an infinite float included, is refused with
 ValueError.  `_scaled` is the one common-denominator rule: the exact sums
-and order tests of `polygons` and `circle`, and the level set-up of the
-filtration search (`riemann_roch._level_box`), run on integers over one
-least common denominator; `polygons` and `circle` build one Fraction per
-result, and the level set-up none.
+and order tests of `piecewise` (evaluation and the pointwise join),
+`polygons` (the hull, the Minkowski sum, the support function and the
+Legendre round trip) and `circle`, and the level set-up of the filtration
+search (`riemann_roch._level_box`), run on integers over one common
+denominator; the value layers build one Fraction per result, and the level
+set-up none.
 """
 
 import sys
@@ -52,13 +54,14 @@ _QUOTE_LEN = 40
 
 def _rational(x) -> Fraction:
     """Fraction(x), or x itself when it is a Fraction.  Fraction(x) refuses
-    an infinite float (or Decimal) with OverflowError and NaN with
-    ValueError; both are refused here with ValueError, Python's message kept."""
+    an infinite float (or Decimal) with OverflowError, NaN with ValueError
+    and a value of another type, None or a list, with TypeError; each is
+    refused here with ValueError, Python's message kept."""
     if type(x) is Fraction:
         return x
     try:
         return Fraction(x)
-    except OverflowError as exc:
+    except (OverflowError, TypeError) as exc:
         raise ValueError(str(exc)) from None
 
 

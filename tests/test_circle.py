@@ -388,20 +388,6 @@ def drawn_kinks(rng, p, m):
     return sorted({F(rng.randint(p ** 2 + 1, p ** 3 - 1), p ** 2) for _ in range(m)})
 
 
-def closing_circle(rng, p):
-    """gen_circle, or at the big prime its construction with the interior
-    kinks drawn by randint: gen_circle's random.sample takes len() of a
-    range of about p**3 integers, which overflows there."""
-    if p != BIG_PRIME:
-        return gen_circle(rng, p)
-    last = p - F(1, p ** rng.randint(0, 2))
-    kinks = [k for k in drawn_kinks(rng, p, rng.randint(0, 2)) if k < last] + [last]
-    slopes = [F(rng.randint(-6, 6), p ** rng.randint(0, 2)) for _ in kinks]
-    bounds = [F(1), *kinks, F(p)]
-    partial = sum(s * (b - a) for s, a, b in zip(slopes, bounds, bounds[1:]))
-    return circle_function(p, kinks, slopes + [-partial / (bounds[-1] - bounds[-2])], F(0))
-
-
 def off_domain_points(rng, p):
     """Positive rationals at many p-power scalings, most of them outside [1, p)."""
     return [F(rng.randint(1, 50), rng.randint(1, 12)) * F(p) ** rng.randint(-3, 3)
@@ -429,7 +415,7 @@ class TestIntegerSums:
         else:
             assert circle_function(p, kinks, slopes, 0).eval_at(p) == 0
 
-        f = closing_circle(rng, p)
+        f = gen_circle(rng, p)
         assert fraction_closure(p, f.kinks, f.slopes) == 0
         d0 = divisor_of(f)
         assert d0.entries == fraction_divisor_table(f)
@@ -448,8 +434,7 @@ class TestIntegerSums:
         d1 = divisor(p, pairs)
         assert d1.entries == tuple(sorted((rep, c) for rep, c in merged.items() if c))
         d2 = gen_divisor(rng, p)
-        if p != BIG_PRIME:
-            d0 += gen_divisor_deg0_chi0(rng, p)
+        d0 += gen_divisor_deg0_chi0(rng, p)
 
         for d in (d0, d1, d2, d0 - d1):
             assert d.degree() == fraction_degree(d)

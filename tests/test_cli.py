@@ -178,8 +178,9 @@ class TestLegendreCommand:
 
     def test_svg_of_many_vertices_reads_each_value_once(self, tmp_path, capsys):
         # function_svg evaluates at every kink; with the kink values kept by
-        # PiecewiseAffine._values this is linear, summing the rises anew on
-        # each evaluation would make 3,000 vertices take seconds
+        # PiecewiseAffine._values, integers over one denominator, this is
+        # linear, summing the rises anew on each evaluation would make 3,000
+        # vertices take seconds
         path = tmp_path / "parabola.json"
         poly = newton_polygon(ZZ, [(i, F(-i * i, 2)) for i in range(3000)])
         path.write_text(dumps(polygon_to_json(poly)))

@@ -238,21 +238,34 @@ def _element(draw, group):
     return group.scale * F(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 2)))
 
 
+BIG_PRIME = 2 ** 61 - 1
+
+
 @st.composite
 def operand_pairs(draw):
-    """Two functions sharing a slope group and a domain: [0, 4], [0, inf)
-    (support functions from legendre) or a circle domain [1, p].  Kinks and
-    values sit on coarse grids, so shared kinks, ties and crossings on a
-    kink come up often; either operand may be bottom."""
-    domain = draw(st.sampled_from(["0..4", "0..inf", "circle"]))
-    if domain == "circle":
+    """Two functions sharing a slope group and a domain: [0, 4], [1/3, 9/2],
+    [0, inf) (support functions from legendre), a circle domain [1, p] at
+    p = 2, 3 or 5, or one at p = 2**61 - 1.  Kinks and values mostly sit on
+    coarse grids, so shared kinks, ties and crossings on a kink come up
+    often; at the big prime the kinks are any j/p**2 in (1, p), so the
+    denominators are large and unequal.  Either operand may be bottom."""
+    domain = draw(st.sampled_from(["0..4", "1/3..9/2", "0..inf", "circle", "big circle"]))
+    if domain == "big circle":
+        p = BIG_PRIME
+        group, lo, hi = SlopeGroup(p), F(1), F(p)
+        grid = st.builds(lambda j: F(j, p * p), st.integers(p * p + 1, p ** 3 - 1))
+    elif domain == "circle":
         p = draw(st.sampled_from([2, 3, 5]))
         group, lo, hi = SlopeGroup(p), F(1), F(p)
-        grid = [F(i, p * p) for i in range(p * p + 1, p ** 3)]
+        grid = st.sampled_from([F(i, p * p) for i in range(p * p + 1, p ** 3)])
     else:
         group = draw(st.sampled_from([ZZ, SlopeGroup(2), SlopeGroup(3, F(3, 2))]))
-        lo, hi = F(0), F(4)
-        grid = [F(i, 6) for i in range(1, 24)]
+        if domain == "1/3..9/2":
+            lo, hi = F(1, 3), F(9, 2)
+            grid = st.sampled_from([F(i, 10) for i in range(4, 45)])
+        else:
+            lo, hi = F(0), F(4)
+            grid = st.sampled_from([F(i, 6) for i in range(1, 24)])
 
     def one():
         if draw(st.integers(0, 11)) == 0:
@@ -262,7 +275,7 @@ def operand_pairs(draw):
             pts = [(_element(draw, group), F(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
                    for _ in range(n)]
             return legendre(newton_polygon(group, pts))
-        kinks = sorted(draw(st.sets(st.sampled_from(grid), max_size=4)))
+        kinks = sorted(draw(st.sets(grid, max_size=4)))
         slopes = [_element(draw, group) for _ in range(len(kinks) + 1)]
         return piecewise_affine(group, lo, hi, F(draw(st.integers(-6, 6)), draw(st.integers(1, 2))),
                                 kinks, slopes)
@@ -307,7 +320,7 @@ _BOTTOM = piecewise_affine(ZZ, 0, 4, None)
 
 
 class TestSweepLaw:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(pair=operand_pairs())
     @example(pair=(_V, _V))            # equal operands
     @example(pair=(_V, _ZERO))         # graphs touch at a kink without crossing
@@ -323,7 +336,7 @@ class TestSweepLaw:
                 for lam in _probes(h, f, g):
                     assert h.eval_at(lam) == law(f.eval_at(lam), g.eval_at(lam))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(pair=operand_pairs())
     def test_gamma_is_valid_by_construction(self, pair):
         for f in pair:
@@ -333,7 +346,7 @@ class TestSweepLaw:
 
 
 class TestEvalLaw:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(pair=operand_pairs())
     @example(pair=(_V, _BOTTOM))
     def test_values_match_a_walk_over_the_pieces(self, pair):

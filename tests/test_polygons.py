@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -370,6 +371,85 @@ class TestSemiring:
             n, m = gen_polygon(rng, group), gen_polygon(rng, group)
             assert legendre(poly_join(n, m)) == pointwise_join(legendre(n), legendre(m))
             assert legendre(poly_times(n, m)) == pointwise_times(legendre(n), legendre(m))
+
+
+# ------------------------------------- the polygon operations against Fractions
+
+def fraction_poly_join(n, m):
+    """Reference join: the reduction of both vertex lists, on the Fractions."""
+    return NewtonPolygon(n.group, fraction_reduce([*n.vertices, *m.vertices]))
+
+
+def fraction_poly_times(n, m):
+    """Reference times: the Minkowski sum of the vertex sets in Fractions,
+    then the reduction."""
+    if n.is_zero or m.is_zero:
+        return NewtonPolygon(n.group, ())
+    sums = [(x1 + x2, y1 + y2) for x1, y1 in n.vertices for x2, y2 in m.vertices]
+    return NewtonPolygon(n.group, fraction_reduce(sums))
+
+
+def fraction_ell(n, lam):
+    """Reference support function, max_j(lam x_j + y_j) on the Fractions."""
+    lam = F(lam)
+    if lam < 0:
+        raise ValueError("the support function lives on [0, inf)")
+    if n.is_zero:
+        return None
+    return max(lam * x + y for x, y in n.vertices)
+
+
+BIG_PRIME = 2 ** 61 - 1
+
+
+@st.composite
+def polygon_pairs(draw):
+    """(n, m, lams): two polygons over Z or scale*Z[1/p], p up to 2**61 - 1,
+    each reduced by newton_polygon, built unreduced with NewtonPolygon
+    itself, or zero, and some points lam, a few of them negative."""
+    p = draw(st.sampled_from([None, 2, 3, 5, BIG_PRIME]))
+    scale = F(1) if p is None else draw(st.sampled_from([F(1), F(3, 2), F(5, 7)]))
+    group = SlopeGroup(p, scale)
+    xs = st.builds(lambda k, e: scale * F(k, 1 if p is None else p ** e),
+                   st.integers(-6, 6), st.integers(0, 2))
+    ys = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS + [BIG_PRIME]))
+
+    def one():
+        kind = draw(st.sampled_from(["reduced", "reduced", "unreduced", "zero"]))
+        if kind == "zero":
+            return NewtonPolygon(group, ())
+        pts = draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=6))
+        return newton_polygon(group, pts) if kind == "reduced" else NewtonPolygon(group, tuple(pts))
+
+    lams = draw(st.lists(st.builds(F, st.integers(-2, 60), st.sampled_from([1, 3, 7, 10, BIG_PRIME])),
+                         min_size=1, max_size=4))
+    return one(), one(), lams
+
+
+class TestOperationLaw:
+    """poly_join, poly_times and ell run on the integer form of a polygon;
+    they agree with the Fraction formulas above on every operand, the
+    unreduced ones included, whose results reduce as fraction_reduce does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polygon_pairs())
+    def test_operations_match_the_fraction_oracles(self, drawn):
+        n, m, lams = drawn
+        results = []
+        for a, b in ((n, m), (m, n)):
+            for op, oracle in ((poly_join, fraction_poly_join), (poly_times, fraction_poly_times)):
+                r = op(a, b)
+                assert r == oracle(a, b)
+                results.append(r)
+        for r in (n, m, *results):
+            for lam in lams:
+                assert outcome(partial(ell, r), lam) == outcome(partial(fraction_ell, r), lam)
+        for r in results:
+            dx, big_x, dy, big_y = r._form  # evaluated by ell above
+            assert [(F(x, dx), F(y, dy)) for x, y in zip(big_x, big_y)] == list(r.vertices)
+            assert legendre(r) == fraction_legendre(r)
+            fresh = NewtonPolygon(r.group, r.vertices)
+            assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
 
 
 def test_multiplicative_cancellation():

@@ -379,6 +379,22 @@ class TestOneCoercion:
         non-finite float with ValueError, the error cli.main catches."""
         assert outcome(COERCING_ENTRIES[name], x) == ("ValueError", message)
 
+    # None is a value of these two arguments: the bottom function's anchor
+    # and the hi of a domain unbounded to the right
+    NONE_MEANS = {"anchor": piecewise_affine(ZZ, 0, 4, None),
+                  "domain hi": piecewise_affine(ZZ, 0, None, 0)}
+
+    @pytest.mark.parametrize("x", [None, []], ids=["None", "list"])
+    @pytest.mark.parametrize("name", sorted(COERCING_ENTRIES))
+    def test_unreadable_value_refused_with_value_error(self, name, x):
+        """Fraction(None) and Fraction([]) raise TypeError; the one coercion
+        refuses them with ValueError, Python's message kept."""
+        if x is None and name in self.NONE_MEANS:
+            assert COERCING_ENTRIES[name](x) == self.NONE_MEANS[name]
+        else:
+            assert outcome(COERCING_ENTRIES[name], x) == (
+                "ValueError", "argument should be a string or a Rational instance")
+
     def test_scaled_defined_only_in_scalars(self):
         """`_scaled`, the one common-denominator rule, is defined in scalars
         alone; polygons and circle import it."""
