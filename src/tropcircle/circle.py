@@ -18,10 +18,9 @@ a cyclic group of order p - 1.
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime
+from .scalars import _cached, _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime
 
 __all__ = [
     "CircleFunction",
@@ -87,7 +86,7 @@ class Divisor:
                 return c
         return Fraction(0)
 
-    @cached_property
+    @_cached
     def _degree(self) -> Fraction:
         """Sum of rep*c as one integer sum: each term is rn*cn/(rd*cd), and
         scaled by d > 0, the least common multiple of the rd*cd (`_scaled`),
@@ -97,7 +96,7 @@ class Divisor:
                             for rep, c in self.entries])
         return Fraction(sum(terms), d)
 
-    @cached_property
+    @_cached
     def _chi(self) -> int:
         return sum(chi(c, self.p) for _, c in self.entries) % (self.p - 1)
 

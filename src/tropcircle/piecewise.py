@@ -18,12 +18,11 @@ so structural equality is semantic equality.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime
+from .scalars import _cached, _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime
 
 __all__ = [
     "GroupMismatchError",
@@ -107,7 +106,7 @@ class PiecewiseAffine:
         """True when the slopes strictly increase across the kinks."""
         return _increasing(self.slopes)
 
-    @cached_property
+    @_cached
     def _values(self) -> tuple:
         """(dx, xs, ss, step, den, values): the function on integers, as
         eval_at reads it.  xs are lo and the kinks times dx and ss the slopes

@@ -9,19 +9,20 @@ is determined by, and determines, its support function
 a convex piecewise-affine function with slopes in H.  The two semiring
 operations are pointwise max and pointwise sum of support functions; on
 vertices the sum is a Minkowski sum.  The empty polygon is the zero element
-(support function constant -inf).  Each polygon computes, on first use, and
-keeps its vertices as integers over common denominators
-(`NewtonPolygon._form`), on which the hull, the two operations, the
-support function and the transform run.
+(support function constant -inf).  Each polygon keeps its vertices as
+integers over common denominators (`NewtonPolygon._form`), on which the
+hull, the two operations, the support function and the transform run.
+Every constructor in this module computes those integers anyway and hands
+them to the polygon it builds; only a polygon built directly, as
+NewtonPolygon(group, vertices), computes them, once, on first use.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
-from .scalars import _rational, _scaled, frac_to_str
+from .scalars import _cached, _rational, _scaled, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -43,13 +44,15 @@ class NewtonPolygon:
     def is_zero(self) -> bool:
         return not self.vertices
 
-    @cached_property
+    @_cached
     def _form(self) -> tuple:
         """(dx, X, dy, Y): the vertices on integers, X = x*dx and Y = y*dy,
-        for common denominators dx, dy > 0 of the x and of the y.  Kept out
-        of equality, hash and repr.  Computed on first use with the least
-        such denominators (`_scaled`): 1 and empty lists for the zero
-        polygon."""
+        for common denominators dx, dy > 0 of the x and of the y, not
+        necessarily the least ones.  Kept out of equality, hash and repr.
+        The constructors of this module hand on the form they computed
+        (`_with_form`); a polygon built directly computes it on first use,
+        with the least denominators (`_integer_form`): 1 and empty lists for
+        the zero polygon."""
         return _integer_form(self.vertices)
 
     def __repr__(self) -> str:
@@ -59,11 +62,25 @@ class NewtonPolygon:
                                                for x, y in self.vertices)
 
 
+def _with_form(group: SlopeGroup, vertices: tuple, form: tuple) -> NewtonPolygon:
+    """NewtonPolygon(group, vertices) holding form, the (dx, X, dy, Y) of
+    `NewtonPolygon._form` its constructor computed, as its integer form."""
+    n = NewtonPolygon(group, vertices)
+    n.__dict__["_form"] = form
+    return n
+
+
 def _integer_form(pts) -> tuple:
-    """(dx, X, dy, Y) of the (x, y) Fraction pairs pts, as `NewtonPolygon._form`."""
+    """(dx, X, dy, Y) of the (x, y) Fraction pairs pts, as `NewtonPolygon._form`,
+    with the least common denominators."""
     dx, big_x = _scaled([x.as_integer_ratio() for x, _ in pts])
     dy, big_y = _scaled([y.as_integer_ratio() for _, y in pts])
     return dx, big_x, dy, big_y
+
+
+def _kept_form(kept, dx, big_x, dy, big_y) -> tuple:
+    """The form (dx, X, dy, Y) of the points at the indices kept."""
+    return dx, [big_x[i] for i in kept], dy, [big_y[i] for i in kept]
 
 
 def _hull(big_x, big_y) -> list:
@@ -72,9 +89,14 @@ def _hull(big_x, big_y) -> list:
     increasing x.  They are given on integers, X = x*dx and Y = y*dy, for
     any common denominators dx, dy > 0 of the x and of the y (`_scaled`).
 
-    Steps: keep the best y per x, build the strictly concave upper hull
-    (ties between chords drop the middle point), then drop leading vertices
-    whose winning interval lies in lam <= 0.
+    Steps: sort the points by (X, Y), build the strictly concave upper hull
+    (ties between chords drop the middle point), then drop leading
+    vertices whose winning interval lies in lam <= 0.  The sort puts the
+    points of one x together, the highest last, and no best-y pass is
+    needed.  A point v of the same x as the last kept b, with a kept
+    before it at a smaller x, pops b: the chord test reads
+    0 <= (y_v - y_b)(x_b - x_a).  Only at the start can two kept points
+    share an x, the lower first, and the leading drop removes it.
 
     The tests run on the integers X and Y.  That is exact: scaling x by
     dx > 0 and y by dy > 0 keeps the order of the x values and of the y
@@ -86,12 +108,9 @@ def _hull(big_x, big_y) -> list:
     function, are strictly increasing (strict concavity) and > 0 (the
     leading drop); `legendre` relies on both.
     """
-    best = {}
-    for i, (key_x, key_y) in enumerate(zip(big_x, big_y)):
-        if key_x not in best or key_y > best[key_x][0]:
-            best[key_x] = (key_y, i)
     hull = []  # (X, Y, index), X increasing
-    for key_x, (key_y, i) in sorted(best.items()):
+    for point in sorted(zip(big_x, big_y, range(len(big_x)))):
+        key_x, key_y, _ = point
         while len(hull) >= 2:
             ax, ay, _ = hull[-2]
             bx, by, _ = hull[-1]
@@ -99,20 +118,13 @@ def _hull(big_x, big_y) -> list:
                 hull.pop()
             else:
                 break
-        hull.append((key_x, key_y, i))
+        hull.append(point)
     # the crossing of hull[i] and hull[i+1] sits at lam = (y_i - y_i+1)/(x_i+1 - x_i);
     # when it is <= 0 vertex i never wins on the open half-line
     start = 0
     while start + 1 < len(hull) and hull[start][1] <= hull[start + 1][1]:
         start += 1
     return [i for _, _, i in hull[start:]]
-
-
-def _reduce(pts):
-    """The vertices of the list pts that `_hull` keeps, as the original
-    (x, y) pairs of Fractions."""
-    _, big_x, _, big_y = _integer_form(pts)
-    return tuple(pts[i] for i in _hull(big_x, big_y))
 
 
 def _require_group(group: SlopeGroup, xs) -> None:
@@ -127,10 +139,21 @@ def _require_group(group: SlopeGroup, xs) -> None:
 def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
     """newton_polygon on coordinates given as (num, den) integer pairs with
     den > 0, not necessarily in lowest terms; a Fraction is built only for
-    the kept vertices."""
-    _require_group(group, xs)
-    (_, big_x), (_, big_y) = _scaled(xs), _scaled(ys)
-    return NewtonPolygon(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in _hull(big_x, big_y)))
+    the kept vertices, and the polygon holds their integers over the dx and
+    dy of all the pairs (`_scaled`).
+
+    Group membership is one test for the whole list.  The x are X_i/dx, so
+    they generate the subgroup (g/dx)*Z of (Q, +), with g = gcd(X_i) (0 for
+    no x or all x zero); the slope group contains every x exactly when it
+    contains g/dx, an integer combination of them.  Only when it does not
+    are the x tested one by one (`_require_group`), to name the first one
+    outside."""
+    (dx, big_x), (dy, big_y) = _scaled(xs), _scaled(ys)
+    if not group._contains_ratio(gcd(*big_x), dx):
+        _require_group(group, xs)
+    kept = _hull(big_x, big_y)
+    return _with_form(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in kept),
+                      _kept_form(kept, dx, big_x, dy, big_y))
 
 
 def newton_polygon(group: SlopeGroup, pts) -> NewtonPolygon:
@@ -179,11 +202,14 @@ def poly_join(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
 
     The vertices of both, reduced by `_hull` on the two integer forms over
     their common denominators (`_common_forms`), so the kept vertices are
-    the operands' own pairs."""
+    the operands' own pairs, and their integers over those denominators
+    the result's form."""
     _require_same_group(n, m)
-    _, xn, xm, _, yn, ym = _common_forms(n, m)
+    dx, xn, xm, dy, yn, ym = _common_forms(n, m)
+    big_x, big_y = xn + xm, yn + ym
     pts = n.vertices + m.vertices
-    return NewtonPolygon(n.group, tuple(pts[i] for i in _hull(xn + xm, yn + ym)))
+    kept = _hull(big_x, big_y)
+    return _with_form(n.group, tuple(pts[i] for i in kept), _kept_form(kept, dx, big_x, dy, big_y))
 
 
 def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
@@ -192,16 +218,18 @@ def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
 
     The sums run on the integer forms over their common denominators dx
     and dy (`_common_forms`): x_i + x_j is (X_i + X_j)/dx, and y likewise,
-    so `_hull` reads the scaled sums, and a Fraction is built only for the
-    coordinates of a kept vertex."""
+    so `_hull` reads the scaled sums, a Fraction is built only for the
+    coordinates of a kept vertex, and the kept sums over dx and dy are the
+    result's form."""
     _require_same_group(n, m)
     if n.is_zero or m.is_zero:
-        return NewtonPolygon(n.group, ())
+        return _with_form(n.group, (), (1, [], 1, []))
     dx, xn, xm, dy, yn, ym = _common_forms(n, m)
     big_x = [a + b for a in xn for b in xm]
     big_y = [a + b for a in yn for b in ym]
-    return NewtonPolygon(n.group, tuple((Fraction(big_x[i], dx), Fraction(big_y[i], dy))
-                                        for i in _hull(big_x, big_y)))
+    kept = _hull(big_x, big_y)
+    return _with_form(n.group, tuple((Fraction(big_x[i], dx), Fraction(big_y[i], dy)) for i in kept),
+                      _kept_form(kept, dx, big_x, dy, big_y))
 
 
 def legendre(n: NewtonPolygon) -> PiecewiseAffine:
@@ -211,7 +239,7 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     consecutive affine pieces.  The zero polygon maps to constant -inf.
 
     The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  It
-    is computed on the integers X = x*dx and Y = y*dy of the cached
+    is computed on the integers X = x*dx and Y = y*dy of the polygon's
     `NewtonPolygon._form`, as the one Fraction((Y_i - Y_i+1)*dx,
     (X_i+1 - X_i)*dy).  That is exact for the
     reason `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
@@ -244,7 +272,8 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     is K_i*(X_i - X_i+1)/(dk*dx).  So every y_i*d, with
     d = lcm(anchor denominator, dk*dx), is an integer: the ordinates are
     summed as integers over that one denominator, and each becomes one
-    Fraction.  Convexity is the same test on X: strictly increasing, as the
+    Fraction; the X over dx and the ordinates over d are the polygon's
+    form.  Convexity is the same test on X: strictly increasing, as the
     positive scaling keeps the order.
 
     The polygon is built without newton_polygon's checks.  f's slopes lie
@@ -258,7 +287,7 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     if f.lo != 0 or f.hi is not None:
         raise ValueError("the transform inverts functions defined on all of [0, inf)")
     if f.is_bottom:
-        return NewtonPolygon(f.group, ())
+        return _with_form(f.group, (), (1, [], 1, []))
     xs = f.slopes
     dx, big_x = _scaled([x.as_integer_ratio() for x in xs])
     if any(x0 >= x1 for x0, x1 in zip(big_x, big_x[1:])):
@@ -268,8 +297,9 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     d = lcm(anchor.denominator, dk * dx)
     step = d // (dk * dx)
     y = anchor.numerator * (d // anchor.denominator)
-    vertices = [(xs[0], anchor)]
+    vertices, big_y = [(xs[0], anchor)], [y]
     for k, x0, x1, x in zip(big_k, big_x, big_x[1:], xs[1:]):
         y += k * (x0 - x1) * step
         vertices.append((x, Fraction(y, d)))
-    return NewtonPolygon(f.group, tuple(vertices))
+        big_y.append(y)
+    return _with_form(f.group, tuple(vertices), (dx, big_x, d, big_y))

@@ -24,6 +24,13 @@ Legendre round trip) and `circle`, and the level set-up of the filtration
 search (`riemann_roch._level_box`), run on integers over one common
 denominator; the value layers build one Fraction per result, and the level
 set-up none.
+
+`_cached` is the one cache rule: a value computed from an instance on its
+first read (a polygon's integer form, a function's values, a divisor's
+degree and residue) is kept in the instance `__dict__`, which later reads
+find first, as Python 3.12's `functools.cached_property` keeps it, without
+the per-instance lock that 3.11's takes on every first read.  A
+constructor that already holds the value may store it there itself.
 """
 
 import sys
@@ -65,6 +72,26 @@ def _rational(x) -> Fraction:
         raise ValueError(str(exc)) from None
 
 
+class _cached:
+    """A method of no arguments read as an attribute, computed on the first
+    read and stored under its own name in the instance `__dict__`.  The
+    descriptor defines no __set__, so the stored value shadows it and later
+    reads never call it; a frozen dataclass accepts the store, which does
+    not go through __setattr__."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 def _scaled(pairs):
     """(d, [num*(d // den) for num, den in pairs]): the rationals given as
     (num, den) pairs with den > 0, not necessarily in lowest terms, scaled
@@ -93,9 +120,9 @@ def _quote(value) -> str:
 def frac_to_str(q: Fraction) -> str:
     """"a" or "a/b"; a numerator or denominator with more decimal digits
     than sys.get_int_max_str_digits() is refused in one line."""
-    q = _rational(q)
+    num, den = _rational(q).as_integer_ratio()
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise ValueError(f"result has more than {sys.get_int_max_str_digits()} digits") from None
 

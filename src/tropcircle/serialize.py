@@ -79,7 +79,7 @@ def _ratio(s) -> tuple[int, int]:
     """
     if isinstance(s, str):
         num, slash, den = s.partition("/")
-        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
             try:
                 num, den = int(num), int(den) if slash else 1
             except ValueError:
@@ -141,7 +141,8 @@ def dumps(obj) -> str:
 
 def _emit(obj, newline: str, out) -> None:
     """Pass the JSON text of obj to out, piece by piece; `newline` is the
-    line break plus the indent of obj's own line."""
+    line break plus the indent of obj's own line.  A string item of a list
+    or value of a dict goes out in one piece with the separator before it."""
     kind = type(obj)
     if kind is str:
         out(encode_basestring_ascii(obj))
@@ -154,8 +155,12 @@ def _emit(obj, newline: str, out) -> None:
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out(sep + encode_basestring_ascii(key) + ": ")
-            _emit(obj[key], inner, out)
+            value = obj[key]
+            if type(value) is str:
+                out(sep + encode_basestring_ascii(key) + ": " + encode_basestring_ascii(value))
+            else:
+                out(sep + encode_basestring_ascii(key) + ": ")
+                _emit(value, inner, out)
             sep = "," + inner
         out(newline + "}")
     elif kind is list or kind is tuple:
@@ -165,8 +170,11 @@ def _emit(obj, newline: str, out) -> None:
         inner = newline + " "
         sep = "[" + inner
         for item in obj:
-            out(sep)
-            _emit(item, inner, out)
+            if type(item) is str:
+                out(sep + encode_basestring_ascii(item))
+            else:
+                out(sep)
+                _emit(item, inner, out)
             sep = "," + inner
         out(newline + "]")
     elif kind is int:

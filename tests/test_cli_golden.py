@@ -51,6 +51,14 @@ INPUTS = {
                            "vertices": [["0", "1"], ["2/3", "0"], ["4/3", "-1/2"], ["2", "-3"]]},
     # 1/4 = (3/2) * (1/6) is outside (3/2) * Z[1/3]
     "poly-outside.json": {"p": 3, "scale": "3/2", "vertices": [["1/2", "0"], ["1/4", "1"]]},
+    # only the last vertex is outside, and the hull would drop it: every x
+    # is checked, and the message names that one
+    "poly-outside-last.json": {"p": 3, "scale": "3/2",
+                               "vertices": [["1/2", "0"], ["3/2", "-1"], ["9/2", "-7"],
+                                            ["1/4", "-9"]]},
+    # every x zero, written three ways: the gcd of the x is 0, in every group
+    "poly-x-zero.json": {"p": 3, "scale": "3/2", "vertices": [["0", "1"], ["0/4", "-2"],
+                                                               ["-0", "3/2"]]},
     "fn-2.json": _circle(2, ["3/2"], ["1", "-1"]),
     "fn-3.json": _circle(3, ["2"], ["1/3", "-1/3"], "-2"),
     "fn-5.json": _circle(5, ["2", "4"], ["1/5", "-1/5", "1/5"], "7/2"),
@@ -162,6 +170,9 @@ def _cases():
     cases["divisor polygon file"] = ["divisor", "poly-3.json"]
     cases["plot bad format"] = ["plot", "fn-3.json", "--format", "json"]
     cases["legendre vertex outside the scaled group"] = ["legendre", "poly-outside.json"]
+    cases["legendre only the last vertex outside the group"] = ["legendre", "poly-outside-last.json"]
+    for fmt in ("text", "json"):
+        cases[f"legendre every x zero {fmt}"] = ["legendre", "poly-x-zero.json", "--format", fmt]
     cases["jacobian result beyond the digit limit"] = ["jacobian", "div-wide.json"]
     cases["legendre long value quoted short"] = ["legendre", "poly-long-x.json"]
     cases["jacobian integer literal beyond the digit limit"] = ["jacobian", "div-long-literal.json"]
@@ -303,10 +314,13 @@ GOLDEN = {
     'jacobian support entry not an object': (2, 'e3b0c44298fc1c14', '51d6539e88000006'),
     'jacobian wrong --p': (2, 'e3b0c44298fc1c14', '57a445ec9cce2c78'),
     'legendre broken json': (2, 'e3b0c44298fc1c14', '4e587575c0692d10'),
+    'legendre every x zero json': (0, '80c13bfcea56a836', 'e3b0c44298fc1c14'),
+    'legendre every x zero text': (0, '1f44c6a6b933aebb', 'e3b0c44298fc1c14'),
     'legendre json array': (2, 'e3b0c44298fc1c14', '8f6075506b23d583'),
     'legendre long value quoted short': (2, 'e3b0c44298fc1c14', '933a18739c956f53'),
     'legendre matching --p': (0, '07cc24a450426517', 'e3b0c44298fc1c14'),
     'legendre missing file': (2, 'e3b0c44298fc1c14', '038e9f710b24069b'),
+    'legendre only the last vertex outside the group': (2, 'e3b0c44298fc1c14', '78c5829df3b6ec77'),
     'legendre poly-3 json': (0, '98a6811ef3618c9e', 'e3b0c44298fc1c14'),
     'legendre poly-3 svg': (0, '1fe1bcdfafcc232a', 'e3b0c44298fc1c14'),
     'legendre poly-3 text': (0, '07cc24a450426517', 'e3b0c44298fc1c14'),

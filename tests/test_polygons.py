@@ -9,10 +9,11 @@ from tropcircle.piecewise import (
     GroupMismatchError, PiecewiseAffine, SlopeGroup, ZZ, piecewise_affine,
 )
 from tropcircle.polygons import (
-    NewtonPolygon, _reduce, _require_group, ell, from_function, legendre, newton_polygon,
-    poly_join, poly_times,
+    NewtonPolygon, _hull, _integer_form, _polygon_of_ratios, _require_group, ell, from_function,
+    legendre, newton_polygon, poly_join, poly_times,
 )
-from tropcircle.scalars import in_zp, rmax_join, rmax_times
+from tropcircle.scalars import frac_to_str, in_zp, rmax_join, rmax_times
+from tropcircle.serialize import polygon_from_json
 from tropcircle.verify import gen_group, gen_polygon
 
 
@@ -134,7 +135,7 @@ class TestReduce:
     @settings(max_examples=400, deadline=None)
     @given(vertex_sets())
     def test_integer_hull_matches_fraction_hull(self, pts):
-        assert _reduce(pts) == fraction_reduce(pts)
+        assert tuple(pts[i] for i in _hull(*_integer_form(pts)[1::2])) == fraction_reduce(pts)
 
     def assert_same_support(self, raw):
         n = newton_polygon(ZZ, raw)
@@ -464,3 +465,123 @@ def test_multiplicative_cancellation():
             assert m == m2
         else:
             assert m != m2
+
+
+# ------------------------------------------ the form each constructor hands on
+
+def json_doc(group, pts, ms):
+    """A polygon file of the vertex set pts, the coordinates of vertex i
+    written as (m*num)/(m*den) with m = ms[2i] and ms[2i+1], so not in
+    lowest terms when m > 1."""
+    def text(q, m):
+        return f"{q.numerator * m}/{q.denominator * m}" if m > 1 else frac_to_str(q)
+
+    return {"p": group.p, "scale": frac_to_str(group.scale),
+            "vertices": [[text(x, mx), text(y, my)]
+                         for (x, y), mx, my in zip(pts, ms[::2], ms[1::2])]}
+
+
+# the operands of a join or a Minkowski sum, built from a vertex list
+OPERANDS = {"reduced": newton_polygon,
+            "unreduced": lambda group, pts: NewtonPolygon(group, tuple(pts)),
+            "zero": lambda group, pts: NewtonPolygon(group, ())}
+
+
+@st.composite
+def constructed_polygons(draw):
+    """(source, polygon): a polygon from each constructor of the package,
+    built from grouped vertex sets: the JSON reader, newton_polygon, the
+    join and the Minkowski sum (of reduced, unreduced and zero operands),
+    from_function of a transform, a direct NewtonPolygon and the zero
+    polygon."""
+    group, pts = draw(grouped_vertex_sets())
+    cut = draw(st.integers(0, len(pts)))
+    source = draw(st.sampled_from(["json", "newton_polygon", "poly_join", "poly_times",
+                                   "from_function", "direct", "zero"]))
+    if source == "json":
+        ms = draw(st.lists(st.sampled_from([1, 1, 2, 3, 6]), min_size=2 * len(pts),
+                           max_size=2 * len(pts)))
+        return source, polygon_from_json(json_doc(group, pts, ms))
+    if source == "newton_polygon":
+        return source, newton_polygon(group, pts)
+    if source in ("poly_join", "poly_times"):
+        kinds = draw(st.tuples(*[st.sampled_from(sorted(OPERANDS))] * 2))
+        a, b = (OPERANDS[kind](group, vs) for kind, vs in zip(kinds, (pts[:cut], pts[cut:])))
+        return source, (poly_join if source == "poly_join" else poly_times)(a, b)
+    if source == "from_function":
+        return source, from_function(legendre(newton_polygon(group, pts[cut:])))
+    if source == "direct":
+        return source, NewtonPolygon(group, newton_polygon(group, pts).vertices)
+    return source, NewtonPolygon(group, ())
+
+
+class TestHandedOnForm:
+    """Every constructor of polygons hands the polygon it builds the integer
+    form it computed; a polygon built directly computes its own on first
+    use.  Either way the form spells the vertices over common denominators,
+    and the operations that read it agree with a rebuilt polygon that has
+    to compute its own."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(constructed_polygons(), st.lists(st.builds(F, st.integers(0, 60),
+                                                      st.sampled_from([1, 3, 7, 10])),
+                                            min_size=1, max_size=3))
+    def test_form_spells_the_vertices(self, drawn, lams):
+        source, n = drawn
+        # read before any operation: only the direct and zero polygons lack one
+        assert ("_form" in vars(n)) == (source not in ("direct", "zero"))
+        dx, big_x, dy, big_y = n._form
+        assert dx > 0 and dy > 0 and len(big_x) == len(big_y) == len(n.vertices)
+        for (x, y), big_x_i, big_y_i in zip(n.vertices, big_x, big_y):
+            assert F(big_x_i, dx) == x and F(big_y_i, dy) == y
+        rebuilt = NewtonPolygon(n.group, n.vertices)
+        assert "_form" not in vars(rebuilt)
+        assert rebuilt == n and hash(rebuilt) == hash(n) and repr(rebuilt) == repr(n)
+        assert legendre(n) == legendre(rebuilt)
+        for lam in lams:
+            assert ell(n, lam) == ell(rebuilt, lam)
+
+
+# groups of the single membership test: Z, and scale*Z[1/p]
+MEMBERSHIP_GROUPS = [SlopeGroup(None)] + [SlopeGroup(p, scale) for p in (2, 3, 5)
+                                          for scale in (F(1), F(1, 2), F(2, 3), F(5, 7), F(9))]
+
+
+@st.composite
+def ratio_lists(draw):
+    """(group, xs, ys): (num, den) pairs, unreduced ones included, whose x
+    mostly lie in the group; some x lists are all zeros, some empty."""
+    group = draw(st.sampled_from(MEMBERSHIP_GROUPS))
+    p, scale = group.p, group.scale
+    factor = st.sampled_from([1, 1, 2, 3, 5, 6])
+    member = st.builds(lambda k, e, m: (k * scale.numerator * m,
+                                        scale.denominator * (1 if p is None else p ** e) * m),
+                       st.integers(-9, 9), st.integers(0, 2), factor)
+    anything = st.tuples(st.integers(-30, 30), st.integers(1, 30))
+    zero = st.builds(lambda den: (0, den), st.integers(1, 12))
+    kind = draw(st.sampled_from(["mostly members", "mostly members", "zeros", "empty"]))
+    if kind == "empty":
+        return group, [], []
+    xs = draw(st.lists(zero if kind == "zeros" else st.one_of(member, member, member, anything),
+                       min_size=1, max_size=8))
+    ys = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)),
+                       min_size=len(xs), max_size=len(xs)))
+    return group, xs, ys
+
+
+class TestOneMembershipTest:
+    """_polygon_of_ratios tests the whole x list at once, through the gcd
+    of the scaled x; it raises exactly when some x lies outside the group,
+    with group.require's message for the first one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ratio_lists())
+    def test_raises_exactly_for_the_first_x_outside(self, drawn):
+        group, xs, ys = drawn
+        outside = [F(num, den) for num, den in xs if not group.contains(F(num, den))]
+        result = outcome(lambda pairs: _polygon_of_ratios(group, pairs, ys), xs)
+        if outside:
+            assert result == outcome(group.require, outside[0])
+        else:
+            pts = [(F(*x), F(*y)) for x, y in zip(xs, ys)]
+            assert result == NewtonPolygon(group, fraction_reduce(pts))

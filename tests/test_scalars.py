@@ -395,6 +395,19 @@ class TestOneCoercion:
             assert outcome(COERCING_ENTRIES[name], x) == (
                 "ValueError", "argument should be a string or a Rational instance")
 
+    def test_no_cached_property(self):
+        """No module of the package uses functools.cached_property, whose
+        first read takes a per-instance lock on Python 3.11; `scalars._cached`
+        is the one cache rule."""
+        found = []
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    found += [path.stem for alias in node.names if alias.name == "cached_property"]
+                elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                    found.append(path.stem)
+        assert found == []
+
     def test_scaled_defined_only_in_scalars(self):
         """`_scaled`, the one common-denominator rule, is defined in scalars
         alone; polygons and circle import it."""
@@ -402,3 +415,37 @@ class TestOneCoercion:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.FunctionDef) and node.name == "_scaled"]
         assert found == ["scalars"]
+
+
+@dataclasses.dataclass(frozen=True)
+class Counted:
+    """A frozen dataclass with one `_cached` value that counts its computations."""
+    x: int
+    calls: list = dataclasses.field(default_factory=list, compare=False)
+
+    @scalars._cached
+    def doubled(self):
+        """2x."""
+        self.calls.append(self.x)
+        return 2 * self.x
+
+
+class TestCached:
+    def test_computed_once_and_kept_in_the_instance(self):
+        c = Counted(3)
+        assert "doubled" not in vars(c)
+        assert c.doubled == 6 and c.doubled == 6
+        assert c.calls == [3] and vars(c)["doubled"] == 6
+
+    def test_stored_value_is_read_without_computing(self):
+        c = Counted(3)
+        vars(c)["doubled"] = 7  # as a constructor that holds the value stores it
+        assert c.doubled == 7 and c.calls == []
+
+    def test_kept_out_of_equality_and_hash(self):
+        a, b = Counted(3), Counted(3)
+        assert a.doubled == 6
+        assert a == b and hash(a) == hash(b)
+
+    def test_class_attribute_is_the_descriptor(self):
+        assert isinstance(Counted.doubled, scalars._cached) and Counted.doubled.__doc__ == "2x."

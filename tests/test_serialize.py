@@ -129,14 +129,27 @@ class TestWriter:
     leaves = (st.none() | st.booleans() | st.integers()
               | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
               | st.text() | st.sampled_from(["", "\"\\/\n\t\x00", "é", " ", "\U0001f600"]))
-    payloads = st.recursive(
-        leaves,
-        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                       | st.dictionaries(st.text(), inner, max_size=4)),
-        max_leaves=24)
+    @staticmethod
+    def containers(inner):
+        """Lists, tuples and dicts of inner, and ones that mix strings, which
+        `_emit` writes with their separator, with every other kind of item:
+        int, bool, None, lists and dicts."""
+        strings = st.lists(st.text(), min_size=1, max_size=3)
+        others = st.lists(inner.filter(lambda v: type(v) is not str), min_size=1, max_size=3)
+        mixed_list = st.tuples(strings, others).flatmap(lambda t: st.permutations(t[0] + t[1]))
+        mixed_dict = st.tuples(st.dictionaries(st.text(), st.text(), min_size=1, max_size=3),
+                               st.dictionaries(st.text(), inner.filter(lambda v: type(v) is not str),
+                                               min_size=1, max_size=3)
+                               ).map(lambda t: {**t[1], **t[0]})
+        return (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                | st.dictionaries(st.text(), inner, max_size=4) | mixed_list | mixed_dict)
 
+    payloads = st.recursive(leaves, containers, max_leaves=24)
+
+    @settings(max_examples=300)
     @given(payloads)
     @example({"b": [], "a": {}, "c": ((), [[]], {"é": None})})
+    @example({"s": "x", "n": 1, "l": ["a", 0, True, None, ["b"], {"c": "d"}, "é"], "d": {}})
     def test_bytes_match_json_dumps(self, obj):
         assert dumps(obj) == self.reference(obj)
 
