@@ -18,7 +18,7 @@ from .polygons import (
 )
 from .circle import (
     CircleFunction, ClosureError, Divisor, PrincipalityReport,
-    circle_bottom, circle_function, circle_join, circle_times,
+    circle_function, circle_join, circle_times,
     divisor, divisor_of, from_cut, is_principal, jacobian_class,
     normalize_point,
 )

@@ -27,7 +27,6 @@ __all__ = [
     "ClosureError",
     "Divisor",
     "PrincipalityReport",
-    "circle_bottom",
     "circle_function",
     "circle_join",
     "circle_times",
@@ -87,14 +86,24 @@ class Divisor:
         return Fraction(0)
 
     @_cached
+    def _form(self) -> tuple:
+        """(dr, R, dc, C): the entries on integers, kept out of equality,
+        hash and repr.  R are the reps times dr and C the coefficients times
+        dc, with dr and dc the least common multiples of their denominators
+        (`_scaled`).  As every rep lies in [1, p), R_i == dr exactly at the
+        wrap point, rep 1.
+
+        Sums and order tests on R, and on C, are exact, as each is its
+        rationals scaled by the one positive integer; a real order
+        rep_i*c_i is R_i*C_i over dr*dc, and so is a sum of them."""
+        dr, big_r = _scaled([rep.as_integer_ratio() for rep, _ in self.entries])
+        dc, big_c = _scaled([c.as_integer_ratio() for _, c in self.entries])
+        return dr, big_r, dc, big_c
+
+    @_cached
     def _degree(self) -> Fraction:
-        """Sum of rep*c as one integer sum: each term is rn*cn/(rd*cd), and
-        scaled by d > 0, the least common multiple of the rd*cd (`_scaled`),
-        the terms are integers whose sum is d times the degree, so one
-        Fraction is built."""
-        d, terms = _scaled([(rep.numerator * c.numerator, rep.denominator * c.denominator)
-                            for rep, c in self.entries])
-        return Fraction(sum(terms), d)
+        dr, big_r, dc, big_c = self._form
+        return Fraction(sum(r * c for r, c in zip(big_r, big_c)), dr * dc)
 
     @_cached
     def _chi(self) -> int:
@@ -194,25 +203,15 @@ def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
     """Validating constructor: kinks sorted in the open interval (1, p),
     slopes in Z[1/p], and the closure sum(s_i * arc_i) = 0.  An anchor of
     None gives the bottom function; SlopeGroup rejects a p that is not prime.
-
-    The closure sum value(p) - value(1) is taken on integers: with the
-    slopes scaled to S = s*ds and the bounds [1, *kinks, p] to B = b*db
-    (`_scaled`), it is sum(S_i*(B_i+1 - B_i))/(ds*db), exact because
-    ds, db > 0.  A Fraction is built only to quote a nonzero sum, and the
-    values `eval_at` reads are summed only when it is first called."""
+    The closure compares the values at 1 and at p (`PiecewiseAffine._values`),
+    which `eval_at` reads afterwards."""
     pa = piecewise_affine(SlopeGroup(p), 1, p, anchor, kinks, slopes)
     if not pa.is_bottom:
-        ds, big_s = _scaled([s.as_integer_ratio() for s in pa.slopes])
-        db, big_b = _scaled([(1, 1), *[k.as_integer_ratio() for k in pa.kinks], (p, 1)])
-        rise = sum(s * (b1 - b0) for s, b0, b1 in zip(big_s, big_b, big_b[1:]))
-        if rise:
+        _, den, values = pa._values
+        if values[-1] != values[0]:
             raise ClosureError("slopes do not close up: value(p) - value(1) = "
-                               f"{_quote(Fraction(rise, ds * db))}")
+                               f"{_quote(Fraction(values[-1] - values[0], den))}")
     return CircleFunction(p, pa)
-
-
-def circle_bottom(p: int) -> CircleFunction:
-    return CircleFunction(p, piecewise_affine(SlopeGroup(p), 1, p, None))
 
 
 def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
@@ -258,13 +257,11 @@ def divisor_of(f: CircleFunction) -> Divisor:
     """Divisor of slope jumps: s_i+1 - s_i at kink k_i and, at the wrap
     class 1, s_0 - p*s_m (the slope just left of it is p times the last
     stored slope), zeros dropped.  Its degree and chi always vanish.
-
-    With the slopes scaled to the integers S = s*ds (`_scaled`), each jump
-    is the one Fraction(S_i+1 - S_i, ds) and the wrap jump
-    Fraction(S_0 - p*S_m, ds): exact, as ds > 0."""
+    Each jump is one Fraction of the slopes' integers
+    (`PiecewiseAffine._form`) over ds."""
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
-    ds, s = _scaled([q.as_integer_ratio() for q in f.slopes])
+    _, _, ds, s = f.pa._form
     table = {k: Fraction(right - left, ds) for k, left, right in zip(f.kinks, s, s[1:])}
     table[Fraction(1)] = Fraction(s[0] - f.p * s[-1], ds)
     return _collect(f.p, table)
@@ -288,13 +285,10 @@ def is_principal(d: Divisor) -> PrincipalityReport:
     The witness slopes are s_i = s_0 + partial jump sums with the base slope
     solved from the wrap equation s_0 * (1 - p) = d_wrap + p * sum(interior);
     the division by (p - 1) is exact precisely when chi(d) vanishes, and the
-    closure condition then follows from degree zero.
-
-    The sums run on integers: with the coefficients scaled to C = c*d
-    (`_scaled`), every slope times d*(p - 1) is an integer, the base one
-    -(C_wrap + p*sum(C_interior)) and each next one the last plus
-    C_i*(p - 1); each slope is the one Fraction of its integer over
-    d*(p - 1), exact as d*(p - 1) > 0.
+    closure condition then follows from degree zero.  On the coefficients'
+    integers C over dc (`Divisor._form`), every slope times dc*(p - 1) is an
+    integer: the base one -(C_wrap + p*sum(C_interior)), and each next one
+    the last plus C_i*(p - 1).
     """
     obstructions = []
     if d.degree() != 0:
@@ -304,12 +298,12 @@ def is_principal(d: Divisor) -> PrincipalityReport:
     if obstructions:
         return PrincipalityReport(d, None, tuple(obstructions))
     p = d.p
-    reps = [rep for rep, _ in d.entries]
-    den, big_c = _scaled([c.as_integer_ratio() for _, c in d.entries])
+    reps = d.support
+    dr, big_r, dc, big_c = d._form
     wrap = 0
-    if reps and reps[0] == 1:
+    if big_r and big_r[0] == dr:
         wrap, reps, big_c = big_c[0], reps[1:], big_c[1:]
-    den *= p - 1
+    den = dc * (p - 1)
     s = -(wrap + p * sum(big_c))
     slopes = [Fraction(s, den)]
     for c in big_c:

@@ -3,10 +3,12 @@
 A function is stored as its domain, its anchor value at the left endpoint,
 a sorted tuple of interior kinks, and one slope per piece; the value
 anywhere is recovered by integrating the slopes from the anchor, so
-continuity is structural.  The values at lo and at the kinks are summed
-once, on the first evaluation, as integers over one common denominator
-(`scalars._scaled`), and kept out of equality, hash and repr; evaluation and
-the pointwise join run on such integers and build one Fraction per result.
+continuity is structural.  Each function keeps its positions and slopes
+as integers over common denominators (`PiecewiseAffine._form`), and the
+values at lo, the kinks and hi summed once from them (`_values`), both
+computed on first read and kept out of equality, hash and repr; evaluation
+and the pointwise join run on such integers and build one Fraction per
+result.
 Slopes are constrained to a rank-one group: either Z, or a fixed rational
 multiple of Z[1/p].
 
@@ -104,23 +106,37 @@ class PiecewiseAffine:
     @property
     def convex(self) -> bool:
         """True when the slopes strictly increase across the kinks."""
-        return _increasing(self.slopes)
+        ss = self._form[3]
+        return all(a < b for a, b in zip(ss, ss[1:]))
+
+    @_cached
+    def _form(self) -> tuple:
+        """(dx, xs, ds, ss): the function's positions and slopes on integers,
+        kept out of equality, hash and repr.  xs are lo, the kinks and hi
+        (when finite) times dx, and ss the slopes times ds, with dx and ds
+        the least common multiples of their denominators (`_scaled`).
+
+        Sums and order tests on xs, and on ss, are exact: each is its
+        rationals scaled by the one positive integer, so a sum of them is
+        that integer times the rationals' sum, and their order is the
+        rationals' order."""
+        ends = (self.lo, *self.kinks) if self.hi is None else (self.lo, *self.kinks, self.hi)
+        dx, xs = _scaled([q.as_integer_ratio() for q in ends])
+        ds, ss = _scaled([s.as_integer_ratio() for s in self.slopes])
+        return dx, xs, ds, ss
 
     @_cached
     def _values(self) -> tuple:
-        """(dx, xs, ss, step, den, values): the function on integers, as
-        eval_at reads it.  xs are lo and the kinks times dx and ss the slopes
-        times ds, with dx and ds the least common multiples of their
-        denominators (`_scaled`); values[i]/den is the value at xs[i]/dx,
-        with den = lcm(anchor denominator, ds*dx) and step = den // (ds*dx).
-        Kept because cli.function_svg reads every kink's value through eval_at.
+        """(step, den, values): values[i]/den is the value at xs[i]/dx of
+        `_form`, with den = lcm(anchor denominator, ds*dx) and
+        step = den // (ds*dx).  Kept because cli.function_svg reads every
+        kink's value through eval_at.
 
         The values are exact integer sums: the value at xs[0] is the anchor,
         and piece i rises by (ss[i]/ds)*(xs[i+1] - xs[i])/dx, that is by
         ss[i]*(xs[i+1] - xs[i])*step/den, an integer over den.
         """
-        dx, xs = _scaled([q.as_integer_ratio() for q in (self.lo, *self.kinks)])
-        ds, ss = _scaled([s.as_integer_ratio() for s in self.slopes])
+        dx, xs, ds, ss = self._form
         num, ad = self.anchor.as_integer_ratio()
         den = lcm(ad, ds * dx)
         step, value = den // (ds * dx), num * (den // ad)
@@ -128,15 +144,16 @@ class PiecewiseAffine:
         for s, a, b in zip(ss, xs, xs[1:]):
             value += s * (b - a) * step
             values.append(value)
-        return dx, xs, ss, step, den, values
+        return step, den, values
 
     def eval_at(self, lam) -> Fraction | None:
         """Value at the start of lam's piece plus its slope times the distance.
 
-        With lam = a/b and the integer form of `_values`, lam lies on piece
-        i, where i + 1 is the first kink index j >= 1 with xs[j]*b >= a*dx
-        (so a kink belongs to the piece on its left), or on the last piece.
-        The value is values[i]/den + (ss[i]/ds)*(a/b - xs[i]/dx), the one
+        With lam = a/b and the integers of `_form` and `_values`, lam lies
+        on piece i, where i + 1 is the first index j >= 1 with
+        xs[j]*b >= a*dx (so a kink belongs to the piece on its left), or on
+        the last piece.  The value is
+        values[i]/den + (ss[i]/ds)*(a/b - xs[i]/dx), the one
         Fraction(values[i]*b + ss[i]*step*(a*dx - xs[i]*b), b*den).  The
         domain test compares lam with lo and hi by cross-multiplying.
         """
@@ -148,7 +165,8 @@ class PiecewiseAffine:
             raise ValueError(f"{_quote(lam)} outside domain [{_quote(lo)}, {_quote(hi)}]")
         if self.is_bottom:
             return None
-        dx, xs, ss, step, den, values = self._values
+        dx, xs, _, ss = self._form
+        step, den, values = self._values
         ax = a * dx
         i = bisect_left(xs, ax, 1, key=b.__mul__) - 1
         return Fraction(values[i] * b + ss[i] * step * (ax - xs[i] * b), b * den)

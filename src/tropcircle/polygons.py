@@ -267,14 +267,12 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     [0, inf) whose slopes lie in the group.  Exact round trip both ways.
 
     The vertices are (x_i, y_i) with x_i the slopes, y_0 the anchor and
-    y_i+1 = y_i + k_i*(x_i - x_i+1) across kink k_i.  With the slopes scaled
-    to the integers X = x*dx and the kinks to K = k*dk (`_scaled`), the step
-    is K_i*(X_i - X_i+1)/(dk*dx).  So every y_i*d, with
-    d = lcm(anchor denominator, dk*dx), is an integer: the ordinates are
-    summed as integers over that one denominator, and each becomes one
-    Fraction; the X over dx and the ordinates over d are the polygon's
-    form.  Convexity is the same test on X: strictly increasing, as the
-    positive scaling keeps the order.
+    y_i+1 = y_i + k_i*(x_i - x_i+1) across kink k_i.  f's integers
+    (`PiecewiseAffine._form`) give the kinks K over dk, after lo = 0, and
+    the slopes X over dx, so each step is an integer over
+    d = lcm(anchor denominator, dk*dx): the ordinates are summed as
+    integers over d, each becomes one Fraction, and the X over dx and the
+    ordinates over d are the polygon's form.
 
     The polygon is built without newton_polygon's checks.  f's slopes lie
     in its group (piecewise_affine checked them), and its kinks are
@@ -288,17 +286,15 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
         raise ValueError("the transform inverts functions defined on all of [0, inf)")
     if f.is_bottom:
         return _with_form(f.group, (), (1, [], 1, []))
-    xs = f.slopes
-    dx, big_x = _scaled([x.as_integer_ratio() for x in xs])
-    if any(x0 >= x1 for x0, x1 in zip(big_x, big_x[1:])):
+    if not f.convex:
         raise ValueError("function is not convex")
-    dk, big_k = _scaled([k.as_integer_ratio() for k in f.kinks])
-    anchor = f.anchor
+    xs, anchor = f.slopes, f.anchor
+    dk, lo_and_k, dx, big_x = f._form
     d = lcm(anchor.denominator, dk * dx)
     step = d // (dk * dx)
     y = anchor.numerator * (d // anchor.denominator)
     vertices, big_y = [(xs[0], anchor)], [y]
-    for k, x0, x1, x in zip(big_k, big_x, big_x[1:], xs[1:]):
+    for k, x0, x1, x in zip(lo_and_k[1:], big_x, big_x[1:], xs[1:]):
         y += k * (x0 - x1) * step
         vertices.append((x, Fraction(y, d)))
         big_y.append(y)

@@ -36,8 +36,9 @@ support point rep_j is not movable, but one more step at rep_j then passes
 the kink-free test, so counting it as dimension 1 changes no level.
 
 A level costs an O(k) integer set-up over the k support points (the
-forced-jump box of `_level_box`), plus O(1) exact operations per
-assignment in that box.
+forced-jump box of `_level_box`, which reads the divisor's integers,
+computed once per divisor), plus O(1) exact operations per assignment in
+that box.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from itertools import product
 from math import ceil, floor, prod
 
 from .circle import CircleFunction, Divisor, divisor_of
-from .scalars import _scaled, padic_abs
+from .scalars import padic_abs
 
 __all__ = [
     "FiltrationReport",
@@ -118,35 +119,23 @@ def _level_box(d: Divisor, n: int):
     cap is the order budget B = max(d_wrap, 0) + sum(rep_j * max(d_j, 0))
     less the point's own share rep_i * max(d_i, 0).  A range may be empty.
 
-    Runs on integers, in one pass over the k support points: B is summed
-    once, so the set-up is O(k).  With rep_i = a/b, d_i = cn/cd and
-    d_wrap = wn/wd, every den > 0 (the wrap point is the rep whose num
-    equals its den), the shares are scaled by L > 0, the least common
-    multiple of their dens (`_scaled`), to integers s_i whose sum is L*B.
-    floor(x/y) = x // y for integers x and y > 0, so
-        -floor(d_i * p**n)          = -(cn * p**n // cd),
-        floor(cap_i / rep_i * p**n) = (L*B - s_i) * b * p**n // (L * a),
-        floor(d_wrap * p**n)        = wn * p**n // wd
-    exactly, for numerators of either sign.
+    One pass over the divisor's integers R over dr and C over dc
+    (`Divisor._form`): B is budget/(dr*dc), with the budget
+    sum(R_j * max(C_j, 0)) summed once, and floor(x/y) = x // y for
+    integers x and y > 0, so the three floors are C_wrap * p**n // dc,
+    -(C_i * p**n // dc) and (budget - R_i * max(C_i, 0)) * p**n // (dc * R_i).
     """
     scale = d.p ** n
-    wn, wd = 0, 1
-    interior, lows, ratios, shares = [], [], [], []
-    for entry in d.entries:
-        a, b = entry[0].as_integer_ratio()
-        cn, cd = entry[1].as_integer_ratio()
-        if a == b:
-            wn, wd = cn, cd
+    dr, big_r, dc, big_c = d._form
+    budget = sum(r * c for r, c in zip(big_r, big_c) if c > 0)
+    w, interior, ranges = 0, [], []
+    for entry, r, c in zip(d.entries, big_r, big_c):
+        if r == dr:
+            w = c * scale // dc
             continue
         interior.append(entry)
-        lows.append(-(cn * scale // cd))
-        ratios.append((a, b))
-        shares.append((a * cn, b * cd) if cn > 0 else (0, 1))
-    den, scaled = _scaled([(wn, wd) if wn > 0 else (0, 1), *shares])
-    budget = sum(scaled)
-    ranges = [range(lo, (budget - s) * b * scale // (den * a) + 1)
-              for lo, s, (a, b) in zip(lows, scaled[1:], ratios)]
-    return wn * scale // wd, interior, ranges
+        ranges.append(range(-(c * scale // dc), (budget - r * max(c, 0)) * scale // (dc * r) + 1))
+    return w, interior, ranges
 
 
 def dim_filtration(d: Divisor, n: int) -> int:

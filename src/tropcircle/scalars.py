@@ -17,20 +17,20 @@ limit, for the readers that refuse such a value before it is printed.
 `_rational` is the one coercion of a rational argument, a slope group's
 scale included: every value layer reads one as Fraction(x) reads it, and a
 value Fraction(x) cannot read, an infinite float included, is refused with
-ValueError.  `_scaled` is the one common-denominator rule: the exact sums
-and order tests of `piecewise` (evaluation and the pointwise join),
-`polygons` (the hull, the Minkowski sum, the support function and the
-Legendre round trip) and `circle`, and the level set-up of the filtration
-search (`riemann_roch._level_box`), run on integers over one common
-denominator; the value layers build one Fraction per result, and the level
-set-up none.
+ValueError.  `_scaled` is the one common-denominator rule, and each value
+type lays out its integers with it once, in its own `_form`: a function's
+positions and slopes, a divisor's reps and coefficients, a polygon's
+vertices (`pointwise_join` alone lays out two functions' cuts together).
+The exact sums and order tests of the value layers and the level set-up
+of the filtration search (`riemann_roch._level_box`) read those integers;
+the value layers build one Fraction per result, and the level set-up none.
 
 `_cached` is the one cache rule: a value computed from an instance on its
-first read (a polygon's integer form, a function's values, a divisor's
-degree and residue) is kept in the instance `__dict__`, which later reads
-find first, as Python 3.12's `functools.cached_property` keeps it, without
-the per-instance lock that 3.11's takes on every first read.  A
-constructor that already holds the value may store it there itself.
+first read (an integer form, a function's values, a divisor's degree and
+residue) is kept in the instance `__dict__`, which later reads find first,
+as Python 3.12's `functools.cached_property` keeps it, without the
+per-instance lock that 3.11's takes on every first read.  A constructor
+that already holds the value may store it there itself.
 """
 
 import sys

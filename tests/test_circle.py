@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from tropcircle import circle
 from tropcircle.circle import (
-    ClosureError, circle_bottom, circle_function, circle_join, circle_times,
+    ClosureError, circle_function, circle_join, circle_times,
     divisor, divisor_of, from_cut, is_principal, jacobian_class, normalize_point,
 )
-from tropcircle.piecewise import SlopeGroup, piecewise_affine
+from tropcircle.piecewise import SlopeGroup, piecewise_affine, pointwise_times
 from tropcircle.scalars import _quote
 from tropcircle.verify import (
     class_representative, gen_circle, gen_divisor, gen_divisor_chi_nonzero,
     gen_divisor_deg0_chi0,
 )
+
+from test_piecewise import operand_pairs
 
 
 class TestNormalizePoint:
@@ -79,7 +81,7 @@ class TestDivisorOf:
 
     def test_bottom_rejected(self):
         with pytest.raises(ValueError):
-            divisor_of(circle_bottom(3))
+            divisor_of(circle_function(3, (), None, None))
 
     def test_zero_wrap_jump_has_no_entry_at_1(self):
         # s_0 - p*s_m = 3 - 3*1 = 0 at the wrap class
@@ -444,3 +446,50 @@ class TestIntegerSums:
                 assert report.witness == circle_function(p, reps, slopes, 0)
                 assert divisor_of(report.witness) == d
         assert is_principal(d0).principal
+
+
+def negated(f):
+    """-f: the anchor and every slope negated; the bottom function is its own."""
+    if f.is_bottom:
+        return f
+    return piecewise_affine(f.group, f.lo, f.hi, -f.anchor, f.kinks, [-s for s in f.slopes])
+
+
+def fraction_values(f, ends):
+    """f's values at ends, lo first, walked piece by piece in Fractions."""
+    values = [f.anchor]
+    for s, a, b in zip(f.slopes, ends, ends[1:]):
+        values.append(values[-1] + s * (b - a))
+    return values
+
+
+class TestForms:
+    """The integer form of a function (`PiecewiseAffine._form` and
+    `_values`) and of a divisor (`Divisor._form`) spell the value they were
+    computed from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs(), st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5, 7, BIG_PRIME]))
+    def test_forms_spell_their_values(self, pair, seed, p):
+        rng = random.Random(seed)
+        f, g = pair
+        c1, c2 = gen_circle(rng, p), gen_circle(rng, p)
+        functions = [f, g, pointwise_times(f, g), c1.pa, c2.pa, circle_times(c1, c2).pa]
+        for fn in functions + list(map(negated, functions)):
+            dx, xs, ds, ss = fn._form
+            ends = (fn.lo, *fn.kinks) if fn.hi is None else (fn.lo, *fn.kinks, fn.hi)
+            assert [F(x, dx) for x in xs] == list(ends)
+            assert [F(s, ds) for s in ss] == list(fn.slopes)
+            if fn.is_bottom:
+                continue
+            _, den, values = fn._values
+            assert [F(v, den) for v in values] == fraction_values(fn, ends)
+            if fn.hi is not None:
+                assert F(values[-1], den) == fn.eval_at(fn.hi)
+
+        d1, d2 = gen_divisor(rng, p), divisor_of(c1)
+        for d in (d1, d2, d1 + d2, -d1, -d2, d1 - d2):
+            dr, big_r, dc, big_c = d._form
+            assert [F(r, dr) for r in big_r] == list(d.support)
+            assert [F(c, dc) for c in big_c] == [c for _, c in d.entries]
+            assert [r == dr for r in big_r] == [rep == 1 for rep in d.support]

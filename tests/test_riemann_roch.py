@@ -7,7 +7,7 @@ from math import floor, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropcircle.circle import circle_bottom, circle_function, circle_times, divisor, divisor_of, is_principal
+from tropcircle.circle import circle_function, circle_times, divisor, divisor_of, is_principal
 from tropcircle.riemann_roch import (
     _assignment_best, _level_box, dim_filtration, dim_r, member_h0, norm_p, rr_check, rr_tolerance,
 )
@@ -41,7 +41,7 @@ class TestNorm:
 
     def test_bottom_rejected(self):
         with pytest.raises(ValueError):
-            norm_p(circle_bottom(3))
+            norm_p(circle_function(3, (), None, None))
 
     def test_subadditive_under_both_operations(self):
         from tropcircle.circle import circle_join
@@ -72,7 +72,7 @@ class TestMembership:
         assert not member_h0(two_arc_example(), divisor(3, {}))
 
     def test_bottom_always_belongs(self):
-        assert member_h0(circle_bottom(5), divisor(5, {F(2): F(-3)}))
+        assert member_h0(circle_function(5, (), None, None), divisor(5, {F(2): F(-3)}))
 
     def test_closed_under_join_and_constants(self):
         from tropcircle.circle import circle_join

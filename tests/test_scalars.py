@@ -410,11 +410,37 @@ class TestOneCoercion:
 
     def test_scaled_defined_only_in_scalars(self):
         """`_scaled`, the one common-denominator rule, is defined in scalars
-        alone; polygons and circle import it."""
+        alone; piecewise, polygons and circle import it."""
         found = [path.stem for path in sorted(Path(scalars.__file__).parent.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.FunctionDef) and node.name == "_scaled"]
         assert found == ["scalars"]
+
+    def test_scaled_read_only_where_a_layout_is_made(self):
+        """`_scaled` lays out integers only in the forms that own a layout:
+        a function's and a divisor's `_form`, a polygon's `_integer_form`
+        and `_polygon_of_ratios`, and `pointwise_join`, which lays out the
+        union of two functions' cuts.  Every other exact sum reads a form,
+        and riemann_roch does not import `_scaled`."""
+        readers, importers = [], []
+
+        def visit(node, scope, stem):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, (*scope, child.name), stem)
+                    continue
+                if isinstance(child, ast.Name) and child.id == "_scaled":
+                    readers.append(".".join((stem, *scope)))
+                elif isinstance(child, ast.ImportFrom) and any(a.name == "_scaled" for a in child.names):
+                    importers.append(stem)
+                visit(child, scope, stem)
+
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), (), path.stem)
+        assert sorted(set(readers)) == [
+            "circle.Divisor._form", "piecewise.PiecewiseAffine._form", "piecewise.pointwise_join",
+            "polygons._integer_form", "polygons._polygon_of_ratios"]
+        assert importers == ["circle", "piecewise", "polygons"]
 
 
 @dataclasses.dataclass(frozen=True)
