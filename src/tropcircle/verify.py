@@ -3,7 +3,17 @@
 Every suite pairs a generator with a predicate; the runner draws cases from
 a seeded PRNG, so a (seed, count) pair always produces the identical report
 byte for byte.  On a failure the offending case is greedily shrunk before
-being printed, and the runner exits nonzero.
+being printed, and the runner exits nonzero.  A passing report prints only
+each suite's verdict and case count, so its bytes pin those, not the
+cases; `tests/test_verify_cases.py` pins the case stream of every suite.
+
+The generators' contract: each makes the rng calls that table was
+recorded with, in the same order, so a seed draws the same cases from one
+version to the next.  Each builds every value once, through the
+validating constructor of its type (`polygons._polygon_of_ratios`,
+`piecewise.piecewise_affine`, `circle.circle_function`, `circle.divisor`),
+from the drawn integers, with no Fraction arithmetic on the way.  No case
+is kept from one call to the next.
 
 The suites here are also what the acceptance tests call with their own
 counts.  Every check looks its operations up through their module at call
@@ -36,9 +46,14 @@ def gen_fraction(rng):
 def gen_rmax(rng):
     return None if rng.random() < 0.15 else gen_fraction(rng)
 
+def _hp_draw(rng, span):
+    """(num, e) of a random element num / p**e of Z[1/p], |num| <= span and
+    e <= 2, drawn in that order."""
+    return rng.randint(-span, span), rng.randint(0, 2)
+
 def gen_hp(rng, p, span=9):
-    """Random element num / p**k of Z[1/p], |num| <= span and k <= 2."""
-    return Fraction(rng.randint(-span, span), p ** rng.randint(0, 2))
+    num, e = _hp_draw(rng, span)
+    return Fraction(num, p ** e)
 
 def gen_group(rng):
     if rng.random() < 0.4:
@@ -47,22 +62,36 @@ def gen_group(rng):
     scale = Fraction(rng.randint(1, 3), rng.choice((1, p)))
     return SlopeGroup(p, scale)
 
-def gen_group_element(rng, group):
+def _group_ratio(rng, group):
+    """A random element of group as a (num, den) pair, den > 0, not always
+    in lowest terms: the scale s/t times k, |k| <= 6, over Z or, as
+    `_hp_draw` draws (k, e), over p**e."""
+    s, t = group.scale.as_integer_ratio()
     if group.p is None:
-        return group.scale * rng.randint(-6, 6)
-    return group.scale * gen_hp(rng, group.p, 6)
+        return s * rng.randint(-6, 6), t
+    k, e = _hp_draw(rng, 6)
+    return s * k, t * group.p ** e
+
+def gen_group_element(rng, group):
+    return Fraction(*_group_ratio(rng, group))
 
 def gen_polygon(rng, group):
-    pts = [(gen_group_element(rng, group), gen_fraction(rng))
-           for _ in range(rng.randint(0, 4))]
-    return polygons.newton_polygon(group, pts)
+    """0 to 4 points (x, y), x in group and y as gen_fraction draws it,
+    reduced by the one validating path that reads (num, den) pairs."""
+    xs, ys = [], []
+    for _ in range(rng.randint(0, 4)):
+        xs.append(_group_ratio(rng, group))
+        ys.append((rng.randint(-12, 12), rng.randint(1, 8)))
+    return polygons._polygon_of_ratios(group, xs, ys)
+
+_PA_KINKS = tuple(Fraction(4 * i, 7) for i in range(1, 7))
 
 def gen_pa(rng, group, convex=False, allow_bottom=True):
     """Random function on [0, 4] with kinks among the multiples of 4/7."""
     if allow_bottom and rng.random() < 0.08:
         return piecewise.piecewise_affine(group, 0, 4, None)
     nk = rng.randint(0, 3)
-    kinks = sorted(rng.sample([Fraction(4 * i, 7) for i in range(1, 7)], nk))
+    kinks = sorted(rng.sample(_PA_KINKS, nk))
     slopes = [gen_group_element(rng, group) for _ in range(nk + 1)]
     if convex:
         slopes.sort()
@@ -99,32 +128,46 @@ def gen_circle(rng, p):
     Kinks are drawn from p-power-denominator rationals in (1, p) with the
     last kink of the form p - p**-a, so that solving the final slope from
     the closure condition stays inside Z[1/p].
+
+    The closure is summed as integers over the grid p**2: the arc bounds are
+    p**2, the drawn cells, p**3 - p**(2 - a) and p**3, and a slope num/p**e
+    is num*p**(2 - e).  The drawn slopes times their arcs sum to
+    closure/p**4, and the last arc is p**(2 - a)/p**2, so the final slope,
+    which closes the sum, is the one Fraction -closure/(p**2 * p**(2 - a)).
     """
     m = rng.randint(0, 3)
     anchor = gen_fraction(rng)
     if m == 0:
         return circle.circle_function(p, [], [0], anchor)
     a = rng.randint(2 // p, 2)  # the least a with p - p**-a > 1: 1 at p = 2, else 0
-    last = p - Fraction(1, p ** a)
-    grid = p ** 2
-    lo_i, hi_i = grid + 1, int(last * grid) - 1
+    grid = p * p
+    last_arc = p ** (2 - a)
+    last = grid * p - last_arc
+    lo_i, hi_i = grid + 1, last - 1
     if hi_i - lo_i + 1 < m - 1:
         others = []
     else:
         others = sorted(_sample_range(rng, lo_i, hi_i, m - 1))
-    kinks = [Fraction(i, grid) for i in others] + [last]
-    slopes = [gen_hp(rng, p, span=6) for _ in range(len(kinks))]
-    bounds = [Fraction(1), *kinks, Fraction(p)]
-    partial = sum(s * (b - a2) for s, a2, b in zip(slopes, bounds, bounds[1:]))
-    final = -partial / (bounds[-1] - bounds[-2])  # lands in Z[1/p] by the grid choice
-    return circle.circle_function(p, kinks, slopes + [final], anchor)
+    bounds = [grid, *others, last]
+    slopes, closure = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        num, e = _hp_draw(rng, 6)
+        slopes.append(Fraction(num, p ** e))
+        closure += num * p ** (2 - e) * (hi - lo)
+    slopes.append(Fraction(-closure, grid * last_arc))
+    return circle.circle_function(p, [Fraction(i, grid) for i in bounds[1:]], slopes, anchor)
 
 def gen_divisor(rng, p, max_pts=3):
+    """Up to max_pts points r/p**2 in [1, p), each with a coefficient as
+    gen_hp draws it; the coefficients at one point are summed as integers
+    over p**2, num/p**e as num*p**(2 - e)."""
+    grid = p * p
     table = {}
     for _ in range(rng.randint(0, max_pts)):
-        rep = Fraction(rng.randint(p ** 2, p ** 3 - 1), p ** 2)
-        table[rep] = table.get(rep, Fraction(0)) + gen_hp(rng, p)
-    return circle.divisor(p, table)
+        r = rng.randint(grid, grid * p - 1)
+        num, e = _hp_draw(rng, 9)
+        table[r] = table.get(r, 0) + num * p ** (2 - e)
+    return circle.divisor(p, {Fraction(r, grid): Fraction(c, grid) for r, c in table.items()})
 
 def class_representative(p, c):
     """Degree-zero divisor with chi class c: c jumps at 2 balanced at the wrap."""

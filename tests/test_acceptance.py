@@ -20,6 +20,7 @@ from tropcircle.verify import (
 )
 
 from dim_oracle import max_dim_minimal, oracle_budget
+from test_verify_cases import case_lines
 
 
 def _suite(name):
@@ -210,4 +211,11 @@ def test_criterion_10_determinism():
     second = format_report(run(424242, 300)[0])
     assert first.encode() == second.encode()
     assert "PASS" in first
+    # a PASS report prints only verdicts and counts, so it cannot tell two
+    # case streams apart: compare the cases themselves, and check that the
+    # comparison sees a change of seed
+    for suite in SUITES:
+        stream = list(case_lines(suite, 424242, 300))
+        assert stream == list(case_lines(suite, 424242, 300))
+        assert stream != list(case_lines(suite, 424243, 300))
     print("\nACCEPTANCE 10 PASS: byte-identical verification reports for a fixed seed")
