@@ -151,12 +151,9 @@ def cmd_legendre(args) -> tuple[str, int]:
     if args.format == "svg":
         return function_svg(f, "support function"), code
     if args.format == "json":
-        polygon = ser.polygon_to_json(poly)
-        # the function's slopes are the polygon's x, the same Fractions
-        slopes = [x for x, _ in polygon["vertices"]]
         return ser.dumps({
-            "function": ser.pa_to_json(f, slopes),
-            "polygon": polygon,
+            "function": ser.pa_to_json(f),
+            "polygon": ser.polygon_to_json(poly),
             "roundtrip": roundtrip,
         }), code
     lines = [f"polygon: {poly!r}", f"function: {f!r}", f"roundtrip: {'ok' if roundtrip else 'MISMATCH'}"]

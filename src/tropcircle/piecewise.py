@@ -4,11 +4,11 @@ A function is stored as its domain, its anchor value at the left endpoint,
 a sorted tuple of interior kinks, and one slope per piece; the value
 anywhere is recovered by integrating the slopes from the anchor, so
 continuity is structural.  Each function keeps its positions and slopes
-as integers over common denominators (`PiecewiseAffine._form`, handed on
-by `polygons.legendre`, else computed on first read), and the values at
-lo, the kinks and hi summed once from them (`_values`, computed on first
-read), both kept out of equality, hash and repr; evaluation and the
-pointwise join run on such integers and build one Fraction per result.
+as integers over common denominators (`PiecewiseAffine._form`), and the
+values at lo, the kinks and hi summed once from them (`_values`), both
+computed on first read and kept out of equality, hash and repr; evaluation
+and the pointwise join run on such integers and build one Fraction per
+result.
 Slopes are constrained to a rank-one group: either Z, or a fixed rational
 multiple of Z[1/p].
 
@@ -113,13 +113,8 @@ class PiecewiseAffine:
     def _form(self) -> tuple:
         """(dx, xs, ds, ss): the function's positions and slopes on integers,
         kept out of equality, hash and repr.  xs are lo, the kinks and hi
-        (when finite) times dx, and ss the slopes times ds, for common
-        denominators dx, ds > 0 of the positions and of the slopes, not
-        necessarily the least ones.  `polygons.legendre` hands on the form
-        it computed; any other function computes it on first use, with the
-        least denominators (`_scaled`).  `_values`, `eval_at`, `convex`,
-        `circle.divisor_of` and `polygons.from_function` read it for any
-        common denominators.
+        (when finite) times dx, and ss the slopes times ds, with dx and ds
+        the least common multiples of their denominators (`_scaled`).
 
         Sums and order tests on xs, and on ss, are exact: each is its
         rationals scaled by the one positive integer, so a sum of them is

@@ -14,9 +14,7 @@ integers over common denominators (`NewtonPolygon._form`), on which the
 hull, the two operations, the support function and the transform run.
 Every constructor in this module computes those integers anyway and hands
 them to the polygon it builds; only a polygon built directly, as
-NewtonPolygon(group, vertices), computes them, once, on first use.  The
-transform hands its function the integers of its slopes and kinks in the
-same way (`PiecewiseAffine._form`).
+NewtonPolygon(group, vertices), computes them, once, on first use.
 """
 
 from dataclasses import dataclass
@@ -240,17 +238,12 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     Slopes are exactly the vertex x-coordinates; kinks are the crossings of
     consecutive affine pieces.  The zero polygon maps to constant -inf.
 
-    The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  On
-    the integers X = x*dx and Y = y*dy of the polygon's `NewtonPolygon._form`
-    that is (Y_i - Y_i+1)*dx / ((X_i+1 - X_i)*dy), exact for the reason
-    `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and x_i+1 - x_i =
-    (X_i+1 - X_i)/dx, with dx, dy > 0.  Every kink goes over the one
-    denominator dk = L*dy, with L the least common multiple of the gaps
-    X_i+1 - X_i, as K_i = (Y_i - Y_i+1)*dx*(L // (X_i+1 - X_i)), and each is
-    the one Fraction(K_i, dk).  The function holds these integers as its
-    `PiecewiseAffine._form`: lo = 0 and the K over dk, and its slopes, the
-    x themselves, as X over dx.  So `convex`, `eval_at` and `from_function`
-    read them and re-scale nothing.
+    The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  It
+    is computed on the integers X = x*dx and Y = y*dy of the polygon's
+    `NewtonPolygon._form`, as the one Fraction((Y_i - Y_i+1)*dx,
+    (X_i+1 - X_i)*dy).  That is exact for the
+    reason `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
+    x_i+1 - x_i = (X_i+1 - X_i)/dx, with dx, dy > 0.
 
     The function is built without piecewise_affine's checks, which the
     reduced vertex list already meets: every x lies in the group (the
@@ -264,13 +257,9 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
         return PiecewiseAffine(n.group, Fraction(0), None, None, (), ())
     xs, ys = zip(*n.vertices)
     dx, big_x, dy, big_y = n._form
-    gaps = [x1 - x0 for x0, x1 in zip(big_x, big_x[1:])]
-    gap_lcm = lcm(*gaps)
-    dk = gap_lcm * dy
-    big_k = [(y0 - y1) * dx * (gap_lcm // gap) for y0, y1, gap in zip(big_y, big_y[1:], gaps)]
-    f = PiecewiseAffine(n.group, Fraction(0), None, ys[0], tuple(Fraction(k, dk) for k in big_k), xs)
-    f.__dict__["_form"] = (dk, [0, *big_k], dx, big_x)
-    return f
+    kinks = tuple(Fraction((y0 - y1) * dx, (x1 - x0) * dy)
+                  for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:]))
+    return PiecewiseAffine(n.group, Fraction(0), None, ys[0], kinks, xs)
 
 
 def from_function(f: PiecewiseAffine) -> NewtonPolygon:

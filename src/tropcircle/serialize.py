@@ -240,17 +240,14 @@ def polygon_from_json(d: dict) -> NewtonPolygon:
 
 # --------------------------------------------------------------- functions
 
-def pa_to_json(f: PiecewiseAffine, slopes: list | None = None) -> dict:
-    """The function as its file holds it; slopes, when given, are the
-    slope strings the caller already built (`cli.cmd_legendre` prints a
-    transform's slopes, the polygon's x, once)."""
+def pa_to_json(f: PiecewiseAffine) -> dict:
     return {
         "p": f.group.p,
         "scale": frac_to_str(f.group.scale),
         "domain": [frac_to_str(f.lo), None if f.hi is None else frac_to_str(f.hi)],
         "anchor": rmax_to_str(f.anchor),
         "kinks": [frac_to_str(k) for k in f.kinks],
-        "slopes": [frac_to_str(s) for s in f.slopes] if slopes is None else slopes,
+        "slopes": [frac_to_str(s) for s in f.slopes],
         "convex": f.convex,
     }
 

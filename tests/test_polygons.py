@@ -541,28 +541,6 @@ class TestHandedOnForm:
         for lam in lams:
             assert ell(n, lam) == ell(rebuilt, lam)
 
-    @settings(max_examples=400, deadline=None)
-    @given(constructed_polygons(), st.lists(st.builds(F, st.integers(0, 60),
-                                                      st.sampled_from([1, 3, 7, 10])),
-                                            min_size=1, max_size=3))
-    def test_transform_hands_on_its_form(self, drawn, lams):
-        # legendre hands its function the form it computed, over denominators
-        # not necessarily the least; it denotes the rationals a fresh form does
-        _, n = drawn
-        f = legendre(n)
-        assert ("_form" in vars(f)) == (not n.is_zero)
-        fresh = PiecewiseAffine(f.group, f.lo, f.hi, f.anchor, f.kinks, f.slopes)
-        assert "_form" not in vars(fresh)
-        for g in (f, fresh):
-            dx, xs, ds, ss = g._form
-            assert dx > 0 and ds > 0
-            assert [F(x, dx) for x in xs] == [f.lo, *f.kinks]
-            assert [F(s, ds) for s in ss] == list(f.slopes)
-        assert f.convex == fresh.convex
-        assert from_function(f) == from_function(fresh) == n
-        for lam in lams:
-            assert f.eval_at(lam) == fresh.eval_at(lam) == ell(n, lam)
-
 
 # groups of the single membership test: Z, and scale*Z[1/p]
 MEMBERSHIP_GROUPS = [SlopeGroup(None)] + [SlopeGroup(p, scale) for p in (2, 3, 5)
