@@ -5,6 +5,10 @@ scaled one-sided slopes (x, h+, h-); a lex element is the variant (x, h)
 ordered lexicographically.  Both carry an idempotent semiring structure in
 which addition is the max of germs and multiplication is their sum, plus a
 distinguished bottom element playing -inf.
+
+The four operations work on the fields' integer ratios: the joins compare
+two values a/b and c/d as a*d against c*b, and each sum of a product is one
+Fraction(a*d + c*b, b*d), with no Fraction arithmetic on the way.
 """
 
 from dataclasses import dataclass
@@ -51,6 +55,20 @@ GERM_BOTTOM = Germ(None, None, None)
 GERM_ONE = Germ(Fraction(0), Fraction(0), Fraction(0))
 
 
+def _sum(q: Fraction, r: Fraction) -> Fraction:
+    """q + r as one Fraction of the cross-multiplied integer ratios."""
+    a, b = q.as_integer_ratio()
+    c, d = r.as_integer_ratio()
+    return Fraction(a * d + c * b, b * d)
+
+
+def _order(q: Fraction, r: Fraction) -> int:
+    """The sign of q - r, from the cross-multiplied integer ratios."""
+    a, b = q.as_integer_ratio()
+    c, d = r.as_integer_ratio()
+    return (a * d > c * b) - (a * d < c * b)
+
+
 def germ_join(g: Germ, h: Germ) -> Germ:
     """Max of two germs: larger value wins; on a tie the right slopes join
     with max and the left slopes with min."""
@@ -58,10 +76,9 @@ def germ_join(g: Germ, h: Germ) -> Germ:
         return h
     if h.is_bottom:
         return g
-    if g.x > h.x:
-        return g
-    if h.x > g.x:
-        return h
+    order = _order(g.x, h.x)
+    if order:
+        return g if order > 0 else h
     return Germ(g.x, max(g.hplus, h.hplus), min(g.hminus, h.hminus))
 
 
@@ -69,7 +86,7 @@ def germ_mul(g: Germ, h: Germ) -> Germ:
     """Sum of two germs, componentwise; bottom is absorbing."""
     if g.is_bottom or h.is_bottom:
         return GERM_BOTTOM
-    return Germ(g.x + h.x, g.hplus + h.hplus, g.hminus + h.hminus)
+    return Germ(_sum(g.x, h.x), _sum(g.hplus, h.hplus), _sum(g.hminus, h.hminus))
 
 
 def germ_is_convex(g: Germ) -> bool:
@@ -113,17 +130,16 @@ def lex_join(a: LexElement, b: LexElement) -> LexElement:
         return b
     if b.is_bottom:
         return a
-    if a.x > b.x:
-        return a
-    if b.x > a.x:
-        return b
+    order = _order(a.x, b.x)
+    if order:
+        return a if order > 0 else b
     return LexElement(a.x, max(a.h, b.h))
 
 
 def lex_mul(a: LexElement, b: LexElement) -> LexElement:
     if a.is_bottom or b.is_bottom:
         return LEX_BOTTOM
-    return LexElement(a.x + b.x, a.h + b.h)
+    return LexElement(_sum(a.x, b.x), _sum(a.h, b.h))
 
 
 def eval_char_lex(a: LexElement) -> Fraction | None:

@@ -228,8 +228,9 @@ def _merged(group, lo, hi, anchor, kinks, slopes) -> PiecewiseAffine:
 
 
 def _require_same_group(a, b) -> None:
-    """Refuse two operands, functions or polygons, of different slope groups."""
-    if a.group != b.group:
+    """Refuse two operands, functions or polygons, of different slope groups.
+    Operands built from one group object share it, and pass on `is` alone."""
+    if a.group is not b.group and a.group != b.group:
         raise GroupMismatchError(f"slope groups differ: {_quote(a.group)} vs {_quote(b.group)}")
 
 

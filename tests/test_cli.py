@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_cli_golden import GOLDEN, INPUTS, _sha, run_case, write_inputs
 from test_riemann_roch import thousand_point_divisor
-from tropcircle import cli, scalars
+from tropcircle import cli, germs, polygons, scalars, verify
 from tropcircle.circle import circle_function, divisor, divisor_of
 from tropcircle.cli import main
 from tropcircle.serialize import (
@@ -403,8 +403,6 @@ class TestVerifyCommand:
         assert first == second
 
     def test_injected_bug_caught(self, capsys, monkeypatch):
-        from tropcircle import germs as germs_mod
-
         def broken_join(g, h):
             if g.is_bottom:
                 return h
@@ -415,13 +413,72 @@ class TestVerifyCommand:
             if h.x > g.x:
                 return h
             # accumulates the right slopes instead of joining them
-            return germs_mod.Germ(g.x, g.hplus + h.hplus, min(g.hminus, h.hminus))
+            return germs.Germ(g.x, g.hplus + h.hplus, min(g.hminus, h.hminus))
 
-        monkeypatch.setattr(germs_mod, "germ_join", broken_join)
+        monkeypatch.setattr(germs, "germ_join", broken_join)
         assert main(["verify", "--seed", "0", "--count", "300"]) == 1
         out = capsys.readouterr().out
         assert "FAIL germ-axioms" in out
         assert "reproduce:" in out and "shrunk:" in out
+
+    # each breaks commutativity, one of whose sides, join(a, b) or
+    # times(a, b), the semiring laws compute once and compare in several
+    # laws; the idempotence, unit and bottom laws still hold for each
+    BROKEN_SEMIRING_OPS = {
+        # the right operand's left slope dropped
+        "germ_mul": (germs, "germ-axioms", lambda g, h, mul=germs.germ_mul:
+                     mul(g, h) if g.is_bottom or h.is_bottom
+                     else germs.Germ(g.x + h.x, g.hplus + h.hplus, g.hminus)),
+        # a tie keeps the left operand
+        "lex_join": (germs, "lex-axioms", lambda a, b, join=germs.lex_join:
+                     a if not (a.is_bottom or b.is_bottom) and a.x == b.x else join(a, b)),
+        # the right operand's h dropped
+        "lex_mul": (germs, "lex-axioms", lambda a, b, mul=germs.lex_mul:
+                    mul(a, b) if a.is_bottom or b.is_bottom
+                    else germs.LexElement(a.x + b.x, a.h)),
+        # the right operand dropped unless the left is zero
+        "poly_join": (polygons, "polygon-axioms", lambda n, m: m if n.is_zero else n),
+        # the right operand taken twice
+        "poly_times": (polygons, "polygon-axioms", lambda n, m, times=polygons.poly_times:
+                       times(n, times(m, m))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_SEMIRING_OPS))
+    def test_broken_semiring_operation_is_caught(self, capsys, monkeypatch, name):
+        module, suite, broken = self.BROKEN_SEMIRING_OPS[name]
+        monkeypatch.setattr(module, name, broken)
+        assert main(["verify", "--seed", "0", "--count", "300"]) == 1
+        assert f"\nFAIL {suite} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["rmax-axioms", "germ-axioms", "lex-axioms", "polygon-axioms"])
+    def test_semiring_laws_compute_each_term_once(self, name):
+        """8 joins and 9 times per case, on cases where every law holds."""
+        join, times, units = {  # units: case -> (one, bottom)
+            "rmax-axioms": (scalars.rmax_join, scalars.rmax_times,
+                            lambda case: (F(0), scalars.BOTTOM)),
+            "germ-axioms": (germs.germ_join, germs.germ_mul,
+                            lambda case: (germs.GERM_ONE, germs.GERM_BOTTOM)),
+            "lex-axioms": (germs.lex_join, germs.lex_mul,
+                           lambda case: (germs.LEX_ONE, germs.LEX_BOTTOM)),
+            "polygon-axioms": (polygons.poly_join, polygons.poly_times,
+                               lambda case: (newton_polygon(case[0].group, [(0, 0)]),
+                                             polygons.NewtonPolygon(case[0].group, ()))),
+        }[name]
+        calls = {"join": 0, "times": 0}
+
+        def counted(key, op):
+            def call(x, y):
+                calls[key] += 1
+                return op(x, y)
+            return call
+
+        suite = next(s for s in verify.SUITES if s.name == name)
+        rng = random.Random(5)
+        for _ in range(50):
+            case = suite.gen(rng)
+            assert verify._semiring_laws(counted("join", join), counted("times", times),
+                                         *units(case), case)
+        assert calls == {"join": 8 * 50, "times": 9 * 50}
 
     # each breaks a law that a suite checks: commutativity, the unit 0,
     # the ultrametric inequality and additivity mod p - 1

@@ -5,7 +5,9 @@ holds, so its SHA-256 pins the verdicts and the counts, not the cases the
 laws ran on.  This table does: for each suite and seed it holds the SHA-256
 (first 16 hex digits) of the cases the suite's generator draws at
 `count` 1000, each printed by `verify._show` on its own line, drawn from the
-rng that `verify.run_suite` seeds.  A generator rewritten for speed must
+rng that `verify.run_suite` seeds.  `_show` names the slope group of a
+polygon or function outside Z, so a change of group alone changes a row.
+A generator rewritten for speed must
 make the same rng calls in the same order and build the same values, and so
 keep every row.
 
@@ -18,10 +20,13 @@ row differs, 0 otherwise.
 import hashlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from tropcircle import verify
+from tropcircle.piecewise import ZZ, SlopeGroup, piecewise_affine
+from tropcircle.polygons import newton_polygon
 
 COUNT = 1000
 SEEDS = (0, 1)
@@ -51,8 +56,8 @@ DIGESTS = {
     'circle-norm seed 1': '2beda164fdb14112',
     'circle-recut seed 0': '43cd2d7ad2952650',
     'circle-recut seed 1': 'a61218ef28219326',
-    'gamma-action seed 0': '18d14aeb7044af46',
-    'gamma-action seed 1': 'b283ed92f64ba8d9',
+    'gamma-action seed 0': '3f38527553a50c57',
+    'gamma-action seed 1': 'bbefe86d509acc5f',
     'germ-axioms seed 0': '1667403d2a7e3235',
     'germ-axioms seed 1': '0f71b7a078cf90e5',
     'h0-membership seed 0': '9cde393a1de2b12a',
@@ -61,23 +66,36 @@ DIGESTS = {
     'hp-scalars seed 1': 'c506fa4dafd95fa9',
     'jacobian seed 0': '67113ba27ba78e81',
     'jacobian seed 1': '3bc220e6bf73cab5',
-    'legendre-duality seed 0': 'c741847d3f4ed4b7',
-    'legendre-duality seed 1': 'e45188b685b459c0',
-    'legendre-roundtrip seed 0': '75ecd4fecbada61c',
-    'legendre-roundtrip seed 1': '4f1f33a41f62dd49',
+    'legendre-duality seed 0': 'ceb96b35b7abde87',
+    'legendre-duality seed 1': '4d84b0220a2b3af0',
+    'legendre-roundtrip seed 0': '7426828114cf22b9',
+    'legendre-roundtrip seed 1': '4c0851acdedf07da',
     'lex-axioms seed 0': 'be13c40fbe4bf793',
     'lex-axioms seed 1': '421c9ad9b70d8e43',
-    'pa-germ-compat seed 0': '3eb8f5f8458ba561',
-    'pa-germ-compat seed 1': '46cf2a36864cc883',
-    'pa-pointwise seed 0': '99a159d675d4c126',
-    'pa-pointwise seed 1': 'd93815e8c263d03d',
-    'polygon-axioms seed 0': '006be73358f964e5',
-    'polygon-axioms seed 1': '0d7bf76310ed8d52',
-    'polygon-cancellation seed 0': '4c9ada8de15e79ca',
-    'polygon-cancellation seed 1': '8fe5ad7251dfa816',
+    'pa-germ-compat seed 0': 'beca0c9086882741',
+    'pa-germ-compat seed 1': '5470876c8fb7282e',
+    'pa-pointwise seed 0': '5c179720772b0587',
+    'pa-pointwise seed 1': '76a6e28137f9d85b',
+    'polygon-axioms seed 0': '09e8b6945fe4effb',
+    'polygon-axioms seed 1': '5fb29951d7696536',
+    'polygon-cancellation seed 0': 'cb2dbce7209bbe84',
+    'polygon-cancellation seed 1': 'fe119677af8ba945',
     'rmax-axioms seed 0': 'f762b2732e1f4b9a',
     'rmax-axioms seed 1': '005e8505c839ab27',
 }
+
+
+def test_a_slope_group_other_than_z_is_printed():
+    """A polygon or function prints as its repr in Z and names its group
+    otherwise, so two cases that differ only in the group print apart."""
+    half = SlopeGroup(2, Fraction(1, 2))
+    pairs = [(newton_polygon(ZZ, [(1, 0)]), newton_polygon(half, [(1, 0)])),
+             (piecewise_affine(ZZ, 0, 4, 0, [], [1]), piecewise_affine(SlopeGroup(3), 0, 4, 0, [], [1]))]
+    for in_z, other in pairs:
+        assert in_z != other and repr(in_z) == repr(other)
+        assert verify._show(in_z) == repr(in_z)
+        assert verify._show(other) == f"{other!r} in {other.group}"
+    assert verify._show(pairs[0][1]) == "NewtonPolygon((1, 0)) in 1/2*Z[1/2]"
 
 
 def test_every_suite_has_a_digest():
