@@ -9,11 +9,15 @@ cases; `tests/test_verify_cases.py` pins the case stream of every suite.
 
 The generators' contract: each makes the rng calls that table was
 recorded with, in the same order, so a seed draws the same cases from one
-version to the next.  Each builds every value once, through the
-validating constructor of its type (`polygons._polygon_of_ratios`,
-`piecewise.piecewise_affine`, `circle.circle_function`, `circle.divisor`),
-from the drawn integers, with no Fraction arithmetic on the way.  No case
-is kept from one call to the next.
+version to the next.  Every integer draw, and every pick from a sequence,
+goes through `_draw`, which makes the same `getrandbits` calls as
+`Random.randint` and returns the same int; besides it the generators call
+only `rng.random()` and `rng.sample`.  Each generator builds every value
+once, through the validating constructor of its type
+(`polygons._polygon_of_ratios`, `piecewise.piecewise_affine`,
+`circle.circle_function`, `circle.divisor`), from the drawn integers, with
+no Fraction arithmetic on the way.  No case is kept from one call to the
+next.
 
 The suites here are also what the acceptance tests call with their own
 counts.  Every check looks its operations up through their module at call
@@ -22,9 +26,9 @@ so monkeypatching any one of them is caught; only constants and types are
 imported by value.  A term that several laws compare, such as
 join(a, b) in the semiring laws' commutativity, associativity and
 distributivity, or `ell` of a polygon at one lambda in the Legendre
-duality, is computed once and its result compared in each of them.  The
-one exception: the germ and lex checks compute join(a, b) and times(a, b)
-again for their own laws, outside `_semiring_laws`.
+duality, is computed once and its result compared in each of them; the
+germ and lex checks hand their own laws the join(a, b) and times(a, b)
+that `_semiring_laws` computed.
 """
 
 import random
@@ -41,12 +45,26 @@ from .scalars import BOTTOM
 __all__ = ["SUITES", "format_report", "run", "run_suite"]
 
 PRIMES = (2, 3, 5)
+_PRIMES_TO_7 = PRIMES + (7,)
 
 
 # -------------------------------------------------------------- generators
 
+def _draw(rng, lo, hi):
+    """The int rng.randint(lo, hi) returns, from the same getrandbits calls:
+    those of Random._randbelow_with_getrandbits below n = hi - lo + 1,
+    n.bit_length() bits at a time until a draw is below n.  It leaves out
+    the three Python frames and the argument checks randint puts around
+    them."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
 def gen_fraction(rng):
-    return Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+    return Fraction(_draw(rng, -12, 12), _draw(rng, 1, 8))
 
 def gen_rmax(rng):
     return None if rng.random() < 0.15 else gen_fraction(rng)
@@ -54,7 +72,7 @@ def gen_rmax(rng):
 def _hp_draw(rng, span):
     """(num, e) of a random element num / p**e of Z[1/p], |num| <= span and
     e <= 2, drawn in that order."""
-    return rng.randint(-span, span), rng.randint(0, 2)
+    return _draw(rng, -span, span), _draw(rng, 0, 2)
 
 def gen_hp(rng, p, span=9):
     num, e = _hp_draw(rng, span)
@@ -63,8 +81,8 @@ def gen_hp(rng, p, span=9):
 def gen_group(rng):
     if rng.random() < 0.4:
         return ZZ
-    p = rng.choice(PRIMES)
-    scale = Fraction(rng.randint(1, 3), rng.choice((1, p)))
+    p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
+    scale = Fraction(_draw(rng, 1, 3), (1, p)[_draw(rng, 0, 1)])
     return SlopeGroup(p, scale)
 
 def _group_ratio(rng, group):
@@ -73,7 +91,7 @@ def _group_ratio(rng, group):
     `_hp_draw` draws (k, e), over p**e."""
     s, t = group.scale.as_integer_ratio()
     if group.p is None:
-        return s * rng.randint(-6, 6), t
+        return s * _draw(rng, -6, 6), t
     k, e = _hp_draw(rng, 6)
     return s * k, t * group.p ** e
 
@@ -84,9 +102,9 @@ def gen_polygon(rng, group):
     """0 to 4 points (x, y), x in group and y as gen_fraction draws it,
     reduced by the one validating path that reads (num, den) pairs."""
     xs, ys = [], []
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(_draw(rng, 0, 4)):
         xs.append(_group_ratio(rng, group))
-        ys.append((rng.randint(-12, 12), rng.randint(1, 8)))
+        ys.append((_draw(rng, -12, 12), _draw(rng, 1, 8)))
     return polygons._polygon_of_ratios(group, xs, ys)
 
 _PA_KINKS = tuple(Fraction(4 * i, 7) for i in range(1, 7))
@@ -95,7 +113,7 @@ def gen_pa(rng, group, convex=False, allow_bottom=True):
     """Random function on [0, 4] with kinks among the multiples of 4/7."""
     if allow_bottom and rng.random() < 0.08:
         return piecewise.piecewise_affine(group, 0, 4, None)
-    nk = rng.randint(0, 3)
+    nk = _draw(rng, 0, 3)
     kinks = sorted(rng.sample(_PA_KINKS, nk))
     slopes = [gen_group_element(rng, group) for _ in range(nk + 1)]
     if convex:
@@ -117,12 +135,12 @@ def _sample_range(rng, lo, hi, k):
     draws them.  sample takes len() of its population, which overflows past
     sys.maxsize.  Drawing k <= 5 from more than 21 ints, sample draws
     uniform indices and draws a repeat again, so a range past sys.maxsize is
-    drawn that way here, with randrange."""
+    drawn that way here, each index as rng.randrange(lo, hi + 1) draws it."""
     if hi - lo < sys.maxsize:
         return rng.sample(range(lo, hi + 1), k)
     picks = []
     while len(picks) < k:
-        j = rng.randrange(lo, hi + 1)
+        j = _draw(rng, lo, hi)
         if j not in picks:
             picks.append(j)
     return picks
@@ -140,11 +158,11 @@ def gen_circle(rng, p):
     closure/p**4, and the last arc is p**(2 - a)/p**2, so the final slope,
     which closes the sum, is the one Fraction -closure/(p**2 * p**(2 - a)).
     """
-    m = rng.randint(0, 3)
+    m = _draw(rng, 0, 3)
     anchor = gen_fraction(rng)
     if m == 0:
         return circle.circle_function(p, [], [0], anchor)
-    a = rng.randint(2 // p, 2)  # the least a with p - p**-a > 1: 1 at p = 2, else 0
+    a = _draw(rng, 2 // p, 2)  # the least a with p - p**-a > 1: 1 at p = 2, else 0
     grid = p * p
     last_arc = p ** (2 - a)
     last = grid * p - last_arc
@@ -168,8 +186,8 @@ def gen_divisor(rng, p, max_pts=3):
     over p**2, num/p**e as num*p**(2 - e)."""
     grid = p * p
     table = {}
-    for _ in range(rng.randint(0, max_pts)):
-        r = rng.randint(grid, grid * p - 1)
+    for _ in range(_draw(rng, 0, max_pts)):
+        r = _draw(rng, grid, grid * p - 1)
         num, e = _hp_draw(rng, 9)
         table[r] = table.get(r, 0) + num * p ** (2 - e)
     return circle.divisor(p, {Fraction(r, grid): Fraction(c, grid) for r, c in table.items()})
@@ -186,7 +204,7 @@ def gen_divisor_deg0_chi0(rng, p):
 def gen_divisor_chi_nonzero(rng, p):
     if p == 2:
         raise ValueError("the residue group at p = 2 is trivial")
-    c = rng.randint(1, p - 2)
+    c = _draw(rng, 1, p - 2)
     return gen_divisor_deg0_chi0(rng, p) + class_representative(p, c)
 
 
@@ -248,10 +266,11 @@ class Suite:
     scale: Fraction = Fraction(1)   # fraction of the requested count to run
 
 
-def _semiring_laws(join, times, one, bottom, case):
-    """The semiring laws on case = (a, b, c).  join(a, b), join(b, c),
-    times(a, b) and times(b, c), which several laws compare, are computed
-    once: 8 joins and 9 times per case."""
+def _semiring_laws(join, times, one, bottom, case, more=None):
+    """The semiring laws on case = (a, b, c), then more(a, b, join(a, b),
+    times(a, b)) when given: the laws a check adds on the same two terms.
+    join(a, b), join(b, c), times(a, b) and times(b, c), which several laws
+    compare, are computed once: 8 joins and 9 times per case."""
     a, b, c = case
     ab, bc = join(a, b), join(b, c)
     tab, tbc = times(a, b), times(b, c)
@@ -265,6 +284,7 @@ def _semiring_laws(join, times, one, bottom, case):
         and join(a, bottom) == a
         and times(a, bottom) == bottom
         and times(a, one) == a
+        and (more is None or more(a, b, ab, tab))
     )
 
 def _carries(ea, eb, ej, et, join, times):
@@ -281,7 +301,7 @@ def _check_rmax(case):
     return _semiring_laws(scalars.rmax_join, scalars.rmax_times, Fraction(0), BOTTOM, case)
 
 def _hp_case(rng):
-    p = rng.choice(PRIMES + (7,))
+    p = _PRIMES_TO_7[_draw(rng, 0, len(_PRIMES_TO_7) - 1)]
     return (p, gen_hp(rng, p), gen_hp(rng, p))
 
 def _check_hp(case):
@@ -293,19 +313,22 @@ def _check_hp(case):
             and chi(a + b) == (chi(a) + chi(b)) % (p - 1)
             and chi(a * p) == chi(a))
 
-def _check_germ(case):
-    a, b, _ = case
-    j, m = germs.germ_join(a, b), germs.germ_mul(a, b)
+def _germ_laws(a, b, j, m):
+    """Convex germs join and multiply to convex germs; eval_char carries
+    both operations."""
     convex = germs.germ_is_convex
-    return (_semiring_laws(germs.germ_join, germs.germ_mul, GERM_ONE, GERM_BOTTOM, case)
-            and (not (convex(a) and convex(b)) or (convex(j) and convex(m)))
+    return ((not (convex(a) and convex(b)) or (convex(j) and convex(m)))
             and _carries(*map(germs.eval_char, (a, b, j, m)), scalars.rmax_join, scalars.rmax_times))
 
+def _check_germ(case):
+    return _semiring_laws(germs.germ_join, germs.germ_mul, GERM_ONE, GERM_BOTTOM, case, _germ_laws)
+
+def _lex_laws(a, b, j, m):
+    """eval_char_lex carries both operations."""
+    return _carries(*map(germs.eval_char_lex, (a, b, j, m)), scalars.rmax_join, scalars.rmax_times)
+
 def _check_lex(case):
-    a, b, _ = case
-    images = map(germs.eval_char_lex, (a, b, germs.lex_join(a, b), germs.lex_mul(a, b)))
-    return (_semiring_laws(germs.lex_join, germs.lex_mul, LEX_ONE, LEX_BOTTOM, case)
-            and _carries(*images, scalars.rmax_join, scalars.rmax_times))
+    return _semiring_laws(germs.lex_join, germs.lex_mul, LEX_ONE, LEX_BOTTOM, case, _lex_laws)
 
 def _polygon_case(rng):
     group = gen_group(rng)
@@ -329,7 +352,7 @@ def _check_legendre_roundtrip(case):
 
 def _polygon_lambda_case(rng):
     group = gen_group(rng)
-    lams = tuple(Fraction(rng.randint(0, 40), rng.randint(1, 6)) for _ in range(4))
+    lams = tuple(Fraction(_draw(rng, 0, 40), _draw(rng, 1, 6)) for _ in range(4))
     return (gen_polygon(rng, group), gen_polygon(rng, group), lams)
 
 def _check_legendre_duality(case):
@@ -347,7 +370,7 @@ def _pa_case(rng):
     group = gen_group(rng)
     f = gen_pa(rng, group)
     g = gen_pa(rng, group)
-    lam = Fraction(rng.randint(0, 28), 7)
+    lam = Fraction(_draw(rng, 0, 28), 7)
     return (f, g, lam)
 
 def _check_pa_pointwise(case):
@@ -370,7 +393,7 @@ def _check_germ_compat(case):
 def _gamma_case(rng):
     group = gen_group(rng)
     return (gen_pa(rng, group), gen_pa(rng, group),
-            rng.randint(1, 4), rng.randint(1, 4), Fraction(rng.randint(0, 12), 12))
+            _draw(rng, 1, 4), _draw(rng, 1, 4), Fraction(_draw(rng, 0, 12), 12))
 
 def _check_gamma(case):
     f, g, n, m, frac = case
@@ -387,7 +410,7 @@ def _check_gamma(case):
     return rhs.eval_at(lam) == f.eval_at(lam * n * m)
 
 def _circle_case(rng):
-    p = rng.choice(PRIMES)
+    p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
     return (gen_circle(rng, p), gen_circle(rng, p))
 
 def _check_conservation(case):
@@ -410,9 +433,9 @@ def _check_norm(case):
             and riemann_roch.norm_p(j) <= max(nf, ng))
 
 def _recut_case(rng):
-    p = rng.choice(PRIMES)
+    p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
     f = gen_circle(rng, p)
-    cut = Fraction(rng.randint(p ** 2, p ** 3 - 1), p ** 2)
+    cut = Fraction(_draw(rng, p ** 2, p ** 3 - 1), p ** 2)
     return (f, cut)
 
 def _check_recut(case):
@@ -438,7 +461,7 @@ def _check_recut(case):
             and g.pa == f.pa)
 
 def _jacobian_case(rng):
-    p = rng.choice(PRIMES + (7,))
+    p = _PRIMES_TO_7[_draw(rng, 0, len(_PRIMES_TO_7) - 1)]
     d = gen_divisor_deg0_chi0(rng, p)
     e = gen_divisor(rng, p)
     return (d, e)
@@ -457,7 +480,7 @@ def _check_jacobian(case):
     return rep_e.obstructions == want_obstructions
 
 def _h0_case(rng):
-    p = rng.choice(PRIMES)
+    p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
     return (gen_circle(rng, p), gen_circle(rng, p), gen_divisor(rng, p), gen_fraction(rng))
 
 def _check_h0(case):

@@ -441,6 +441,15 @@ class TestVerifyCommand:
         # the right operand taken twice
         "poly_times": (polygons, "polygon-axioms", lambda n, m, times=polygons.poly_times:
                        times(n, times(m, m))),
+        # the laws the germ and lex checks add on join(a, b) and times(a, b):
+        # a value shifted by 1, which times does not carry
+        "eval_char": (germs, "germ-axioms", lambda g, ev=germs.eval_char:
+                      None if g.is_bottom else ev(g) + 1),
+        "eval_char_lex": (germs, "lex-axioms", lambda a, ev=germs.eval_char_lex:
+                          None if a.is_bottom else ev(a) + 1),
+        # a concave germ at a positive value passes as convex
+        "germ_is_convex": (germs, "germ-axioms", lambda g, convex=germs.germ_is_convex:
+                           convex(g) or g.x > 0),
     }
 
     @pytest.mark.parametrize("name", sorted(BROKEN_SEMIRING_OPS))
@@ -450,35 +459,33 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "0", "--count", "300"]) == 1
         assert f"\nFAIL {suite} " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["rmax-axioms", "germ-axioms", "lex-axioms", "polygon-axioms"])
-    def test_semiring_laws_compute_each_term_once(self, name):
-        """8 joins and 9 times per case, on cases where every law holds."""
-        join, times, units = {  # units: case -> (one, bottom)
-            "rmax-axioms": (scalars.rmax_join, scalars.rmax_times,
-                            lambda case: (F(0), scalars.BOTTOM)),
-            "germ-axioms": (germs.germ_join, germs.germ_mul,
-                            lambda case: (germs.GERM_ONE, germs.GERM_BOTTOM)),
-            "lex-axioms": (germs.lex_join, germs.lex_mul,
-                           lambda case: (germs.LEX_ONE, germs.LEX_BOTTOM)),
-            "polygon-axioms": (polygons.poly_join, polygons.poly_times,
-                               lambda case: (newton_polygon(case[0].group, [(0, 0)]),
-                                             polygons.NewtonPolygon(case[0].group, ()))),
-        }[name]
-        calls = {"join": 0, "times": 0}
+    @pytest.mark.parametrize("name, module, ops", [
+        pytest.param(name, module, ops, id=name) for name, module, ops in [
+            ("rmax-axioms", scalars, ("rmax_join", "rmax_times")),
+            ("germ-axioms", germs, ("germ_join", "germ_mul")),
+            ("lex-axioms", germs, ("lex_join", "lex_mul")),
+            ("polygon-axioms", polygons, ("poly_join", "poly_times")),
+        ]
+    ])
+    def test_semiring_laws_compute_each_term_once(self, monkeypatch, name, module, ops):
+        """8 joins and 9 times per case over the whole check, on cases where
+        every law holds: the germ and lex checks' own laws reuse join(a, b)
+        and times(a, b) from the semiring laws."""
+        calls = dict.fromkeys(ops, 0)
 
-        def counted(key, op):
-            def call(x, y):
-                calls[key] += 1
-                return op(x, y)
+        def counted(op):
+            def call(x, y, op_=getattr(module, op)):
+                calls[op] += 1
+                return op_(x, y)
             return call
 
+        for op in ops:
+            monkeypatch.setattr(module, op, counted(op))
         suite = next(s for s in verify.SUITES if s.name == name)
         rng = random.Random(5)
         for _ in range(50):
-            case = suite.gen(rng)
-            assert verify._semiring_laws(counted("join", join), counted("times", times),
-                                         *units(case), case)
-        assert calls == {"join": 8 * 50, "times": 9 * 50}
+            assert suite.check(suite.gen(rng)) is True
+        assert calls == dict(zip(ops, (8 * 50, 9 * 50)))
 
     # each breaks a law that a suite checks: commutativity, the unit 0,
     # the ultrametric inequality and additivity mod p - 1

@@ -11,18 +11,25 @@ A generator rewritten for speed must
 make the same rng calls in the same order and build the same values, and so
 keep every row.
 
+Every integer draw of the generators goes through `verify._draw`; the tests
+below hold it to `random.Random.randint` and `choice` draw by draw, and
+keep the slower stdlib calls out of `verify.py`.
+
 `PYTHONPATH=src python tests/test_verify_cases.py` prints the table, writes
 to stderr one `name: old -> new` line for each row that differs from
 DIGESTS (old is None for a new row), then the count, and exits 1 when any
 row differs, 0 otherwise.
 """
 
+import ast
 import hashlib
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tropcircle import verify
 from tropcircle.piecewise import ZZ, SlopeGroup, piecewise_affine
@@ -96,6 +103,88 @@ def test_a_slope_group_other_than_z_is_printed():
         assert verify._show(in_z) == repr(in_z)
         assert verify._show(other) == f"{other!r} in {other.group}"
     assert verify._show(pairs[0][1]) == "NewtonPolygon((1, 0)) in 1/2*Z[1/2]"
+
+
+# span widths 2**k - 1, 2**k and 2**k + 1 from 1 to past 2**64, where the
+# bit count of a draw changes, and any width up to 2**200
+WIDTHS = st.one_of(
+    st.integers(0, 70).flatmap(lambda k: st.sampled_from([2 ** k - 1, 2 ** k, 2 ** k + 1])),
+    st.integers(1, 2 ** 200),
+).filter(lambda n: n > 0)
+
+
+P61 = 2 ** 61 - 1
+
+
+def same_next_bits(mine, stdlib):
+    """Both generators are in the same state after the draw."""
+    return mine.getrandbits(64) == stdlib.getrandbits(64)
+
+
+@given(st.integers(0, 2 ** 64), st.integers(-2 ** 70, 2 ** 70), WIDTHS)
+@example(0, 5, 1)            # hi == lo
+@example(0, -12, 25)         # gen_fraction's numerator
+@example(1, -2 ** 65, 2 ** 66 + 1)
+# the span `_sample_range` draws from in gen_circle at p = 2**61 - 1, a = 0
+@example(2, P61 ** 2 + 1, P61 ** 3 - 2 * P61 ** 2 - 1)
+def test_draw_is_randint(seed, lo, width):
+    hi = lo + width - 1
+    mine, stdlib = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert verify._draw(mine, lo, hi) == stdlib.randint(lo, hi)
+        assert same_next_bits(mine, stdlib)
+
+
+@given(st.integers(0, 2 ** 64), st.integers(1, 70))
+@example(0, 1)
+@example(0, 3)
+def test_pick_by_draw_is_choice(seed, n):
+    seq = tuple(range(-n, 0))
+    mine, stdlib = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert seq[verify._draw(mine, 0, len(seq) - 1)] == stdlib.choice(seq)
+        assert same_next_bits(mine, stdlib)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10007, P61])
+def test_gen_circle_draws_as_randint_draws(monkeypatch, p):
+    """gen_circle, the one generator that reaches `_sample_range`, draws the
+    same functions through `_draw` as through Random.randint, at small
+    primes and past sys.maxsize."""
+    mine = random.Random(f"circle:{p}")
+    drawn = [verify._show(verify.gen_circle(mine, p)) for _ in range(200)]
+    monkeypatch.setattr(verify, "_draw", lambda rng, lo, hi: rng.randint(lo, hi))
+    stdlib = random.Random(f"circle:{p}")
+    assert drawn == [verify._show(verify.gen_circle(stdlib, p)) for _ in range(200)]
+    assert same_next_bits(mine, stdlib)
+
+
+class StdlibDraws(ast.NodeVisitor):
+    """The place, as module.function, and the name of every randint,
+    randrange, choice and getrandbits call in one module."""
+
+    NAMES = ("randint", "randrange", "choice", "getrandbits")
+
+    def __init__(self, module):
+        self.stack, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in self.NAMES:
+            self.found.append((".".join(self.stack), node.func.attr))
+        self.generic_visit(node)
+
+
+def test_integer_draws_only_through_draw():
+    """verify.py draws bits only in `_draw`, and calls no randint,
+    randrange or choice, so no generator takes the slower stdlib path."""
+    finder = StdlibDraws("verify")
+    finder.visit(ast.parse(Path(verify.__file__).read_text()))
+    assert finder.found == [("verify._draw", "getrandbits")] * 2
 
 
 def test_every_suite_has_a_digest():
