@@ -129,8 +129,8 @@ class PiecewiseAffine:
     def _values(self) -> tuple:
         """(step, den, values): values[i]/den is the value at xs[i]/dx of
         `_form`, with den = lcm(anchor denominator, ds*dx) and
-        step = den // (ds*dx).  Kept because cli.function_svg reads every
-        kink's value through eval_at.
+        step = den // (ds*dx).  Read by eval_at (cli.function_svg calls it at
+        every kink), the circle closure and polygons.from_function.
 
         The values are exact integer sums: the value at xs[0] is the anchor,
         and piece i rises by (ss[i]/ds)*(xs[i+1] - xs[i])/dx, that is by

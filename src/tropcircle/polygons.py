@@ -266,13 +266,12 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     """Inverse of legendre: rebuild the polygon from a convex function on
     [0, inf) whose slopes lie in the group.  Exact round trip both ways.
 
-    The vertices are (x_i, y_i) with x_i the slopes, y_0 the anchor and
-    y_i+1 = y_i + k_i*(x_i - x_i+1) across kink k_i.  f's integers
-    (`PiecewiseAffine._form`) give the kinks K over dk, after lo = 0, and
-    the slopes X over dx, so each step is an integer over
-    d = lcm(anchor denominator, dk*dx): the ordinates are summed as
-    integers over d, each becomes one Fraction, and the X over dx and the
-    ordinates over d are the polygon's form.
+    The vertices are (x_i, y_i) with x_i the slopes and y_i = f(k_i) - x_i*k_i,
+    the value of piece i's line at 0, with k_0 = lo = 0 and k_i the kinks.
+    With the integers of `PiecewiseAffine._form` (the positions K over dk,
+    the slopes X over dx) and of its `_values`, y_i is
+    Y_i = values[i] - X_i*K_i*step over den: each ordinate is one Fraction,
+    and X over dx and Y over den are the polygon's form.
 
     The polygon is built without newton_polygon's checks.  f's slopes lie
     in its group (piecewise_affine checked them), and its kinks are
@@ -288,14 +287,8 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
         return _with_form(f.group, (), (1, [], 1, []))
     if not f.convex:
         raise ValueError("function is not convex")
-    xs, anchor = f.slopes, f.anchor
-    dk, lo_and_k, dx, big_x = f._form
-    d = lcm(anchor.denominator, dk * dx)
-    step = d // (dk * dx)
-    y = anchor.numerator * (d // anchor.denominator)
-    vertices, big_y = [(xs[0], anchor)], [y]
-    for k, x0, x1, x in zip(lo_and_k[1:], big_x, big_x[1:], xs[1:]):
-        y += k * (x0 - x1) * step
-        vertices.append((x, Fraction(y, d)))
-        big_y.append(y)
-    return _with_form(f.group, tuple(vertices), (dx, big_x, d, big_y))
+    _, lo_and_k, dx, big_x = f._form
+    step, den, values = f._values
+    big_y = [v - x * k * step for v, x, k in zip(values, big_x, lo_and_k)]
+    return _with_form(f.group, tuple((x, Fraction(y, den)) for x, y in zip(f.slopes, big_y)),
+                      (dx, big_x, den, big_y))

@@ -27,13 +27,15 @@ feasibility, so the maximal stratum may be assumed to have all movable
 jumps equal to the minimal lattice step; feasibility then depends only on
 the number of kinks m and the base slope.  Third, in lattice steps
 p**(-n) an assignment of forced jumps k_i at rep_i enters only through
-k = sum(k_i) and r = sum(rep_i * k_i).  With m >= 2 kinks only the wrap
-inequality binds and its slack does not grow with m, so the largest
-feasible m is a closed form; below that, one inequality in
-alpha = (r - p k) / (p-1) is the single-kink test for non-integer alpha and
-the kink-free test for integer alpha.  A single kink that lands on a
-support point rep_j is not movable, but one more step at rep_j then passes
-the kink-free test, so counting it as dimension 1 changes no level.
+k = sum(k_i) and r = sum(rep_i * k_i), so the best stratum of one
+assignment is a closed form (`_assignment_best`).
+
+The level law, the evidence for a closed-form search, is tested, not
+proved (tests/test_riemann_roch.py::TestLevelLaw).  With dim_n the
+dimension of level n: for deg D < 0, dim_n = 0; for deg D = 0, dim_n is 1
+exactly when D is principal and its witness has norm_p <= p**n, else 0;
+for deg D > 0, 0 <= deg D * p**n - dim_n <= p - 1 from n = 2 on.  The gap
+fails below n = 2: at p = 5, {123/25: 4/25} has dim_0 = 1 > deg D = 492/625.
 
 A level costs an O(k) integer set-up over the k support points (the
 forced-jump box of `_level_box`, which reads the divisor's integers,

@@ -13,14 +13,22 @@ Every rational the package prints goes through `frac_to_str`, as "a" or
 Python refuses to convert an int of more than sys.get_int_max_str_digits()
 decimal digits to str (0 sets no bound); `frac_to_str` words that refusal
 as one line, and `_fits_digits` is the one test of an int against the
-limit, for the readers that refuse such a value before it is printed.
+limit, for the reader that refuses such a value before it is printed.
+`_ratio` is the one reader of rational text, read by the JSON readers of
+`serialize` and by `_rational`.  An ASCII "-?digits" or "-?digits/digits",
+the only forms `frac_to_str` writes, takes the plain path, int() of its
+parts; every other string (a decimal, an exponent, a sign "+", whitespace,
+"_" separators, non-ASCII digits, malformed text) the general path: the
+exponent check, Fraction(str), then `_fits_digits`.
+
 `_rational` is the one coercion of a rational argument, a slope group's
-scale included: every value layer reads one as Fraction(x) reads it, and a
-value Fraction(x) cannot read, an infinite float included, is refused with
-ValueError.  `_scaled` is the one common-denominator rule, and each value
-type lays out its integers with it once, in its own `_form`: a function's
-positions and slopes, a divisor's reps and coefficients, a polygon's
-vertices (`pointwise_join` alone lays out two functions' cuts together).
+scale included: every value layer reads a string as `_ratio` reads it and
+any other value as Fraction(x) reads it, and a value it cannot read, an
+infinite float included, is refused with ValueError.  `_scaled` is the one
+common-denominator rule, and each value type lays out its integers with it
+once, in its own `_form`: a function's positions and slopes, a divisor's
+reps and coefficients, a polygon's vertices (`pointwise_join` alone lays
+out two functions' cuts together).
 The exact sums and order tests of the value layers and the level set-up
 of the filtration search (`riemann_roch._level_box`) read those integers;
 the value layers build one Fraction per result, and the level set-up none.
@@ -33,6 +41,7 @@ per-instance lock that 3.11's takes on every first read.  A constructor
 that already holds the value may store it there itself.
 """
 
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -58,14 +67,20 @@ BOTTOM = None
 # an error message quotes at most this many characters of a value
 _QUOTE_LEN = 40
 
+# the exponent of a decimal string such as "1.5e3"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def _rational(x) -> Fraction:
-    """Fraction(x), or x itself when it is a Fraction.  Fraction(x) refuses
-    an infinite float (or Decimal) with OverflowError, NaN with ValueError
-    and a value of another type, None or a list, with TypeError; each is
-    refused here with ValueError, Python's message kept."""
+    """x itself when it is a Fraction, the rational `_ratio` reads from a
+    string, else Fraction(x).  Fraction(x) refuses an infinite float (or
+    Decimal) with OverflowError, NaN with ValueError and a value of another
+    type, None or a list, with TypeError; each is refused here with
+    ValueError, Python's message kept."""
     if type(x) is Fraction:
         return x
+    if isinstance(x, str):
+        return Fraction(*_ratio(x))
     try:
         return Fraction(x)
     except (OverflowError, TypeError) as exc:
@@ -142,6 +157,67 @@ def _fits_digits(n: int) -> bool:
     limit = sys.get_int_max_str_digits()
     bits = n.bit_length()
     return not limit or bits <= 3 * limit or (bits <= 4 * limit and abs(n) < 10 ** limit)
+
+
+def _ratio(s) -> tuple[int, int]:
+    """(num, den) with den > 0, not necessarily in lowest terms, of the
+    rational an int or a string names.
+
+    A rational whose numerator or denominator has more decimal digits than
+    sys.get_int_max_str_digits() (0 sets no bound) is refused here, since
+    it could not be printed.  So is a string whose exponent passes that
+    limit in magnitude, before the power of ten it asks for is built, which
+    would take unbounded time and memory.  An error quotes at most 40
+    characters of the input.
+
+    The plain path builds no Fraction and needs no digit-limit test: int()
+    itself refuses a digit string longer than the limit, which sends the
+    string down the general path, where _refusal words it as the test
+    would.  An int argument and the general path, whose decimals and
+    exponents can build parts longer than the string, keep the test.
+    """
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            try:
+                num, den = int(num), int(den) if slash else 1
+            except ValueError:
+                pass  # digits past the limit: the general path words the refusal
+            else:
+                if den:
+                    return num, den
+        try:
+            exponent = _EXPONENT.search(s)
+            if exponent:
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(exponent[1])) > limit:
+                    raise ValueError
+            num, den = Fraction(s.strip()).as_integer_ratio()
+        except ZeroDivisionError:
+            raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
+        except ValueError:
+            raise ValueError(_refusal(s)) from None
+    elif isinstance(s, int) and not isinstance(s, bool):
+        num, den = s, 1
+    else:
+        raise ValueError(f"expected a rational string, got {_quote(s)}")
+    if not (_fits_digits(num) and _fits_digits(den)):
+        name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
+        raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
+    return num, den
+
+
+def _refusal(s: str) -> str:
+    """Why Fraction(s) or the exponent check refused s, in one short line;
+    Python's own message repeats the whole string."""
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(c.isdigit() for c in s) > limit:
+        # int() refuses a digit string longer than the limit
+        return f"rational {_quote(s)} has more than {limit} digits"
+    exponent = _EXPONENT.search(s)
+    if limit and exponent and abs(int(exponent[1])) > limit:
+        return f"malformed rational {_quote(s)}: exponent beyond the {limit}-digit limit"
+    return f"malformed rational {_quote(s)}"
 
 
 def rmax_join(a, b):

@@ -4,17 +4,12 @@ Rationals travel as the strings "a" or "a/b" of `scalars.frac_to_str` (a
 JSON integer is read too, a boolean never); the bottom value is the string
 "-inf".
 
-Reading: `_ratio` is the one reader of rationals, and `parse_frac` makes
-its (num, den) pair a Fraction.  An ASCII string of the form -?digits or
--?digits/digits, the only forms the emitters write, takes the plain path:
-int() of its parts.  Every other string (a decimal, an exponent, a sign
-"+", surrounding whitespace, "_" separators, non-ASCII digits, malformed
-text) takes the general path: the exponent check, then Fraction(str), then
-the digit-limit test `scalars._fits_digits`; on the plain path int()
-already makes that check.  `polygon_from_json` keeps the pairs and builds
-Fractions only for the vertices the hull keeps.  `_expect` is the one rule
-for the JSON type of a field (lists and objects), `_pair` for a two-item
-vertex or domain; `function_from_json` is plot's reader.
+Reading: every rational goes through `scalars._ratio`, the one reader of
+rational text, and `parse_frac` makes its (num, den) pair a Fraction.
+`polygon_from_json` keeps the pairs and builds Fractions only for the
+vertices the hull keeps.  `_expect` is the one rule for the JSON type of a
+field (lists and objects), `_pair` for a two-item vertex or domain;
+`function_from_json` is plot's reader.
 
 Writing: `dumps` is one recursive emitter over exactly the types the
 payload builders produce: str, int, bool, None, dict with str keys and
@@ -25,8 +20,6 @@ non-ASCII characters escaped.  So a given object always serializes to the
 same bytes.
 """
 
-import re
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -34,7 +27,7 @@ from .circle import CircleFunction, Divisor, circle_function, divisor
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, _polygon_of_ratios
 from .riemann_roch import FiltrationReport, RiemannRochReport
-from .scalars import _fits_digits, _quote, frac_to_str, require_prime
+from .scalars import _ratio, frac_to_str, require_prime
 
 __all__ = [
     "dumps",
@@ -51,74 +44,9 @@ __all__ = [
 ]
 
 
-# the exponent of a decimal string such as "1.5e3"
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
 def parse_frac(s) -> Fraction:
     """Read a rational from an int or a string, as `_ratio` reads it."""
     return Fraction(*_ratio(s))
-
-
-def _ratio(s) -> tuple[int, int]:
-    """(num, den) with den > 0, not necessarily in lowest terms, of the
-    rational an int or a string names.
-
-    A rational whose numerator or denominator has more decimal digits than
-    sys.get_int_max_str_digits() (0 sets no bound) is refused here, since
-    it could not be printed.  So is a string whose exponent passes that
-    limit in magnitude, before the power of ten it asks for is built, which
-    would take unbounded time and memory.  An error quotes at most 40
-    characters of the input.
-
-    The plain path builds no Fraction and needs no digit-limit test: int()
-    itself refuses a digit string longer than the limit, which sends the
-    string down the general path, where _refusal words it as the test
-    would.  An int argument and the general path, whose decimals and
-    exponents can build parts longer than the string, keep the test.
-    """
-    if isinstance(s, str):
-        num, slash, den = s.partition("/")
-        if s.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            try:
-                num, den = int(num), int(den) if slash else 1
-            except ValueError:
-                pass  # digits past the limit: the general path words the refusal
-            else:
-                if den:
-                    return num, den
-        try:
-            exponent = _EXPONENT.search(s)
-            if exponent:
-                limit = sys.get_int_max_str_digits()
-                if limit and abs(int(exponent[1])) > limit:
-                    raise ValueError
-            num, den = Fraction(s.strip()).as_integer_ratio()
-        except ZeroDivisionError:
-            raise ValueError(f"malformed rational {_quote(s)}: zero denominator") from None
-        except ValueError:
-            raise ValueError(_refusal(s)) from None
-    elif isinstance(s, int) and not isinstance(s, bool):
-        num, den = s, 1
-    else:
-        raise ValueError(f"expected a rational string, got {_quote(s)}")
-    if not (_fits_digits(num) and _fits_digits(den)):
-        name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
-        raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
-    return num, den
-
-
-def _refusal(s: str) -> str:
-    """Why Fraction(s) or the exponent check refused s, in one short line;
-    Python's own message repeats the whole string."""
-    limit = sys.get_int_max_str_digits()
-    if limit and sum(c.isdigit() for c in s) > limit:
-        # int() refuses a digit string longer than the limit
-        return f"rational {_quote(s)} has more than {limit} digits"
-    exponent = _EXPONENT.search(s)
-    if limit and exponent and abs(int(exponent[1])) > limit:
-        return f"malformed rational {_quote(s)}: exponent beyond the {limit}-digit limit"
-    return f"malformed rational {_quote(s)}"
 
 
 def rmax_to_str(v: Fraction | None) -> str:

@@ -16,6 +16,8 @@ from tropcircle.scalars import frac_to_str, in_zp, rmax_join, rmax_times
 from tropcircle.serialize import polygon_from_json
 from tropcircle.verify import gen_group, gen_polygon
 
+from test_circle import fraction_values
+
 
 def raw_ell(pts, lam):
     """Independent support-function oracle straight off the raw vertex set."""
@@ -239,7 +241,13 @@ class TestIntegerTransform:
     @given(functions_on_half_line())
     def test_from_function_matches_fraction_accumulation(self, f):
         # equal polygons, or the same ValueError (not convex, bounded domain)
-        assert outcome(from_function, f) == outcome(fraction_from_function, f)
+        n = outcome(from_function, f)
+        assert n == outcome(fraction_from_function, f)
+        if isinstance(n, NewtonPolygon) and not n.is_zero:
+            # the ordinate rule y_i = f(k_i) - x_i*k_i, with k_0 = 0: y_0 is the anchor
+            ks = (F(0), *f.kinks)
+            assert n.vertices == tuple((x, value - x * k) for x, k, value
+                                       in zip(f.slopes, ks, fraction_values(f, ks)))
 
     def test_equal_neighbouring_slopes_are_not_convex(self):
         # only the raw constructor keeps equal neighbours; piecewise_affine merges them

@@ -217,7 +217,9 @@ class TestLevelLaw:
             w = floor(d.coeff(1) * p ** n)
             assert dim == (0 if empty else _assignment_best(
                 p, w, sum(lo for _, lo, _ in box), sum(rep * lo for rep, lo, _ in box)))
-            if deg == 0:
+            if deg < 0:
+                assert dim == 0
+            elif deg == 0:
                 # (b) one constant family once the witness enters the level
                 assert dim == int(principal.principal and norm_p(principal.witness) <= p ** n)
             elif deg > 0 and n >= 2:

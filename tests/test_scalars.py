@@ -15,13 +15,15 @@ from tropcircle.germs import Germ, LexElement
 from tropcircle.piecewise import ZZ, PiecewiseAffine, SlopeGroup, germ_at, piecewise_affine
 from tropcircle.polygons import NewtonPolygon, ell, newton_polygon
 from tropcircle.scalars import (
-    BOTTOM, _fits_digits, chi, frac_to_str, in_zp, is_prime, padic_abs, require_prime, rmax_join,
-    rmax_times,
+    BOTTOM, _fits_digits, _rational, chi, frac_to_str, in_zp, is_prime, padic_abs, require_prime,
+    rmax_join, rmax_times,
 )
-from tropcircle.serialize import divisor_to_json
+from tropcircle.serialize import divisor_to_json, parse_frac
 from tropcircle.verify import (
     gen_circle, gen_divisor, gen_germ, gen_group, gen_lex, gen_pa, gen_polygon,
 )
+
+from test_serialize import ODD_VALUES, PLAIN_FORMS
 
 
 def factorization_valuation(n, p):
@@ -358,6 +360,21 @@ class TestOneCoercion:
         entry = COERCING_ENTRIES[name]
         assert outcome(entry, x) == outcome(entry, F(x))
 
+    @pytest.mark.parametrize("x", ["3/0", "1/0", "9e4301", "x"])
+    @pytest.mark.parametrize("name", sorted(COERCING_ENTRIES))
+    def test_string_refused_as_the_file_reader_refuses_it(self, name, x):
+        """A string argument is read by `scalars._ratio`, the reader of the
+        JSON files: a zero denominator, an exponent past the digit limit and
+        malformed text raise the ValueError that parse_frac raises."""
+        with pytest.raises(ValueError) as refusal:
+            parse_frac(x)
+        assert outcome(COERCING_ENTRIES[name], x) == ("ValueError", str(refusal.value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([v for v in ODD_VALUES if isinstance(v, str)]) | PLAIN_FORMS)
+    def test_strings_read_as_parse_frac_reads_them(self, s):
+        assert outcome(_rational, s) == outcome(parse_frac, s)
+
     def test_type_tests_only_in_rational(self):
         """`type(...) is Fraction` and `type(...) is not Fraction` appear in
         the package only inside scalars._rational, the one coercion."""
@@ -415,6 +432,47 @@ class TestOneCoercion:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.FunctionDef) and node.name == "_scaled"]
         assert found == ["scalars"]
+
+    def test_one_home_for_the_reader_and_the_digit_limit(self):
+        """The reader of rational text (`_ratio`, `_refusal`, `_EXPONENT`)
+        is defined in scalars alone, and sys.get_int_max_str_digits is read
+        only in scalars and in cli's `_read_json` and `_check_n_max`."""
+        defined, limit_reads = [], set()
+
+        def visit(node, scope, stem):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    if not scope and child.name in ("_ratio", "_refusal"):
+                        defined.append(f"{stem}.{child.name}")
+                    visit(child, (*scope, child.name), stem)
+                    continue
+                if isinstance(child, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "_EXPONENT" for t in child.targets):
+                    defined.append(f"{stem}._EXPONENT")
+                if isinstance(child, ast.Attribute) and child.attr == "get_int_max_str_digits":
+                    limit_reads.add(".".join((stem, *scope)))
+                visit(child, scope, stem)
+
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), (), path.stem)
+        assert sorted(defined) == ["scalars._EXPONENT", "scalars._ratio", "scalars._refusal"]
+        assert sorted(place for place in limit_reads if not place.startswith("scalars.")) == [
+            "cli._check_n_max", "cli._read_json"]
+
+    def test_no_unused_imports(self):
+        """Every name a module of the package imports is read in it; the
+        package `__init__` only re-exports, and is not checked."""
+        unused = []
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+            if path.stem == "__init__":
+                continue
+            tree = ast.parse(path.read_text())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unused += [f"{path.stem}: {alias.asname or alias.name}" for alias in node.names
+                               if (alias.asname or alias.name.partition(".")[0]) not in read]
+        assert unused == []
 
     def test_scaled_read_only_where_a_layout_is_made(self):
         """`_scaled` lays out integers only in the forms that own a layout:

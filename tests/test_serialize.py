@@ -21,9 +21,12 @@ from tropcircle.serialize import (
 )
 
 
+# the plain forms "-?digits" and "-?digits/digits", leading zeros included
+PLAIN_FORMS = st.from_regex(r"-?[0-9]{1,40}(/0*[1-9][0-9]{0,40})?", fullmatch=True)
+
+
 class TestReader:
-    # the plain forms "-?digits" and "-?digits/digits", leading zeros included
-    @given(st.from_regex(r"-?[0-9]{1,40}(/0*[1-9][0-9]{0,40})?", fullmatch=True))
+    @given(PLAIN_FORMS)
     @example("0")
     @example("-0/7")
     def test_plain_strings_read_as_fraction_does(self, text):
