@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
-from .scalars import _cached, _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime
+from .scalars import (
+    _cached, _fraction, _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime,
+)
 
 __all__ = [
     "CircleFunction",
@@ -49,7 +51,7 @@ def normalize_point(p: int, lam) -> Fraction:
     Runs on lam = num/den: num*p**k and den*p**k stand for the same
     rational scaled by p**k, and 1 <= num/den < p is den <= num < p*den, as
     den > 0.  lam itself is returned when it already lies in [1, p), and
-    otherwise one Fraction is built."""
+    otherwise one Fraction is built (`_fraction`)."""
     lam = _rational(lam)
     num, den = lam.as_integer_ratio()
     if num <= 0:
@@ -60,7 +62,7 @@ def normalize_point(p: int, lam) -> Fraction:
         num *= p
     while num >= p * den:
         den *= p
-    return Fraction(num, den)
+    return _fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class Divisor:
     @_cached
     def _degree(self) -> Fraction:
         dr, big_r, dc, big_c = self._form
-        return Fraction(sum(r * c for r, c in zip(big_r, big_c)), dr * dc)
+        return _fraction(sum(r * c for r, c in zip(big_r, big_c)), dr * dc)
 
     @_cached
     def _chi(self) -> int:
@@ -210,7 +212,7 @@ def circle_function(p: int, kinks, slopes, anchor) -> CircleFunction:
         _, den, values = pa._values
         if values[-1] != values[0]:
             raise ClosureError("slopes do not close up: value(p) - value(1) = "
-                               f"{_quote(Fraction(values[-1] - values[0], den))}")
+                               f"{_quote(_fraction(values[-1] - values[0], den))}")
     return CircleFunction(p, pa)
 
 
@@ -257,13 +259,13 @@ def divisor_of(f: CircleFunction) -> Divisor:
     """Divisor of slope jumps: s_i+1 - s_i at kink k_i and, at the wrap
     class 1, s_0 - p*s_m (the slope just left of it is p times the last
     stored slope), zeros dropped.  Its degree and chi always vanish.
-    Each jump is one Fraction of the slopes' integers
+    Each jump is one `_fraction` of the slopes' integers
     (`PiecewiseAffine._form`) over ds."""
     if f.is_bottom:
         raise ValueError("the bottom function has no divisor")
     _, _, ds, s = f.pa._form
-    table = {k: Fraction(right - left, ds) for k, left, right in zip(f.kinks, s, s[1:])}
-    table[Fraction(1)] = Fraction(s[0] - f.p * s[-1], ds)
+    table = {k: _fraction(right - left, ds) for k, left, right in zip(f.kinks, s, s[1:])}
+    table[Fraction(1)] = _fraction(s[0] - f.p * s[-1], ds)
     return _collect(f.p, table)
 
 
@@ -305,10 +307,10 @@ def is_principal(d: Divisor) -> PrincipalityReport:
         wrap, reps, big_c = big_c[0], reps[1:], big_c[1:]
     den = dc * (p - 1)
     s = -(wrap + p * sum(big_c))
-    slopes = [Fraction(s, den)]
+    slopes = [_fraction(s, den)]
     for c in big_c:
         s += c * (p - 1)
-        slopes.append(Fraction(s, den))
+        slopes.append(_fraction(s, den))
     witness = circle_function(p, reps, slopes, 0)
     return PrincipalityReport(d, witness, ())
 

@@ -8,13 +8,13 @@ distinguished bottom element playing -inf.
 
 The four operations work on the fields' integer ratios: the joins compare
 two values a/b and c/d as a*d against c*b, and each sum of a product is one
-Fraction(a*d + c*b, b*d), with no Fraction arithmetic on the way.
+`_fraction(a*d + c*b, b*d)`, with no Fraction arithmetic on the way.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import frac_to_str
+from .scalars import _fraction, frac_to_str
 
 __all__ = [
     "GERM_BOTTOM",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Germ:
     """Triple (value, right slope, left slope); all None encodes bottom."""
 
@@ -59,7 +59,7 @@ def _sum(q: Fraction, r: Fraction) -> Fraction:
     """q + r as one Fraction of the cross-multiplied integer ratios."""
     a, b = q.as_integer_ratio()
     c, d = r.as_integer_ratio()
-    return Fraction(a * d + c * b, b * d)
+    return _fraction(a * d + c * b, b * d)
 
 
 def _order(q: Fraction, r: Fraction) -> int:
@@ -104,7 +104,7 @@ def eval_char(g: Germ) -> Fraction | None:
     return g.x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexElement:
     """Pair (x, h) with the lexicographic order; both None encodes bottom."""
 

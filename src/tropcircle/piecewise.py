@@ -8,7 +8,7 @@ as integers over common denominators (`PiecewiseAffine._form`), and the
 values at lo, the kinks and hi summed once from them (`_values`), both
 computed on first read and kept out of equality, hash and repr; evaluation
 and the pointwise join run on such integers and build one Fraction per
-result.
+result (`scalars._fraction`).
 Slopes are constrained to a rank-one group: either Z, or a fixed rational
 multiple of Z[1/p].
 
@@ -24,7 +24,9 @@ from math import gcd, lcm
 from operator import add
 
 from .germs import GERM_BOTTOM, Germ
-from .scalars import _cached, _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime
+from .scalars import (
+    _cached, _fraction, _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime,
+)
 
 __all__ = [
     "GroupMismatchError",
@@ -154,7 +156,7 @@ class PiecewiseAffine:
         xs[j]*b >= a*dx (so a kink belongs to the piece on its left), or on
         the last piece.  The value is
         values[i]/den + (ss[i]/ds)*(a/b - xs[i]/dx), the one
-        Fraction(values[i]*b + ss[i]*step*(a*dx - xs[i]*b), b*den).  The
+        `_fraction(values[i]*b + ss[i]*step*(a*dx - xs[i]*b), b*den)`.  The
         domain test compares lam with lo and hi by cross-multiplying.
         """
         lam = _rational(lam)
@@ -169,7 +171,7 @@ class PiecewiseAffine:
         step, den, values = self._values
         ax = a * dx
         i = bisect_left(xs, ax, 1, key=b.__mul__) - 1
-        return Fraction(values[i] * b + ss[i] * step * (ax - xs[i] * b), b * den)
+        return _fraction(values[i] * b + ss[i] * step * (ax - xs[i] * b), b * den)
 
     def __repr__(self) -> str:
         hi = "None" if self.hi is None else frac_to_str(self.hi)
@@ -282,8 +284,9 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
     on these integers, as the scaling is by positive numbers, and so is the
     crossing test: with the values and slopes scaled, t - a is
     (WA-LA)/(dv*dx*(LS-WS)), so t < b is WA-LA < (B-A)*dv*(LS-WS).  A
-    Fraction is built only for a crossing, (A*dv*(LS-WS) + WA-LA) over
-    dv*dx*(LS-WS); the cuts and slopes of the result are the operands'.
+    Fraction is built (`_fraction`) only for a crossing, (A*dv*(LS-WS) +
+    WA-LA) over dv*dx*(LS-WS); the cuts and slopes of the result are the
+    operands'.
     """
     _require_compatible(f, g)
     if f.is_bottom or g.is_bottom:
@@ -308,7 +311,7 @@ def pointwise_join(f: PiecewiseAffine, g: PiecewiseAffine) -> PiecewiseAffine:
         if ls > ws:
             gap = (ls - ws) * dv
             if k + 1 == len(xs) or wa - la < (xs[k + 1] - xs[k]) * gap:
-                kinks.append(Fraction(xs[k] * gap + wa - la, dx * gap))
+                kinks.append(_fraction(xs[k] * gap + wa - la, dx * gap))
                 slopes.append(lose)
         if k == n:
             break
@@ -334,26 +337,37 @@ def gamma(n: int, f: PiecewiseAffine) -> PiecewiseAffine:
 
     The domain shrinks by 1/n, kinks divide by n and slopes multiply by n, so
     nothing needs checking: the slopes stay in the group, the kinks in order.
+    Each is one `_fraction` of its integer ratio a/b: a over b*n, or a*n
+    over b.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    return PiecewiseAffine(f.group, f.lo / n, None if f.hi is None else f.hi / n, f.anchor,
-                           tuple(k / n for k in f.kinks), tuple(s * n for s in f.slopes))
+
+    def shrunk(q):
+        a, b = q.as_integer_ratio()
+        return _fraction(a, b * n)
+
+    slopes = tuple(_fraction(a * n, b) for a, b in (s.as_integer_ratio() for s in f.slopes))
+    return PiecewiseAffine(f.group, shrunk(f.lo), None if f.hi is None else shrunk(f.hi), f.anchor,
+                           tuple(map(shrunk, f.kinks)), slopes)
 
 
 def germ_at(f: PiecewiseAffine, lam) -> Germ:
     """Germ (value, scaled right slope, scaled left slope) at an interior point.
 
     The one-sided slopes are scaled by the point itself, so they land in the
-    group attached to the point rather than the ambient slope group.
+    group attached to the point rather than the ambient slope group; each
+    is one `_fraction` of the integer ratios of the point and the slope.
     """
     lam = _rational(lam)
     if lam <= f.lo or (f.hi is not None and lam >= f.hi):
         raise ValueError(f"{_quote(lam)} is not interior to [{_quote(f.lo)}, {_quote(f.hi)}]")
     if f.is_bottom:
         return GERM_BOTTOM
-    return Germ(f.eval_at(lam), lam * f.slopes[bisect_right(f.kinks, lam)],
-                lam * f.slopes[bisect_left(f.kinks, lam)])
+    a, b = lam.as_integer_ratio()
+    c, d = f.slopes[bisect_right(f.kinks, lam)].as_integer_ratio()
+    e, g = f.slopes[bisect_left(f.kinks, lam)].as_integer_ratio()
+    return Germ(f.eval_at(lam), _fraction(a * c, b * d), _fraction(a * e, b * g))
 
 
 def order_at(f: PiecewiseAffine, lam) -> Fraction:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
-from .scalars import _cached, _rational, _scaled, frac_to_str
+from .scalars import _cached, _fraction, _rational, _scaled, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -133,14 +133,14 @@ def _require_group(group: SlopeGroup, xs) -> None:
     Fraction built."""
     for num, den in xs:
         if not group._contains_ratio(num, den):
-            group.require(Fraction(num, den))
+            group.require(_fraction(num, den))
 
 
 def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
     """newton_polygon on coordinates given as (num, den) integer pairs with
-    den > 0, not necessarily in lowest terms; a Fraction is built only for
-    the kept vertices, and the polygon holds their integers over the dx and
-    dy of all the pairs (`_scaled`).
+    den > 0, not necessarily in lowest terms; a Fraction is built
+    (`_fraction`) only for the kept vertices, and the polygon holds their
+    integers over the dx and dy of all the pairs (`_scaled`).
 
     Group membership is one test for the whole list.  The x are X_i/dx, so
     they generate the subgroup (g/dx)*Z of (Q, +), with g = gcd(X_i) (0 for
@@ -152,7 +152,7 @@ def _polygon_of_ratios(group: SlopeGroup, xs, ys) -> NewtonPolygon:
     if not group._contains_ratio(gcd(*big_x), dx):
         _require_group(group, xs)
     kept = _hull(big_x, big_y)
-    return _with_form(group, tuple((Fraction(*xs[i]), Fraction(*ys[i])) for i in kept),
+    return _with_form(group, tuple((_fraction(*xs[i]), _fraction(*ys[i])) for i in kept),
                       _kept_form(kept, dx, big_x, dy, big_y))
 
 
@@ -170,7 +170,7 @@ def ell(n: NewtonPolygon, lam) -> Fraction | None:
 
     With lam = a/b and the integer form (dx, X, dy, Y) of `NewtonPolygon._form`,
     lam*x_j + y_j is (a*dy*X_j + b*dx*Y_j)/(b*dx*dy): one integer max over
-    one positive denominator, and one Fraction."""
+    one positive denominator, and one `_fraction`."""
     a, b = _rational(lam).as_integer_ratio()
     if a < 0:
         raise ValueError("the support function lives on [0, inf)")
@@ -178,7 +178,7 @@ def ell(n: NewtonPolygon, lam) -> Fraction | None:
         return None
     dx, big_x, dy, big_y = n._form
     ca, cb = a * dy, b * dx
-    return Fraction(max(ca * x + cb * y for x, y in zip(big_x, big_y)), b * dx * dy)
+    return _fraction(max(ca * x + cb * y for x, y in zip(big_x, big_y)), b * dx * dy)
 
 
 def _common_forms(n: NewtonPolygon, m: NewtonPolygon) -> tuple:
@@ -218,9 +218,9 @@ def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
 
     The sums run on the integer forms over their common denominators dx
     and dy (`_common_forms`): x_i + x_j is (X_i + X_j)/dx, and y likewise,
-    so `_hull` reads the scaled sums, a Fraction is built only for the
-    coordinates of a kept vertex, and the kept sums over dx and dy are the
-    result's form."""
+    so `_hull` reads the scaled sums, a Fraction is built (`_fraction`) only
+    for the coordinates of a kept vertex, and the kept sums over dx and dy
+    are the result's form."""
     _require_same_group(n, m)
     if n.is_zero or m.is_zero:
         return _with_form(n.group, (), (1, [], 1, []))
@@ -228,7 +228,7 @@ def poly_times(n: NewtonPolygon, m: NewtonPolygon) -> NewtonPolygon:
     big_x = [a + b for a in xn for b in xm]
     big_y = [a + b for a in yn for b in ym]
     kept = _hull(big_x, big_y)
-    return _with_form(n.group, tuple((Fraction(big_x[i], dx), Fraction(big_y[i], dy)) for i in kept),
+    return _with_form(n.group, tuple((_fraction(big_x[i], dx), _fraction(big_y[i], dy)) for i in kept),
                       _kept_form(kept, dx, big_x, dy, big_y))
 
 
@@ -240,8 +240,8 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
 
     The kink between vertices i and i+1 is (y_i - y_i+1)/(x_i+1 - x_i).  It
     is computed on the integers X = x*dx and Y = y*dy of the polygon's
-    `NewtonPolygon._form`, as the one Fraction((Y_i - Y_i+1)*dx,
-    (X_i+1 - X_i)*dy).  That is exact for the
+    `NewtonPolygon._form`, as the one `_fraction((Y_i - Y_i+1)*dx,
+    (X_i+1 - X_i)*dy)`.  That is exact for the
     reason `_hull` gives: y_i - y_i+1 = (Y_i - Y_i+1)/dy and
     x_i+1 - x_i = (X_i+1 - X_i)/dx, with dx, dy > 0.
 
@@ -257,7 +257,7 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
         return PiecewiseAffine(n.group, Fraction(0), None, None, (), ())
     xs, ys = zip(*n.vertices)
     dx, big_x, dy, big_y = n._form
-    kinks = tuple(Fraction((y0 - y1) * dx, (x1 - x0) * dy)
+    kinks = tuple(_fraction((y0 - y1) * dx, (x1 - x0) * dy)
                   for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:]))
     return PiecewiseAffine(n.group, Fraction(0), None, ys[0], kinks, xs)
 
@@ -270,8 +270,8 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     the value of piece i's line at 0, with k_0 = lo = 0 and k_i the kinks.
     With the integers of `PiecewiseAffine._form` (the positions K over dk,
     the slopes X over dx) and of its `_values`, y_i is
-    Y_i = values[i] - X_i*K_i*step over den: each ordinate is one Fraction,
-    and X over dx and Y over den are the polygon's form.
+    Y_i = values[i] - X_i*K_i*step over den: each ordinate is one
+    `_fraction`, and X over dx and Y over den are the polygon's form.
 
     The polygon is built without newton_polygon's checks.  f's slopes lie
     in its group (piecewise_affine checked them), and its kinks are
@@ -290,5 +290,5 @@ def from_function(f: PiecewiseAffine) -> NewtonPolygon:
     _, lo_and_k, dx, big_x = f._form
     step, den, values = f._values
     big_y = [v - x * k * step for v, x, k in zip(values, big_x, lo_and_k)]
-    return _with_form(f.group, tuple((x, Fraction(y, den)) for x, y in zip(f.slopes, big_y)),
+    return _with_form(f.group, tuple((x, _fraction(y, den)) for x, y in zip(f.slopes, big_y)),
                       (dx, big_x, den, big_y))

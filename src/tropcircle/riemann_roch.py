@@ -49,7 +49,7 @@ from itertools import product
 from math import ceil, floor, prod
 
 from .circle import CircleFunction, Divisor, divisor_of
-from .scalars import padic_abs
+from .scalars import _fraction, padic_abs
 
 __all__ = [
     "FiltrationReport",
@@ -188,13 +188,13 @@ def dim_r(d: Divisor, n_max: int) -> FiltrationReport:
     dims = [dim_filtration(d, n) for n in range(n_max, -1, -1)][::-1]
     if any(a > b for a, b in zip(dims, dims[1:])):
         raise AssertionError("filtration dimensions must be nondecreasing")
-    levels = tuple((n, dim, Fraction(dim, d.p ** n)) for n, dim in enumerate(dims))
+    levels = tuple((n, dim, _fraction(dim, d.p ** n)) for n, dim in enumerate(dims))
     return FiltrationReport(d, levels, levels[-1][2])
 
 
 def rr_tolerance(deg: Fraction, p: int, n_max: int) -> Fraction:
     """Acceptance window (1 + |deg|) * p**(1 - n_max) for the limit estimate."""
-    return (1 + abs(deg)) * Fraction(1, p ** (n_max - 1))
+    return (1 + abs(deg)) * _fraction(1, p ** (n_max - 1))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ parts; every other string (a decimal, an exponent, a sign "+", whitespace,
 exponent check, Fraction(str), then `_fits_digits`.
 
 `_rational` is the one coercion of a rational argument, a slope group's
-scale included: every value layer reads a string as `_ratio` reads it and
-any other value as Fraction(x) reads it, and a value it cannot read, an
-infinite float included, is refused with ValueError.  `_scaled` is the one
+scale included: every value layer reads a string or an int as `_ratio`
+reads it, takes a Fraction as built and reads any other value as
+Fraction(x) reads it, and a value it cannot read, an infinite float
+included, is refused with ValueError.  `_scaled` is the one
 common-denominator rule, and each value type lays out its integers with it
 once, in its own `_form`: a function's positions and slopes, a divisor's
 reps and coefficients, a polygon's vertices (`pointwise_join` alone lays
@@ -32,6 +33,19 @@ out two functions' cuts together).
 The exact sums and order tests of the value layers and the level set-up
 of the filtration search (`riemann_roch._level_box`) read those integers;
 the value layers build one Fraction per result, and the level set-up none.
+
+`_fraction` is the one way to make a Fraction from an integer pair: every
+Fraction the package makes from a numerator and a denominator, a result
+of the value layers, a reader's rational or a drawn `verify` case, goes
+through it (the filtration search's per-assignment kernel,
+`riemann_roch._assignment_best`, alone keeps its own).  It returns what
+Fraction(num, den) returns for two ints, in lowest terms with the sign on
+the numerator, but builds the instance as CPython 3.12's own
+`Fraction._from_coprime_ints` does, by setting its two slots, with none
+of the type dispatch of Fraction.__new__.  The tests pin the slot layout
+(`Fraction.__slots__`) and agreement with Fraction(num, den) on type,
+value, hash and repr, so a Python that changes the layout fails there,
+not silently.
 
 `_cached` is the one cache rule: a value computed from an instance on its
 first read (an integer form, a function's values, a divisor's degree and
@@ -45,7 +59,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "BOTTOM",
@@ -71,16 +85,35 @@ _QUOTE_LEN = 40
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
+# bound once: a global name read is cheaper than object.__new__'s attribute read
+_new = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for two ints: in lowest terms, the sign on the
+    numerator, and ZeroDivisionError for den == 0.  The two slots are set
+    directly, as Fraction._from_coprime_ints does on Python 3.12."""
+    if den <= 0:
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        num, den = -num, -den
+    g = gcd(num, den)
+    q = _new(Fraction)
+    q._numerator, q._denominator = num // g, den // g
+    return q
+
+
 def _rational(x) -> Fraction:
-    """x itself when it is a Fraction, the rational `_ratio` reads from a
-    string, else Fraction(x).  Fraction(x) refuses an infinite float (or
-    Decimal) with OverflowError, NaN with ValueError and a value of another
-    type, None or a list, with TypeError; each is refused here with
-    ValueError, Python's message kept."""
+    """x itself when it is a Fraction, taken as built, with no digit-limit
+    test; the rational `_ratio` reads from a string or an int (not a
+    bool), refused past the digit limit; else Fraction(x).  Fraction(x)
+    refuses an infinite float (or Decimal) with OverflowError, NaN with
+    ValueError and a value of another type, None or a list, with TypeError;
+    each is refused here with ValueError, Python's message kept."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, str):
-        return Fraction(*_ratio(x))
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return _fraction(*_ratio(x))
     try:
         return Fraction(x)
     except (OverflowError, TypeError) as exc:
@@ -323,7 +356,7 @@ def padic_abs(q, p: int) -> Fraction:
     if q == 0:
         return Fraction(0)
     e = padic_valuation(q.denominator, p) - padic_valuation(q.numerator, p)
-    return Fraction(p) ** e
+    return _fraction(p ** e, 1) if e >= 0 else _fraction(1, p ** -e)
 
 
 def chi(q, p: int) -> int:

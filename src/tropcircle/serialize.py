@@ -5,7 +5,8 @@ JSON integer is read too, a boolean never); the bottom value is the string
 "-inf".
 
 Reading: every rational goes through `scalars._ratio`, the one reader of
-rational text, and `parse_frac` makes its (num, den) pair a Fraction.
+rational text, and `parse_frac` makes its (num, den) pair a Fraction
+(`scalars._fraction`).
 `polygon_from_json` keeps the pairs and builds Fractions only for the
 vertices the hull keeps.  `_expect` is the one rule for the JSON type of a
 field (lists and objects), `_pair` for a two-item vertex or domain;
@@ -27,7 +28,7 @@ from .circle import CircleFunction, Divisor, circle_function, divisor
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine
 from .polygons import NewtonPolygon, _polygon_of_ratios
 from .riemann_roch import FiltrationReport, RiemannRochReport
-from .scalars import _ratio, frac_to_str, require_prime
+from .scalars import _fraction, _ratio, frac_to_str, require_prime
 
 __all__ = [
     "dumps",
@@ -46,7 +47,7 @@ __all__ = [
 
 def parse_frac(s) -> Fraction:
     """Read a rational from an int or a string, as `_ratio` reads it."""
-    return Fraction(*_ratio(s))
+    return _fraction(*_ratio(s))
 
 
 def rmax_to_str(v: Fraction | None) -> str:

@@ -16,19 +16,20 @@ only `rng.random()` and `rng.sample`.  Each generator builds every value
 once, through the validating constructor of its type
 (`polygons._polygon_of_ratios`, `piecewise.piecewise_affine`,
 `circle.circle_function`, `circle.divisor`), from the drawn integers, with
-no Fraction arithmetic on the way.  No case is kept from one call to the
+no Fraction arithmetic on the way; a rational is built from its integer
+pair by `scalars._fraction`.  No case is kept from one call to the
 next.
 
 The suites here are also what the acceptance tests call with their own
 counts.  Every check looks its operations up through their module at call
 time (`scalars.rmax_join`, `polygons.poly_times`, `circle.divisor_of`, ...),
-so monkeypatching any one of them is caught; only constants and types are
-imported by value.  A term that several laws compare, such as
-join(a, b) in the semiring laws' commutativity, associativity and
-distributivity, or `ell` of a polygon at one lambda in the Legendre
-duality, is computed once and its result compared in each of them; the
-germ and lex checks hand their own laws the join(a, b) and times(a, b)
-that `_semiring_laws` computed.
+so monkeypatching any one of them is caught; only constants, types and
+`scalars._fraction` are imported by value.  A term that several laws
+compare, such as join(a, b) in the semiring laws' commutativity,
+associativity and distributivity, or `ell` of a polygon at one lambda in
+the Legendre duality, is computed once and its result compared in each of
+them; the germ and lex checks hand their own laws the join(a, b) and
+times(a, b) that `_semiring_laws` computed.
 """
 
 import random
@@ -40,7 +41,7 @@ from functools import partial
 from . import circle, germs, piecewise, polygons, riemann_roch, scalars
 from .germs import GERM_BOTTOM, GERM_ONE, Germ, LEX_BOTTOM, LEX_ONE, LexElement
 from .piecewise import ZZ, SlopeGroup
-from .scalars import BOTTOM
+from .scalars import BOTTOM, _fraction
 
 __all__ = ["SUITES", "format_report", "run", "run_suite"]
 
@@ -64,7 +65,7 @@ def _draw(rng, lo, hi):
     return lo + r
 
 def gen_fraction(rng):
-    return Fraction(_draw(rng, -12, 12), _draw(rng, 1, 8))
+    return _fraction(_draw(rng, -12, 12), _draw(rng, 1, 8))
 
 def gen_rmax(rng):
     return None if rng.random() < 0.15 else gen_fraction(rng)
@@ -76,13 +77,13 @@ def _hp_draw(rng, span):
 
 def gen_hp(rng, p, span=9):
     num, e = _hp_draw(rng, span)
-    return Fraction(num, p ** e)
+    return _fraction(num, p ** e)
 
 def gen_group(rng):
     if rng.random() < 0.4:
         return ZZ
     p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
-    scale = Fraction(_draw(rng, 1, 3), (1, p)[_draw(rng, 0, 1)])
+    scale = _fraction(_draw(rng, 1, 3), (1, p)[_draw(rng, 0, 1)])
     return SlopeGroup(p, scale)
 
 def _group_ratio(rng, group):
@@ -96,7 +97,7 @@ def _group_ratio(rng, group):
     return s * k, t * group.p ** e
 
 def gen_group_element(rng, group):
-    return Fraction(*_group_ratio(rng, group))
+    return _fraction(*_group_ratio(rng, group))
 
 def gen_polygon(rng, group):
     """0 to 4 points (x, y), x in group and y as gen_fraction draws it,
@@ -107,7 +108,7 @@ def gen_polygon(rng, group):
         ys.append((_draw(rng, -12, 12), _draw(rng, 1, 8)))
     return polygons._polygon_of_ratios(group, xs, ys)
 
-_PA_KINKS = tuple(Fraction(4 * i, 7) for i in range(1, 7))
+_PA_KINKS = tuple(_fraction(4 * i, 7) for i in range(1, 7))
 
 def gen_pa(rng, group, convex=False, allow_bottom=True):
     """Random function on [0, 4] with kinks among the multiples of 4/7."""
@@ -175,10 +176,10 @@ def gen_circle(rng, p):
     slopes, closure = [], 0
     for lo, hi in zip(bounds, bounds[1:]):
         num, e = _hp_draw(rng, 6)
-        slopes.append(Fraction(num, p ** e))
+        slopes.append(_fraction(num, p ** e))
         closure += num * p ** (2 - e) * (hi - lo)
-    slopes.append(Fraction(-closure, grid * last_arc))
-    return circle.circle_function(p, [Fraction(i, grid) for i in bounds[1:]], slopes, anchor)
+    slopes.append(_fraction(-closure, grid * last_arc))
+    return circle.circle_function(p, [_fraction(i, grid) for i in bounds[1:]], slopes, anchor)
 
 def gen_divisor(rng, p, max_pts=3):
     """Up to max_pts points r/p**2 in [1, p), each with a coefficient as
@@ -190,7 +191,7 @@ def gen_divisor(rng, p, max_pts=3):
         r = _draw(rng, grid, grid * p - 1)
         num, e = _hp_draw(rng, 9)
         table[r] = table.get(r, 0) + num * p ** (2 - e)
-    return circle.divisor(p, {Fraction(r, grid): Fraction(c, grid) for r, c in table.items()})
+    return circle.divisor(p, {_fraction(r, grid): _fraction(c, grid) for r, c in table.items()})
 
 def class_representative(p, c):
     """Degree-zero divisor with chi class c: c jumps at 2 balanced at the wrap."""
@@ -217,7 +218,7 @@ def _shrink_fraction(q):
     if q.denominator != 1:
         yield Fraction(q.numerator // q.denominator)
     if abs(q.numerator) > 1:
-        yield Fraction(q.numerator // 2, q.denominator)
+        yield _fraction(q.numerator // 2, q.denominator)
 
 def _shrink_value(v):
     if isinstance(v, Fraction):
@@ -352,7 +353,7 @@ def _check_legendre_roundtrip(case):
 
 def _polygon_lambda_case(rng):
     group = gen_group(rng)
-    lams = tuple(Fraction(_draw(rng, 0, 40), _draw(rng, 1, 6)) for _ in range(4))
+    lams = tuple(_fraction(_draw(rng, 0, 40), _draw(rng, 1, 6)) for _ in range(4))
     return (gen_polygon(rng, group), gen_polygon(rng, group), lams)
 
 def _check_legendre_duality(case):
@@ -370,7 +371,7 @@ def _pa_case(rng):
     group = gen_group(rng)
     f = gen_pa(rng, group)
     g = gen_pa(rng, group)
-    lam = Fraction(_draw(rng, 0, 28), 7)
+    lam = _fraction(_draw(rng, 0, 28), 7)
     return (f, g, lam)
 
 def _check_pa_pointwise(case):
@@ -393,7 +394,7 @@ def _check_germ_compat(case):
 def _gamma_case(rng):
     group = gen_group(rng)
     return (gen_pa(rng, group), gen_pa(rng, group),
-            _draw(rng, 1, 4), _draw(rng, 1, 4), Fraction(_draw(rng, 0, 12), 12))
+            _draw(rng, 1, 4), _draw(rng, 1, 4), _fraction(_draw(rng, 0, 12), 12))
 
 def _check_gamma(case):
     f, g, n, m, frac = case
@@ -435,7 +436,7 @@ def _check_norm(case):
 def _recut_case(rng):
     p = PRIMES[_draw(rng, 0, len(PRIMES) - 1)]
     f = gen_circle(rng, p)
-    cut = Fraction(_draw(rng, p ** 2, p ** 3 - 1), p ** 2)
+    cut = _fraction(_draw(rng, p ** 2, p ** 3 - 1), p ** 2)
     return (f, cut)
 
 def _check_recut(case):
@@ -506,15 +507,15 @@ SUITES = (
     Suite("polygon-axioms", _polygon_case, _check_polygon_semiring),
     Suite("polygon-cancellation", _polygon_case, _check_polygon_cancel),
     Suite("legendre-roundtrip", _polygon_case, _check_legendre_roundtrip),
-    Suite("legendre-duality", _polygon_lambda_case, _check_legendre_duality, Fraction(1, 2)),
-    Suite("pa-pointwise", _pa_case, _check_pa_pointwise, Fraction(1, 2)),
-    Suite("pa-germ-compat", _pa_case, _check_germ_compat, Fraction(1, 2)),
-    Suite("gamma-action", _gamma_case, _check_gamma, Fraction(1, 2)),
-    Suite("circle-conservation", _circle_case, _check_conservation, Fraction(1, 4)),
-    Suite("circle-norm", _circle_case, _check_norm, Fraction(1, 4)),
-    Suite("circle-recut", _recut_case, _check_recut, Fraction(1, 4)),
-    Suite("jacobian", _jacobian_case, _check_jacobian, Fraction(1, 4)),
-    Suite("h0-membership", _h0_case, _check_h0, Fraction(1, 4)),
+    Suite("legendre-duality", _polygon_lambda_case, _check_legendre_duality, _fraction(1, 2)),
+    Suite("pa-pointwise", _pa_case, _check_pa_pointwise, _fraction(1, 2)),
+    Suite("pa-germ-compat", _pa_case, _check_germ_compat, _fraction(1, 2)),
+    Suite("gamma-action", _gamma_case, _check_gamma, _fraction(1, 2)),
+    Suite("circle-conservation", _circle_case, _check_conservation, _fraction(1, 4)),
+    Suite("circle-norm", _circle_case, _check_norm, _fraction(1, 4)),
+    Suite("circle-recut", _recut_case, _check_recut, _fraction(1, 4)),
+    Suite("jacobian", _jacobian_case, _check_jacobian, _fraction(1, 4)),
+    Suite("h0-membership", _h0_case, _check_h0, _fraction(1, 4)),
 )
 
 

@@ -1,6 +1,7 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from tropcircle.germs import (
@@ -58,6 +59,24 @@ class TestLex:
         a = LexElement(F(2), F(0))
         assert lex_join(a, LEX_BOTTOM) == a
         assert lex_mul(a, LEX_BOTTOM) == LEX_BOTTOM
+
+
+class TestValueSemantics:
+    """Germ and LexElement are frozen dataclasses with slots: equal fields
+    make equal values of one hash and repr, a field cannot be set, and an
+    instance carries no __dict__."""
+
+    @pytest.mark.parametrize("make, shown", [
+        (lambda: G(1, F(1, 2), -3), "Germ(1, 1/2, -3)"),
+        (lambda: LexElement(F(1), F(-1, 2)), "Lex(1, -1/2)"),
+        (lambda: Germ(None, None, None), "Germ(bottom)"),
+    ])
+    def test_frozen_slotted_values(self, make, shown):
+        a, b = make(), make()
+        assert a == b and a is not b and hash(a) == hash(b) and repr(a) == shown
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            a.x = F(0)
 
 
 class TestEvalChar:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropcircle import scalars
 from tropcircle.circle import CircleFunction, divisor, from_cut, normalize_point
@@ -15,8 +15,8 @@ from tropcircle.germs import Germ, LexElement
 from tropcircle.piecewise import ZZ, PiecewiseAffine, SlopeGroup, germ_at, piecewise_affine
 from tropcircle.polygons import NewtonPolygon, ell, newton_polygon
 from tropcircle.scalars import (
-    BOTTOM, _fits_digits, _rational, chi, frac_to_str, in_zp, is_prime, padic_abs, require_prime,
-    rmax_join, rmax_times,
+    BOTTOM, _fits_digits, _fraction, _rational, chi, frac_to_str, in_zp, is_prime, padic_abs,
+    require_prime, rmax_join, rmax_times,
 )
 from tropcircle.serialize import divisor_to_json, parse_frac
 from tropcircle.verify import (
@@ -305,6 +305,9 @@ def outcome(entry, x):
 
 _HINGE = piecewise_affine(ZZ, 0, 4, 1, [F(1)], [F(0), F(1)])
 
+# Python's default limit on the decimal digits of an int converted to str
+DIGITS = 4300
+
 # each public entry of the value layers that takes a rational argument x
 COERCING_ENTRIES = {
     "frac_to_str": frac_to_str,
@@ -329,9 +332,9 @@ COERCING_ENTRIES = {
 }
 
 
-class FractionTypeTests(ast.NodeVisitor):
-    """The place, as module.Class.function, of every `type(...) is Fraction`
-    and `type(...) is not Fraction` in one module."""
+class Places(ast.NodeVisitor):
+    """Collects in `found` the place, as module.Class.function, of the
+    nodes a subclass picks in one module."""
 
     def __init__(self, module):
         self.stack, self.found = [module], []
@@ -343,6 +346,10 @@ class FractionTypeTests(ast.NodeVisitor):
 
     visit_ClassDef = visit_AsyncFunctionDef = visit_FunctionDef
 
+
+class FractionTypeTests(Places):
+    """Every `type(...) is Fraction` and `type(...) is not Fraction`."""
+
     def visit_Compare(self, node):
         left = node.left
         if (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
@@ -351,6 +358,16 @@ class FractionTypeTests(ast.NodeVisitor):
                 and any(isinstance(c, ast.Name) and c.id == "Fraction" for c in node.comparators)):
             self.found.append(".".join(self.stack))
         self.generic_visit(node)
+
+
+def package_places(finder) -> list:
+    """The places a `Places` subclass finds in every module of the package."""
+    found = []
+    for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
+        places = finder(path.stem)
+        places.visit(ast.parse(path.read_text()))
+        found += places.found
+    return found
 
 
 class TestOneCoercion:
@@ -378,12 +395,17 @@ class TestOneCoercion:
     def test_type_tests_only_in_rational(self):
         """`type(...) is Fraction` and `type(...) is not Fraction` appear in
         the package only inside scalars._rational, the one coercion."""
-        found = []
-        for path in sorted(Path(scalars.__file__).parent.glob("*.py")):
-            finder = FractionTypeTests(path.stem)
-            finder.visit(ast.parse(path.read_text()))
-            found += finder.found
-        assert found == ["scalars._rational"]
+        assert package_places(FractionTypeTests) == ["scalars._rational"]
+
+    @pytest.mark.parametrize("x", [10 ** DIGITS, -(10 ** DIGITS)], ids=["10**DIGITS", "-10**DIGITS"])
+    @pytest.mark.parametrize("name", sorted(COERCING_ENTRIES))
+    def test_int_past_the_digit_limit_refused_as_parse_frac_refuses_it(self, name, x):
+        """An int argument is read by `scalars._ratio`, as a string is: an
+        int of more than DIGITS decimal digits is refused at once with the
+        ValueError parse_frac raises, not kept until something prints it."""
+        with pytest.raises(ValueError) as refusal:
+            parse_frac(x)
+        assert outcome(COERCING_ENTRIES[name], x) == ("ValueError", str(refusal.value))
 
     @pytest.mark.parametrize("x, message", [
         (float("inf"), "cannot convert Infinity to integer ratio"),
@@ -499,6 +521,62 @@ class TestOneCoercion:
             "circle.Divisor._form", "piecewise.PiecewiseAffine._form", "piecewise.pointwise_join",
             "polygons._integer_form", "polygons._polygon_of_ratios"]
         assert importers == ["circle", "piecewise", "polygons"]
+
+
+# ------------------------------------- the one maker of a Fraction from a pair
+
+class FractionPairCalls(Places):
+    """Every Fraction(...) call with more than one argument or with a
+    starred one: a Fraction built from an integer pair."""
+
+    def visit_Call(self, node):
+        func = node.func
+        if ((isinstance(func, ast.Name) and func.id == "Fraction")
+                or (isinstance(func, ast.Attribute) and func.attr == "Fraction")) and (
+                len(node.args) + len(node.keywords) > 1
+                or any(isinstance(arg, ast.Starred) for arg in node.args)):
+            self.found.append(".".join(self.stack))
+        self.generic_visit(node)
+
+
+class TestFractionFromPair:
+    """`scalars._fraction(num, den)` returns what Fraction(num, den) returns
+    for two ints; it sets Fraction's two slots itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(-10 ** 40, 10 ** 40),
+           st.sampled_from([1, 2, 6, 3 ** 20, 10 ** 20]))
+    @example(0, 5, 1)
+    @example(0, -5, 3)
+    @example(-6, -4, 1)
+    @example(6, -4, 1)
+    @example(7, 0, 1)
+    @example(0, 0, 1)
+    def test_agrees_with_fraction(self, n, d, k):
+        """num k*n over den k*d, so that they share the factor k."""
+        n, d = n * k, d * k
+        if d == 0:
+            for build in (_fraction, F):
+                with pytest.raises(ZeroDivisionError):
+                    build(n, d)
+            return
+        ours, theirs = _fraction(n, d), F(n, d)
+        assert type(ours) is type(theirs) is F
+        assert (ours.numerator, ours.denominator) == (theirs.numerator, theirs.denominator)
+        assert hash(ours) == hash(theirs) and repr(ours) == repr(theirs) and ours == theirs
+
+    def test_slot_layout(self):
+        """The two slots `_fraction` sets are all of Fraction's state."""
+        assert F.__slots__ == ("_numerator", "_denominator")
+
+    def test_pairs_made_only_by_fraction(self):
+        """No module calls Fraction(num, den), or Fraction(*pair): a
+        Fraction from an integer pair is built by `scalars._fraction`.
+        `_assignment_best`, the filtration search's per-assignment kernel,
+        keeps its one Fraction(num, den): an integer kernel is to replace
+        it whole, once the benchmark's peak RSS no longer grows with the
+        passes a faster search fits in (ROADMAP)."""
+        assert package_places(FractionPairCalls) == ["riemann_roch._assignment_best"]
 
 
 @dataclasses.dataclass(frozen=True)
