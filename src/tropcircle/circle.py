@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .piecewise import PiecewiseAffine, SlopeGroup, piecewise_affine, pointwise_join, pointwise_times
 from .scalars import (
-    _cached, _fraction, _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp, require_prime,
+    _ONE, _ZERO, _cached, _fraction, _fracs, _quote, _rational, _scaled, chi, frac_to_str, in_zp,
+    require_prime,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ def normalize_point(p: int, lam) -> Fraction:
     rational scaled by p**k, and 1 <= num/den < p is den <= num < p*den, as
     den > 0.  lam itself is returned when it already lies in [1, p), and
     otherwise one Fraction is built (`_fraction`)."""
+    require_prime(p)
     lam = _rational(lam)
     num, den = lam.as_integer_ratio()
     if num <= 0:
@@ -85,7 +87,7 @@ class Divisor:
         for r, c in self.entries:
             if r == rep:
                 return c
-        return Fraction(0)
+        return _ZERO
 
     @_cached
     def _form(self) -> tuple:
@@ -242,7 +244,7 @@ def from_cut(p: int, start, kinks, slopes, anchor) -> CircleFunction:
             breaks[a / p] = p * t
         else:
             breaks[a] = t
-            breaks[Fraction(1)] = p * t
+            breaks[1] = p * t
     reps = sorted(breaks)
     return circle_function(p, reps[1:], [breaks[r] for r in reps], cut.eval_at(p))
 
@@ -265,7 +267,7 @@ def divisor_of(f: CircleFunction) -> Divisor:
         raise ValueError("the bottom function has no divisor")
     _, _, ds, s = f.pa._form
     table = {k: _fraction(right - left, ds) for k, left, right in zip(f.kinks, s, s[1:])}
-    table[Fraction(1)] = _fraction(s[0] - f.p * s[-1], ds)
+    table[_ONE] = _fraction(s[0] - f.p * s[-1], ds)
     return _collect(f.p, table)
 
 

@@ -14,7 +14,7 @@ two values a/b and c/d as a*d against c*b, and each sum of a product is one
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import _fraction, frac_to_str
+from .scalars import _ZERO, _fraction, frac_to_str
 
 __all__ = [
     "GERM_BOTTOM",
@@ -52,7 +52,7 @@ class Germ:
 
 
 GERM_BOTTOM = Germ(None, None, None)
-GERM_ONE = Germ(Fraction(0), Fraction(0), Fraction(0))
+GERM_ONE = Germ(_ZERO, _ZERO, _ZERO)
 
 
 def _sum(q: Fraction, r: Fraction) -> Fraction:
@@ -122,7 +122,7 @@ class LexElement:
 
 
 LEX_BOTTOM = LexElement(None, None)
-LEX_ONE = LexElement(Fraction(0), Fraction(0))
+LEX_ONE = LexElement(_ZERO, _ZERO)
 
 
 def lex_join(a: LexElement, b: LexElement) -> LexElement:

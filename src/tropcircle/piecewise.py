@@ -25,7 +25,8 @@ from operator import add
 
 from .germs import GERM_BOTTOM, Germ
 from .scalars import (
-    _cached, _fraction, _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str, require_prime,
+    _ONE, _ZERO, _cached, _fraction, _fracs, _is_power_of, _quote, _rational, _scaled, frac_to_str,
+    require_prime,
 )
 
 __all__ = [
@@ -51,7 +52,7 @@ class SlopeGroup:
     """Rank-one subgroup of (R, +): Z when p is None, else scale * Z[1/p]."""
 
     p: int | None = None
-    scale: Fraction = Fraction(1)
+    scale: Fraction = _ONE
 
     def __post_init__(self):
         if self.p is not None:
@@ -199,7 +200,7 @@ def piecewise_affine(group, lo, hi, anchor, kinks=(), slopes=None) -> PiecewiseA
         return PiecewiseAffine(group, lo, hi, None, (), ())
     anchor, kinks = _rational(anchor), tuple(map(_rational, kinks))
     if slopes is None:
-        slopes = (Fraction(0),)
+        slopes = (_ZERO,)
     slopes = tuple(group.require(s) for s in slopes)
     if len(slopes) != len(kinks) + 1:
         raise ValueError("need exactly one slope per piece")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .piecewise import PiecewiseAffine, SlopeGroup, _require_same_group
-from .scalars import _cached, _fraction, _rational, _scaled, frac_to_str
+from .scalars import _ZERO, _cached, _fraction, _rational, _scaled, frac_to_str
 
 __all__ = [
     "NewtonPolygon",
@@ -254,12 +254,12 @@ def legendre(n: NewtonPolygon) -> PiecewiseAffine:
     module returns it.
     """
     if n.is_zero:
-        return PiecewiseAffine(n.group, Fraction(0), None, None, (), ())
+        return PiecewiseAffine(n.group, _ZERO, None, None, (), ())
     xs, ys = zip(*n.vertices)
     dx, big_x, dy, big_y = n._form
     kinks = tuple(_fraction((y0 - y1) * dx, (x1 - x0) * dy)
                   for x0, x1, y0, y1 in zip(big_x, big_x[1:], big_y, big_y[1:]))
-    return PiecewiseAffine(n.group, Fraction(0), None, ys[0], kinks, xs)
+    return PiecewiseAffine(n.group, _ZERO, None, ys[0], kinks, xs)
 
 
 def from_function(f: PiecewiseAffine) -> NewtonPolygon:

@@ -46,10 +46,10 @@ that box.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, prod
+from math import prod
 
 from .circle import CircleFunction, Divisor, divisor_of
-from .scalars import _fraction, padic_abs
+from .scalars import _ONE, _fraction, _quote, padic_abs
 
 __all__ = [
     "FiltrationReport",
@@ -74,7 +74,7 @@ def norm_p(f: CircleFunction) -> Fraction:
     """
     if f.is_bottom:
         raise ValueError("the bottom function has no norm")
-    lefts = (Fraction(1), *f.kinks)
+    lefts = (_ONE, *f.kinks)
     return max(padic_abs(s, f.p) / b for s, b in zip(f.slopes, lefts))
 
 
@@ -105,12 +105,19 @@ def _assignment_best(p, w, k, r):
     movable, but one more step at rep_j gives an integer alpha with
     r + rep_j <= w: a kink-free member whose assignment lies in the
     enumerated box, as its bounds are necessary for membership.
+
+    All of it runs on integers.  With r = a/b (b > 0) and w an int,
+    alpha = (a - p k b) / (b (p-1)), so divmod(a - p k b, b (p-1)) gives
+    q = floor(alpha) and a remainder rem that is 0 exactly when alpha is an
+    integer: ceil(alpha) - 1 is q - (not rem), and ceil(w - r) - 1 is
+    w - a // b - 1.
     """
-    alpha = Fraction(r - p * k, p - 1)
-    best = min(ceil(w - r) - 1, w - p * k - (p - 1) * (floor(alpha) + 1))
+    a, b = r.as_integer_ratio()
+    q, rem = divmod(a - p * k * b, b * (p - 1))
+    best = min(w - a // b - 1, w - p * k - (p - 1) * (q + 1))
     if best >= 2:
         return best
-    return int((p - 1) * (ceil(alpha) - 1) + p * k + p <= w + (alpha.denominator == 1))
+    return int((p - 1) * (q - (not rem)) + p * k + p <= w + (not rem))
 
 
 def _level_box(d: Divisor, n: int):
@@ -146,8 +153,11 @@ def dim_filtration(d: Divisor, n: int) -> int:
     Returns 0 when the level holds only the bottom function.  The search
     enumerates the forced jumps at the support of D in lattice steps p**(-n)
     (ranges bounded by the order-sum budget, `_level_box`) and maximizes
-    over assignments.
+    over assignments.  A level n that is not an int, a float or a bool
+    included, is refused: p**n would not be exact.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {_quote(n)}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = d.p
@@ -183,6 +193,8 @@ def dim_r(d: Divisor, n_max: int) -> FiltrationReport:
     Levels are computed from n_max down, so a search too large to run fails
     on its largest level before any smaller level is enumerated.
     """
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an integer, got {_quote(n_max)}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     dims = [dim_filtration(d, n) for n in range(n_max, -1, -1)][::-1]

@@ -34,11 +34,13 @@ The exact sums and order tests of the value layers and the level set-up
 of the filtration search (`riemann_roch._level_box`) read those integers;
 the value layers build one Fraction per result, and the level set-up none.
 
-`_fraction` is the one way to make a Fraction from an integer pair: every
-Fraction the package makes from a numerator and a denominator, a result
-of the value layers, a reader's rational or a drawn `verify` case, goes
-through it (the filtration search's per-assignment kernel,
-`riemann_roch._assignment_best`, alone keeps its own).  It returns what
+The package makes a Fraction in three ways only.  `_fraction` builds
+every Fraction made from integers: a result of the value layers, a
+reader's rational, a drawn `verify` case, and the constants `_ZERO` and
+`_ONE`, built once here for every function that needs 0 or 1.
+`_rational`'s Fraction(x) reads a foreign value such as a float, and
+`_ratio`'s Fraction(str) reads text; a lint test finds no other
+Fraction(...) call in the package.  `_fraction` returns what
 Fraction(num, den) returns for two ints, in lowest terms with the sign on
 the numerator, but builds the instance as CPython 3.12's own
 `Fraction._from_coprime_ints` does, by setting its two slots, with none
@@ -101,6 +103,10 @@ def _fraction(num: int, den: int) -> Fraction:
     q = _new(Fraction)
     q._numerator, q._denominator = num // g, den // g
     return q
+
+
+# 0 and 1, built once
+_ZERO, _ONE = _fraction(0, 1), _fraction(1, 1)
 
 
 def _rational(x) -> Fraction:
@@ -207,7 +213,8 @@ def _ratio(s) -> tuple[int, int]:
     itself refuses a digit string longer than the limit, which sends the
     string down the general path, where _refusal words it as the test
     would.  An int argument and the general path, whose decimals and
-    exponents can build parts longer than the string, keep the test.
+    exponents can build parts longer than the string, keep the test, which
+    skips a denominator of 1.
     """
     if isinstance(s, str):
         num, slash, den = s.partition("/")
@@ -234,7 +241,7 @@ def _ratio(s) -> tuple[int, int]:
         num, den = s, 1
     else:
         raise ValueError(f"expected a rational string, got {_quote(s)}")
-    if not (_fits_digits(num) and _fits_digits(den)):
+    if not (_fits_digits(num) and (den == 1 or _fits_digits(den))):
         name = f"rational {_quote(s)}" if isinstance(s, str) else "integer"
         raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits")
     return num, den
@@ -305,9 +312,11 @@ def is_prime(n: int) -> bool:
 def require_prime(p) -> int:
     """Return p when it is a prime int below 2**64; raise ValueError otherwise.
 
-    divisor() and SlopeGroup, the two constructors that take a prime, call
-    this; the arithmetic downstream never re-checks p.  The primality test
-    runs once per prime: accepted primes are remembered (see _checked_prime).
+    Every entry that takes a prime reads it through this: divisor() and
+    SlopeGroup, and normalize_point, padic_valuation, in_zp, padic_abs and
+    chi, which would otherwise loop forever or divide by zero on p <= 1.
+    The primality test runs once per prime: accepted primes are remembered
+    (see _checked_prime).
     """
     if type(p) is not int:
         raise ValueError(f"p must be a prime integer, got {_quote(p)}")
@@ -328,6 +337,7 @@ def _checked_prime(p: int) -> int:
 
 def padic_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer n."""
+    require_prime(p)
     if n == 0:
         raise ValueError("zero has no finite valuation")
     n = abs(n)
@@ -347,14 +357,15 @@ def _is_power_of(den: int, p: int) -> bool:
 
 def in_zp(q, p: int) -> bool:
     """True when the reduced denominator of q is a power of p."""
-    return _is_power_of(_rational(q).denominator, p)
+    return _is_power_of(_rational(q).denominator, require_prime(p))
 
 
 def padic_abs(q, p: int) -> Fraction:
     """p-adic absolute value p**(v_p(den) - v_p(num)); 0 maps to 0."""
+    require_prime(p)
     q = _rational(q)
     if q == 0:
-        return Fraction(0)
+        return _ZERO
     e = padic_valuation(q.denominator, p) - padic_valuation(q.numerator, p)
     return _fraction(p ** e, 1) if e >= 0 else _fraction(1, p ** -e)
 
@@ -366,4 +377,4 @@ def chi(q, p: int) -> int:
     reduced numerator alone represents the class.  For p = 2 the group is
     trivial: every numerator is 0 mod 1.
     """
-    return _rational(q).numerator % (p - 1)
+    return _rational(q).numerator % (require_prime(p) - 1)

@@ -41,7 +41,7 @@ from functools import partial
 from . import circle, germs, piecewise, polygons, riemann_roch, scalars
 from .germs import GERM_BOTTOM, GERM_ONE, Germ, LEX_BOTTOM, LEX_ONE, LexElement
 from .piecewise import ZZ, SlopeGroup
-from .scalars import BOTTOM, _fraction
+from .scalars import BOTTOM, _ONE, _ZERO, _fraction
 
 __all__ = ["SUITES", "format_report", "run", "run_suite"]
 
@@ -197,7 +197,7 @@ def class_representative(p, c):
     """Degree-zero divisor with chi class c: c jumps at 2 balanced at the wrap."""
     if c % (p - 1) == 0:
         return circle.divisor(p, {})
-    return circle.divisor(p, {Fraction(2): Fraction(-c), Fraction(1): Fraction(2 * c)})
+    return circle.divisor(p, {2: -c, 1: 2 * c})
 
 def gen_divisor_deg0_chi0(rng, p):
     return circle.divisor_of(gen_circle(rng, p))
@@ -214,9 +214,9 @@ def gen_divisor_chi_nonzero(rng, p):
 def _shrink_fraction(q):
     if q is None or q == 0:
         return
-    yield Fraction(0)
+    yield _ZERO
     if q.denominator != 1:
-        yield Fraction(q.numerator // q.denominator)
+        yield _fraction(q.numerator // q.denominator, 1)
     if abs(q.numerator) > 1:
         yield _fraction(q.numerator // 2, q.denominator)
 
@@ -264,7 +264,7 @@ class Suite:
     name: str
     gen: callable          # rng -> case tuple
     check: callable        # case tuple -> bool (True means pass)
-    scale: Fraction = Fraction(1)   # fraction of the requested count to run
+    scale: Fraction = _ONE   # fraction of the requested count to run
 
 
 def _semiring_laws(join, times, one, bottom, case, more=None):
@@ -299,7 +299,7 @@ def _triple(gen):
     return lambda rng: (gen(rng), gen(rng), gen(rng))
 
 def _check_rmax(case):
-    return _semiring_laws(scalars.rmax_join, scalars.rmax_times, Fraction(0), BOTTOM, case)
+    return _semiring_laws(scalars.rmax_join, scalars.rmax_times, _ZERO, BOTTOM, case)
 
 def _hp_case(rng):
     p = _PRIMES_TO_7[_draw(rng, 0, len(_PRIMES_TO_7) - 1)]
@@ -398,7 +398,7 @@ def _gamma_case(rng):
 
 def _check_gamma(case):
     f, g, n, m, frac = case
-    lam = f.lo / (n * m) + frac * ((Fraction(4) if f.hi is None else f.hi) - f.lo) / (n * m)
+    lam = f.lo / (n * m) + frac * ((_fraction(4, 1) if f.hi is None else f.hi) - f.lo) / (n * m)
     lhs = piecewise.gamma(n, piecewise.gamma(m, f))
     rhs = piecewise.gamma(n * m, f)
     if lhs != rhs:
@@ -444,15 +444,16 @@ def _check_recut(case):
     divisor and the norm must not change."""
     f, cut = case
     p = f.p
-    bounds = [Fraction(1), *f.kinks, Fraction(p)]
+    top = _fraction(p, 1)
+    bounds = [_ONE, *f.kinks, top]
     starts, slopes = [], []
     for a, b, s in zip(bounds, bounds[1:], f.slopes):
-        lo, hi = max(a, cut), min(b, Fraction(p))
+        lo, hi = max(a, cut), min(b, top)
         if lo < hi:
             starts.append(lo)
             slopes.append(s)
     for a, b, s in zip(bounds, bounds[1:], f.slopes):
-        lo, hi = max(a * p, Fraction(p)), min(b * p, p * cut)
+        lo, hi = max(a * p, top), min(b * p, p * cut)
         if lo < hi:
             starts.append(lo)
             slopes.append(s / p)

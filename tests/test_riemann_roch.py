@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
-from math import floor, prod
+from math import ceil, floor, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +165,12 @@ class TestDimFiltration:
         with pytest.raises(ValueError, match="level n=3 "):
             dim_filtration(d, 3)
 
+    @pytest.mark.parametrize("n", [1.5, 2.5, True])
+    def test_level_must_be_an_int(self, n):
+        # a float level made p**n a float, and True was read as level 1
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            dim_filtration(divisor(2, {F(1): F(1)}), n)
+
     def test_box_side_beyond_maxsize_raises_value_error(self):
         # at n=40 the forced jump at 2 ranges over about 3**40 > sys.maxsize
         # steps, too many for len(range)
@@ -228,6 +234,38 @@ class TestLevelLaw:
 
 
 BIG_PRIME = 2 ** 61 - 1
+
+
+def fraction_kernel(p, w, k, r):
+    """`_assignment_best` as it was first written, on a Fraction alpha."""
+    alpha = F(r - p * k, p - 1)
+    best = min(ceil(w - r) - 1, w - p * k - (p - 1) * (floor(alpha) + 1))
+    if best >= 2:
+        return best
+    return int((p - 1) * (ceil(alpha) - 1) + p * k + p <= w + (alpha.denominator == 1))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(p, w, k, r): w and k of both signs, w near a multiple of p so that
+    both of the kernel's branches are reached for a large p too, and r an
+    int or a Fraction over a power of p or another denominator."""
+    p = draw(st.sampled_from([2, 3, 5, 7, BIG_PRIME]))
+    w = draw(st.integers(-3, 3)) * p + draw(st.integers(-40, 40))
+    k = draw(st.integers(-6, 6))
+    r = draw(st.one_of(
+        st.integers(-60, 60),
+        st.builds(F, st.integers(-600, 600), st.sampled_from([p, p ** 2, p ** 5, 3, 6, 10, 49])),
+        st.builds(F, st.integers(-3, 3).map(lambda i: i * p * p), st.sampled_from([1, p - 1]))))
+    return p, w, k, r
+
+
+class TestAssignmentKernel:
+    @settings(max_examples=2000, deadline=None)
+    @given(kernel_cases())
+    def test_integer_kernel_matches_the_fraction_formula(self, case):
+        best = _assignment_best(*case)
+        assert type(best) is int and best == fraction_kernel(*case)
 
 
 @st.composite
@@ -294,6 +332,11 @@ class TestDimR:
     def test_requires_two_levels(self):
         with pytest.raises(ValueError):
             dim_r(divisor(2, {}), 1)
+
+    @pytest.mark.parametrize("n_max", [1.5, 2.5, True])
+    def test_n_max_must_be_an_int(self, n_max):
+        with pytest.raises(ValueError, match="^n_max must be an integer"):
+            dim_r(divisor(2, {F(1): F(1)}), n_max)
 
     def test_largest_level_tried_first(self):
         # levels from n=14 up exceed the cap; the error names n_max, so no

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import random
 import re
+import signal
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,7 +17,7 @@ from tropcircle.piecewise import ZZ, PiecewiseAffine, SlopeGroup, germ_at, piece
 from tropcircle.polygons import NewtonPolygon, ell, newton_polygon
 from tropcircle.scalars import (
     BOTTOM, _fits_digits, _fraction, _rational, chi, frac_to_str, in_zp, is_prime, padic_abs,
-    require_prime, rmax_join, rmax_times,
+    padic_valuation, require_prime, rmax_join, rmax_times,
 )
 from tropcircle.serialize import divisor_to_json, parse_frac
 from tropcircle.verify import (
@@ -168,6 +169,16 @@ class TestIsPrime:
             is_prime(10 ** 30)
 
 
+# every entry that takes a prime, called with a valid value besides it
+PRIME_ENTRIES = {
+    "chi": lambda p: chi(F(7, 5), p),
+    "in_zp": lambda p: in_zp(F(3, 4), p),
+    "normalize_point": lambda p: normalize_point(p, F(5, 2)),
+    "padic_abs": lambda p: padic_abs(F(12), p),
+    "padic_valuation": lambda p: padic_valuation(12, p),
+}
+
+
 class TestRequirePrime:
     def test_accepts_primes(self):
         assert require_prime(2) == 2
@@ -186,6 +197,24 @@ class TestRequirePrime:
     def test_rejects_beyond_two_to_the_64(self):
         with pytest.raises(ValueError, match=r"2\*\*64"):
             require_prime(2 ** 89 - 1)
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 4, True, 2.0])
+    @pytest.mark.parametrize("entry", sorted(PRIME_ENTRIES))
+    def test_every_prime_entry_refuses_a_non_prime(self, entry, p):
+        """Each entry that takes a prime reads it through require_prime: on
+        p <= 1 the loops of padic_valuation and normalize_point never ended
+        and chi divided by zero.  An alarm turns a hang into a failure."""
+        def hang(signum, frame):
+            raise TimeoutError(f"{entry} with p={p!r} did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(3)
+        try:
+            with pytest.raises(ValueError, match="^p must be"):
+                PRIME_ENTRIES[entry](p)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_each_prime_is_tested_once(self, monkeypatch):
         tested = []
@@ -523,18 +552,15 @@ class TestOneCoercion:
         assert importers == ["circle", "piecewise", "polygons"]
 
 
-# ------------------------------------- the one maker of a Fraction from a pair
+# ------------------------------------- the one maker of a Fraction from integers
 
-class FractionPairCalls(Places):
-    """Every Fraction(...) call with more than one argument or with a
-    starred one: a Fraction built from an integer pair."""
+class FractionCalls(Places):
+    """Every Fraction(...) call, whatever its arguments."""
 
     def visit_Call(self, node):
         func = node.func
         if ((isinstance(func, ast.Name) and func.id == "Fraction")
-                or (isinstance(func, ast.Attribute) and func.attr == "Fraction")) and (
-                len(node.args) + len(node.keywords) > 1
-                or any(isinstance(arg, ast.Starred) for arg in node.args)):
+                or (isinstance(func, ast.Attribute) and func.attr == "Fraction")):
             self.found.append(".".join(self.stack))
         self.generic_visit(node)
 
@@ -570,13 +596,11 @@ class TestFractionFromPair:
         assert F.__slots__ == ("_numerator", "_denominator")
 
     def test_pairs_made_only_by_fraction(self):
-        """No module calls Fraction(num, den), or Fraction(*pair): a
-        Fraction from an integer pair is built by `scalars._fraction`.
-        `_assignment_best`, the filtration search's per-assignment kernel,
-        keeps its one Fraction(num, den): an integer kernel is to replace
-        it whole, once the benchmark's peak RSS no longer grows with the
-        passes a faster search fits in (ROADMAP)."""
-        assert package_places(FractionPairCalls) == ["riemann_roch._assignment_best"]
+        """Fraction(...) is called in two places only: `_rational` reads a
+        foreign value such as a float, and `_ratio` reads text.  Every
+        Fraction made from integers, an integer pair or the constants 0 and
+        1 included, is built by `scalars._fraction`."""
+        assert package_places(FractionCalls) == ["scalars._rational", "scalars._ratio"]
 
 
 @dataclasses.dataclass(frozen=True)
